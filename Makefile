@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet bench bench-json bench-diff bufdebug stream chaos trace hotspot contention check
+.PHONY: build test locks race vet bench bench-json bench-diff bufdebug stream chaos trace hotspot contention check
 
 build:
 	$(GO) build ./...
@@ -13,6 +13,14 @@ test:
 # lock-free queues, the streaming bench, and the layers between them.
 race:
 	$(GO) test -race ./internal/core/... ./internal/telemetry/... ./internal/cluster/... ./internal/fabric/... ./internal/fault/... ./internal/chaos/... ./internal/queue/... ./internal/bench/... ./internal/cc/...
+
+# Lock-protocol gate: the element-lock and reader-lease tests (grant
+# policy, message-free hits, both recall paths, writer progress,
+# back-off, a 3-node mixed RLock/WLock stress guarding plain counters)
+# on four cores under the race detector, with a bound so a lost grant or
+# release fails in two minutes instead of hanging CI for ten.
+locks:
+	GOMAXPROCS=4 $(GO) test -race -timeout 120s -count=1 -run 'TestLease|TestLocks|TestRLock' ./internal/core/
 
 vet:
 	$(GO) vet ./...
@@ -72,4 +80,4 @@ trace:
 	$(GO) run ./cmd/darray-trace $(or $(TMPDIR),/tmp)/darray-trace-smoke.json
 	$(GO) test -run 'TestAcceptance' -count=1 ./internal/trace/
 
-check: build vet test race stream chaos bufdebug trace hotspot contention
+check: build vet test locks race stream chaos bufdebug trace hotspot contention

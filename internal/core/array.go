@@ -133,6 +133,14 @@ type Metrics struct {
 	ShipFlips      atomic.Int64
 	ShipBytesSaved atomic.Int64
 
+	// Reader-lease accounting (see lock.go). LeaseGrants and LeaseRecalls
+	// count at the home: grants that carried a lease, and lease-recall
+	// messages a writer made it send. LeaseHits counts at the lessee:
+	// RLocks its own lease table served.
+	LeaseGrants  atomic.Int64
+	LeaseHits    atomic.Int64
+	LeaseRecalls atomic.Int64
+
 	// Zero-copy data-path accounting (all zero under NoPool; see
 	// zerocopy.go for the lease/adopt/donate vocabulary).
 	Leases        atomic.Int64 // payload buffers leased from the pool

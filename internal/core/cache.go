@@ -18,8 +18,8 @@ type cacheLine struct {
 
 // rtState is the per-(runtime goroutine, array) state: the runtime's
 // independent cache region with its scanning pointer (paper Figure 7)
-// and the lock table for elements homed on this node and owned by this
-// runtime.
+// and the lock tables of this runtime's chunks: locks homed on this
+// node, and waiters and leases for locks homed elsewhere.
 type rtState struct {
 	arr           *Array
 	rt            *cluster.Runtime
@@ -31,6 +31,7 @@ type rtState struct {
 
 	locks       map[int64]*lockState // element locks homed here (this runtime)
 	lockWaiters map[int64][]*waiter  // local threads awaiting remote grants
+	leases      map[int64]*lease     // reader leases held on elements homed elsewhere
 }
 
 func newRTState(a *Array, rt *cluster.Runtime) *rtState {
@@ -44,6 +45,9 @@ func newRTState(a *Array, rt *cluster.Runtime) *rtState {
 		lowWM:  int(float64(capacity) * cfg.LowWatermark),
 		highWM: int(float64(capacity) * cfg.HighWatermark),
 		locks:  make(map[int64]*lockState),
+
+		lockWaiters: make(map[int64][]*waiter),
+		leases:      make(map[int64]*lease),
 	}
 	for i := range s.lines {
 		ln := &cacheLine{}

@@ -157,15 +157,26 @@ type dentry struct {
 	opID    OpID   // active operator (when dstate==dirOperated)
 	opNodes uint64 // bitmask of non-home nodes combining operands
 
-	// Function-shipping state. est is the home-side contention estimator
-	// (runtime-owned, like the directory fields above); shipQ is the
-	// cache side's FIFO of in-flight shipped ops — per-(pair,chunk)
-	// ordering matches each msgShipReply to the head waiter. ship is the
-	// cache side's last mode hint from home (auto mode only), read on the
-	// Apply miss path.
-	est   shipEstimator
+	// obs is the home's observation record for this chunk (runtime-owned,
+	// like the directory fields above).
+	obs chunkObs
+
+	// Function-shipping state on the cache side. shipQ is the FIFO of
+	// in-flight shipped ops — per-(pair,chunk) ordering matches each
+	// msgShipReply to the head waiter. ship is the last mode hint from
+	// home (auto mode only), read on the Apply miss path.
 	shipQ []*waiter
 	ship  atomic.Bool
+}
+
+// chunkObs is what the home has seen of one chunk's traffic. It outlives
+// transactions and idle periods (directory and lock-table entries do
+// not), so the policies that place work — ship an Operate or cache it,
+// lease a read lock or keep it home — decide from the chunk's history
+// rather than from a knob.
+type chunkObs struct {
+	ship shipEstimator // Operate contention: cached vs shipped (ship.go)
+	lock lockObs       // lock read/write mix: reader leases (lock.go)
 }
 
 type deferredReq struct {

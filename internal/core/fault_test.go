@@ -2,11 +2,13 @@ package core
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 
 	"darray/internal/cluster"
 	"darray/internal/fabric"
 	"darray/internal/fault"
+	"darray/internal/vtime"
 )
 
 // faultyCluster builds a cluster whose fabric sits on a permanently
@@ -83,6 +85,49 @@ func TestAllVerbsDegradeAfterFailure(t *testing.T) {
 		if v := a.Get(ctx, lo); v != 7 {
 			t.Errorf("local access after degradation: got %d, want 7", v)
 		}
+	})
+}
+
+// A lease is out when the link to its lessee dies: the writer's recall
+// is undeliverable, the cluster degrades, and every lock verb on both
+// nodes returns instead of hanging on the release or panicking on the
+// mismatched tables.
+func TestLeaseRecallAcrossDeadLinkDegrades(t *testing.T) {
+	const idx, cut = 3, 1_000_000
+	plan := fault.New(fault.Config{
+		Seed: 1, Nodes: 2, RetryBudget: 3,
+		Partitions: []fault.Partition{{A: 0, B: 1, Start: cut, End: 1 << 60}},
+	})
+	c := cluster.New(cluster.Config{Nodes: 2, ChunkWords: 64, CacheChunks: 64,
+		Faults: plan, Model: vtime.Default()})
+	defer c.Close()
+	c.Run(func(n *cluster.Node) {
+		ctx := n.NewCtx(0)
+		a := New(n, 2*64)
+		c.Barrier(ctx)
+		if n.ID() == 1 {
+			readPairs(a, ctx, idx, leaseRunMin)
+			a.RLock(ctx, idx) // a lease hit: inside when the link dies
+			if !holdsLease(a, idx) {
+				t.Error("no lease before the cut")
+			}
+		}
+		c.Barrier(ctx)
+		ctx.Clock.AdvanceTo(2 * cut)
+		if n.ID() == 0 {
+			a.WLock(ctx, idx) // its recall exhausts the retry budget
+			if !errors.Is(ctx.Err(), fabric.ErrRetryExceeded) {
+				t.Errorf("writer's ctx.Err() = %v, want ErrRetryExceeded", ctx.Err())
+			}
+			a.Unlock(ctx, idx)
+			return
+		}
+		for !c.Failed() {
+			runtime.Gosched()
+		}
+		a.Unlock(ctx, idx) // the lease reader leaves locally
+		a.RLock(ctx, idx)  // not acquired: the thread is degraded
+		a.Unlock(ctx, idx) // and its unlock finds nothing to release
 	})
 }
 

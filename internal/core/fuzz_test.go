@@ -164,9 +164,7 @@ func fuzzOnce(t *testing.T, nodes, runtimes, cache int, seed int64, ship string)
 			}
 			c.Barrier(root)
 			if n.ID() == 0 {
-				if err := ValidateQuiesced(a.Instances()); err != nil {
-					t.Errorf("seed %d phase %d: %v", seed, phase, err)
-				}
+				settle(t, a) // the phase's last unlocks may still be in flight
 			}
 			c.Barrier(root)
 		}

@@ -14,6 +14,8 @@ import (
 // Protocol message kinds. Requests flow cache→home, grants and
 // coherence commands flow home→cache; the fabric guarantees per-pair
 // FIFO and chunk→runtime placement guarantees per-chunk ordering.
+// kindNames below is the one table naming every kind for traces,
+// spans and the fabric's per-kind reports.
 const (
 	msgReadReq uint8 = iota
 	msgWriteReq
@@ -27,12 +29,45 @@ const (
 	msgOpRecall  // operating node: flush combined operands, invalidate
 	msgWBData    // chunk data to home (recall response or voluntary evict)
 	msgOpFlush   // combined operands to home
-	msgLockReq   // Idx = element, Flag = writer
-	msgLockGrant
+	msgLockReq   // Idx = element, Flag = writer, Val = piggybacked lease return (see lock.go)
+	msgLockGrant // Val = 1 when the grant carries a reader lease
 	msgUnlock
-	msgShipOp    // shipped Operate: Idx = offset, Val = operand (Flag: Data = batch)
-	msgShipReply // shipped Operate done; Val carries the home's mode hint
+	msgShipOp       // shipped Operate: Idx = offset, Val = operand (Flag: Data = batch)
+	msgShipReply    // shipped Operate done; Val carries the home's mode hint
+	msgLeaseRecall  // home → lessee: a writer is queued on element Idx
+	msgLeaseRelease // lessee → home: lease on Idx returned, Val = local hits it served
+	numKinds
 )
+
+var kindNames = [numKinds]string{
+	msgReadReq:      "read-req",
+	msgWriteReq:     "write-req",
+	msgOperateReq:   "operate-req",
+	msgDataResp:     "data-resp",
+	msgOpGrant:      "op-grant",
+	msgInvalidate:   "invalidate",
+	msgInvAck:       "inv-ack",
+	msgDowngrade:    "downgrade",
+	msgRecall:       "recall",
+	msgOpRecall:     "op-recall",
+	msgWBData:       "writeback",
+	msgOpFlush:      "op-flush",
+	msgLockReq:      "lock-req",
+	msgLockGrant:    "lock-grant",
+	msgUnlock:       "unlock",
+	msgShipOp:       "ship-op",
+	msgShipReply:    "ship-reply",
+	msgLeaseRecall:  "lease-recall",
+	msgLeaseRelease: "lease-release",
+}
+
+// kindName maps a protocol message kind to its stable name.
+func kindName(k uint8) string {
+	if k < numKinds {
+		return kindNames[k]
+	}
+	return fmt.Sprintf("kind-%d", k)
+}
 
 type fMsg struct {
 	to    int
@@ -105,7 +140,7 @@ func (a *Array) self() int { return a.node.ID() }
 // those handlers own m and recycle it once the install completes.
 func (a *Array) handleMsg(rt *cluster.Runtime, m *fabric.Message) {
 	switch m.Kind {
-	case msgLockReq, msgLockGrant, msgUnlock:
+	case msgLockReq, msgLockGrant, msgUnlock, msgLeaseRecall, msgLeaseRelease:
 		a.handleLockMsg(rt, m)
 		a.recycleMsg(m)
 		return

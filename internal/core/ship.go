@@ -145,7 +145,7 @@ func (a *Array) noteShip(d *dentry, from int, churn int32) {
 	if a.shipMode != shipAuto || a.model == nil {
 		return
 	}
-	if d.est.note(from, churn, d.tvt) {
+	if d.obs.ship.note(from, churn, d.tvt) {
 		a.Metrics.ShipFlips.Add(1)
 	}
 }
@@ -154,7 +154,7 @@ func (a *Array) noteShip(d *dentry, from int, churn int32) {
 // signal (same gating as noteShip).
 func (a *Array) bumpShip(d *dentry) {
 	if a.shipMode == shipAuto && a.model != nil {
-		d.est.bump()
+		d.obs.ship.bump()
 	}
 }
 
@@ -162,7 +162,7 @@ func (a *Array) bumpShip(d *dentry) {
 // (1 = ship your next miss here). Off mode always sends 0, keeping the
 // wire bytes identical to the pre-shipping protocol.
 func (a *Array) shipHint(d *dentry) uint64 {
-	if a.shipMode == shipAuto && d.est.shipped {
+	if a.shipMode == shipAuto && d.obs.ship.shipped {
 		return 1
 	}
 	return 0

@@ -67,7 +67,7 @@ func (a *Array) telOn() bool {
 // KindName maps protocol message kinds to stable names (exported for
 // fabric per-kind reports, which treat kinds as opaque numbers).
 func KindName(k uint8) string {
-	if k > msgShipReply {
+	if k >= numKinds {
 		return ""
 	}
 	return kindName(k)
@@ -115,6 +115,9 @@ func (a *Array) collectMetrics(emit telemetry.Emit) {
 		{"core/ship/ops", &m.ShipOps},
 		{"core/ship/flips", &m.ShipFlips},
 		{"core/ship/bytes_saved", &m.ShipBytesSaved},
+		{"core/lock/lease_grants", &m.LeaseGrants},
+		{"core/lock/lease_hits", &m.LeaseHits},
+		{"core/lock/lease_recalls", &m.LeaseRecalls},
 		{"core/coherence/invalidations", &m.Invals},
 		{"core/coherence/recalls", &m.Recalls},
 		{"core/coherence/downgrades", &m.Downgrades},

@@ -126,44 +126,3 @@ func MergedTrace(arrays ...*Array) []TraceEvent {
 	})
 	return out
 }
-
-// kindName maps protocol message kinds to stable names for traces.
-func kindName(k uint8) string {
-	switch k {
-	case msgReadReq:
-		return "read-req"
-	case msgWriteReq:
-		return "write-req"
-	case msgOperateReq:
-		return "operate-req"
-	case msgDataResp:
-		return "data-resp"
-	case msgOpGrant:
-		return "op-grant"
-	case msgInvalidate:
-		return "invalidate"
-	case msgInvAck:
-		return "inv-ack"
-	case msgDowngrade:
-		return "downgrade"
-	case msgRecall:
-		return "recall"
-	case msgOpRecall:
-		return "op-recall"
-	case msgWBData:
-		return "writeback"
-	case msgOpFlush:
-		return "op-flush"
-	case msgLockReq:
-		return "lock-req"
-	case msgLockGrant:
-		return "lock-grant"
-	case msgUnlock:
-		return "unlock"
-	case msgShipOp:
-		return "ship-op"
-	case msgShipReply:
-		return "ship-reply"
-	}
-	return fmt.Sprintf("kind-%d", k)
-}

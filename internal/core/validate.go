@@ -56,6 +56,86 @@ func (a *Array) snapshotViews() []chunkView {
 	return views
 }
 
+// lockView is one node's lock tables at a quiescent point: the lessee
+// mask of every lock homed here that has one, the elements this node
+// holds a lease on, and the first entry found that is not at rest.
+type lockView struct {
+	lessees map[int64]uint64
+	leases  map[int64]bool
+	err     error
+}
+
+// snapshotLocks captures this node's lock tables via the runtime
+// goroutines that own them.
+func (a *Array) snapshotLocks() lockView {
+	v := lockView{lessees: make(map[int64]uint64), leases: make(map[int64]bool)}
+	var mu sync.Mutex
+	var wg sync.WaitGroup
+	for r := 0; r < a.node.Runtimes(); r++ {
+		wg.Add(1)
+		a.node.Runtime(r).Submit(func(rt *cluster.Runtime) {
+			defer wg.Done()
+			s := a.rstate(rt)
+			mu.Lock()
+			defer mu.Unlock()
+			fail := func(format string, args ...any) {
+				if v.err == nil {
+					v.err = fmt.Errorf(format, args...)
+				}
+			}
+			for idx, ls := range s.locks {
+				if ls.writerHeld || ls.readers != 0 || len(ls.queue) != 0 || ls.recalled != 0 {
+					fail("lock %d not at rest: writer %v, %d readers, %d queued, recalling %b",
+						idx, ls.writerHeld, ls.readers, len(ls.queue), ls.recalled)
+				}
+				v.lessees[idx] = ls.lessees
+			}
+			for idx, q := range s.lockWaiters {
+				fail("lock %d: %d threads still await a grant", idx, len(q))
+			}
+			for idx, le := range s.leases {
+				if le.readers != 0 || le.recalled {
+					fail("lease %d not at rest: %d readers, recalled %v", idx, le.readers, le.recalled)
+				}
+				v.leases[idx] = true
+			}
+		})
+	}
+	wg.Wait()
+	return v
+}
+
+// validateLocks checks the lock tables of every node: nothing held,
+// queued, awaited or mid-recall, and each home's lessee mask names
+// exactly the nodes whose lease table has the element.
+func validateLocks(insts []*Array) error {
+	views := make([]lockView, len(insts))
+	for v, a := range insts {
+		views[v] = a.snapshotLocks()
+		if err := views[v].err; err != nil {
+			return fmt.Errorf("node %d: %w", v, err)
+		}
+	}
+	for home, hv := range views {
+		for idx, mask := range hv.lessees {
+			for v := range insts {
+				if mask&(1<<uint(v)) != 0 && !views[v].leases[idx] {
+					return fmt.Errorf("lock %d: home %d lists node %d as lessee, which holds no lease", idx, home, v)
+				}
+			}
+		}
+	}
+	for v, lv := range views {
+		for idx := range lv.leases {
+			home := insts[v].HomeOf(idx)
+			if views[home].lessees[idx]&(1<<uint(v)) == 0 {
+				return fmt.Errorf("lock %d: node %d holds a lease its home %d does not list", idx, v, home)
+			}
+		}
+	}
+	return nil
+}
+
 // ValidateQuiesced checks the cross-node coherence invariants of the
 // extended protocol (paper Table 1) for every chunk of the array. It
 // must be called when the cluster is quiescent — all application
@@ -70,6 +150,10 @@ func (a *Array) snapshotViews() []chunkView {
 //	Dirty:    exactly the registered owner holds RW; home holds nothing.
 //	Operated: home and the registered operating nodes hold Operated
 //	          with the registered operator; nobody holds Read/RW.
+//
+// and for the element locks (validateLocks): none held or queued, no
+// lease with a reader inside or a recall pending, and home lessee masks
+// equal to the set of nodes holding the lease.
 func ValidateQuiesced(insts []*Array) error {
 	if len(insts) == 0 {
 		return fmt.Errorf("core: no instances to validate")
@@ -163,7 +247,7 @@ func ValidateQuiesced(insts []*Array) error {
 			return fmt.Errorf("chunk %d: unknown dstate %d", ci, hv.dstate)
 		}
 	}
-	return nil
+	return validateLocks(insts)
 }
 
 // Instances returns every node's handle of this array (test support for

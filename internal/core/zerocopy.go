@@ -26,9 +26,7 @@ import (
 // allocator traffic differs, which is what the NoPool ablation isolates.
 
 // waiterPool recycles slow-path waiters process-wide. Only pooled
-// arrays allocate from it; lock waiters are excluded (they complete
-// through ctx directly, never through respond, so their lifecycle has
-// no single release point).
+// arrays allocate from it.
 var waiterPool sync.Pool
 
 func (a *Array) getWaiter() *waiter {
@@ -40,8 +38,8 @@ func (a *Array) getWaiter() *waiter {
 	return &waiter{}
 }
 
-// putWaiter recycles a waiter after its completion was delivered; the
-// single call site is respond.
+// putWaiter recycles a waiter whose completion is being delivered; the
+// call sites are respond and, for lock waiters, grantWaiter.
 func (a *Array) putWaiter(w *waiter) {
 	if !a.pooled {
 		return

@@ -13,7 +13,6 @@ package kvs
 import (
 	"encoding/binary"
 	"errors"
-	"hash/fnv"
 	"sync"
 
 	"darray/internal/cluster"
@@ -130,12 +129,13 @@ func ceilPow2(n int64) int64 {
 	return p
 }
 
-// hashKey maps a key to (bucket, tag). Tag 0 is reserved for empty
-// entries, so tags are folded into 1..255.
+// hashKey maps a key to (bucket, tag) by 64-bit FNV-1a. Tag 0 is
+// reserved for empty entries, so tags are folded into 1..255.
 func (s *Store) hashKey(key []byte) (bucket int64, tag uint8) {
-	h := fnv.New64a()
-	h.Write(key)
-	v := h.Sum64()
+	v := uint64(14695981039346656037)
+	for _, c := range key {
+		v = (v ^ uint64(c)) * 1099511628211
+	}
 	bucket = int64(v & uint64(s.nBuckets-1))
 	tag = uint8(v >> 56)
 	if tag == 0 {
@@ -154,52 +154,54 @@ func kvWords(keyLen, valLen int) int64 {
 
 func wordsFor(n int) int64 { return int64((n + 7) / 8) }
 
-func packBytes(dst func(i int64, v uint64), base int64, b []byte) {
-	for w := int64(0); w*8 < int64(len(b)); w++ {
-		var buf [8]byte
-		copy(buf[:], b[w*8:])
-		dst(base+w, binary.LittleEndian.Uint64(buf[:]))
+// packWord is the little-endian word holding b's first 8 bytes, zero
+// padded when b is shorter.
+func packWord(b []byte) uint64 {
+	if len(b) >= 8 {
+		return binary.LittleEndian.Uint64(b)
 	}
-}
-
-func unpackBytes(src func(i int64) uint64, base int64, n int) []byte {
-	out := make([]byte, n)
-	for w := int64(0); w*8 < int64(n); w++ {
-		var buf [8]byte
-		binary.LittleEndian.PutUint64(buf[:], src(base+w))
-		copy(out[w*8:], buf[:])
-	}
-	return out
+	var buf [8]byte
+	copy(buf[:], b)
+	return binary.LittleEndian.Uint64(buf[:])
 }
 
 // writeKV stores key/val into the byte array at off.
 func (s *Store) writeKV(ctx *cluster.Ctx, off int64, key, val []byte) {
 	s.bytes.Set(ctx, off, uint64(len(key))<<32|uint64(len(val)))
-	set := func(i int64, v uint64) { s.bytes.Set(ctx, i, v) }
-	packBytes(set, off+1, key)
-	packBytes(set, off+1+wordsFor(len(key)), val)
+	base := off + 1
+	for _, b := range [2][]byte{key, val} {
+		for i := 0; i < len(b); i += 8 {
+			s.bytes.Set(ctx, base+int64(i/8), packWord(b[i:]))
+		}
+		base += wordsFor(len(b))
+	}
 }
 
-// readKV loads the key/value pair stored at off.
-func (s *Store) readKV(ctx *cluster.Ctx, off int64) (key, val []byte) {
-	hdr := s.bytes.Get(ctx, off)
-	kl, vl := int(hdr>>32), int(hdr&0xffffffff)
-	get := func(i int64) uint64 { return s.bytes.Get(ctx, i) }
-	key = unpackBytes(get, off+1, kl)
-	val = unpackBytes(get, off+1+wordsFor(kl), vl)
-	return key, val
-}
-
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
+// keyAt reports whether the record at off stores exactly key. It
+// compares in place, one word at a time, and stops at the first
+// difference: a tag collision costs a header read and usually one word.
+func (s *Store) keyAt(ctx *cluster.Ctx, off int64, key []byte) bool {
+	if int(s.bytes.Get(ctx, off)>>32) != len(key) {
 		return false
 	}
-	for i := range a {
-		if a[i] != b[i] {
+	for i := 0; i < len(key); i += 8 {
+		if s.bytes.Get(ctx, off+1+int64(i/8)) != packWord(key[i:]) {
 			return false
 		}
 	}
 	return true
+}
+
+// readVal loads the value of the record stored at off.
+func (s *Store) readVal(ctx *cluster.Ctx, off int64) []byte {
+	hdr := s.bytes.Get(ctx, off)
+	kl, vl := int(hdr>>32), int(hdr&0xffffffff)
+	base := off + 1 + wordsFor(kl)
+	buf := make([]byte, 8*wordsFor(vl)) // whole words; the tail padding is cut off below
+	for w := int64(0); w < wordsFor(vl); w++ {
+		binary.LittleEndian.PutUint64(buf[8*w:], s.bytes.Get(ctx, base+w))
+	}
+	return buf[:vl]
 }
 
 // probe walks bucket b (and its overflow chain) looking for key, and
@@ -222,8 +224,7 @@ func (s *Store) probe(ctx *cluster.Ctx, b int64, tag uint8, key []byte) (idx int
 			if t != tag {
 				continue
 			}
-			k, _ := s.readKV(ctx, off)
-			if bytesEqual(k, key) {
+			if s.keyAt(ctx, off, key) {
 				return base + e, ent, true, firstFree, b
 			}
 		}
@@ -247,7 +248,7 @@ func (s *Store) Get(ctx *cluster.Ctx, key []byte) ([]byte, error) {
 		return nil, ErrNotFound
 	}
 	_, _, off := unpackEntry(ent)
-	_, val := s.readKV(ctx, off)
+	val := s.readVal(ctx, off)
 	s.entries.Unlock(ctx, lockIdx)
 	return val, nil
 }
