@@ -44,9 +44,16 @@ bench-diff:
 bufdebug:
 	$(GO) test -tags bufdebug -count=1 ./internal/buf/ ./internal/core/ ./internal/chaos/
 
-# Streaming smoke: the bulk-transfer pipeline, doorbell batching, and
-# coalescing tables at CI scale, plus the >=2x speedup gate.
+# Streaming gate. First the bulk-path regression tests — what counts as
+# an RTT sample (controller and pipeline), the payload-free write grant
+# in every directory state with a same-node reader racing it, a stall
+# registered from a stalled continuation — on four cores under the race
+# detector, bounded so a lost completion fails in two minutes. Then the
+# smoke: the bulk-transfer pipeline, doorbell batching, and coalescing
+# tables at CI scale, plus the >=2x speedup gate (whose all-off
+# comparison still moves with host scheduling, so it runs last).
 stream:
+	GOMAXPROCS=4 $(GO) test -race -timeout 120s -count=1 -run 'TestNonPositiveSample|TestRTTSamples|TestOverwriteGrant|TestStallFromStalled' ./internal/cc/ ./internal/core/ ./internal/cluster/
 	$(GO) run ./cmd/darray-bench -fig stream -words-per-node 8192 -max-nodes 3
 	$(GO) test -run 'TestStream' -count=1 ./internal/bench/
 

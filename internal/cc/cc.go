@@ -137,10 +137,14 @@ func (c *Controller) Window(cap int) int {
 // OnAck feeds one completed round trip: now is the completion's virtual
 // time, rtt the request-to-grant virtual duration, and retransNs the
 // share of it the fabric's go-back-N recovery added (0 on a clean
-// wire). Must be called only by the stream's owning thread.
+// wire). A non-positive rtt is not a round trip — nothing crosses a
+// wire in no time — and is ignored entirely: one such sample taken as
+// the RTT floor would make every later round trip look like standing
+// queue and pin the window at the Vegas floor. Must be called only by
+// the stream's owning thread.
 func (c *Controller) OnAck(now, rtt, retransNs int64) Event {
 	if rtt <= 0 {
-		rtt = 1
+		return EvGrow
 	}
 	c.acks++
 	// Karn's algorithm: samples that carried go-back-N recovery are

@@ -39,6 +39,34 @@ func TestSlowStartRamp(t *testing.T) {
 	}
 }
 
+// TestNonPositiveSampleIgnored: a completion that took no virtual time
+// crossed no wire. Taken as a 1 ns sample it used to become the RTT
+// floor for the controller's lifetime, Vegas then read every honest
+// round trip as a full window of standing queue, and the window stepped
+// down to 2 and stayed there.
+func TestNonPositiveSampleIgnored(t *testing.T) {
+	c := New()
+	const rtt = 4000
+	now := feed(c, 0, 4, rtt)
+	w0, srtt0, acks0 := c.Window(64), c.SrttNs(), c.Acks()
+	for _, bad := range []int64{0, -350} {
+		if ev := c.OnAck(now, bad, 0); ev != EvGrow {
+			t.Fatalf("OnAck(rtt=%d) = %v, want a no-op EvGrow", bad, ev)
+		}
+	}
+	if c.MinRttNs() != rtt || c.SrttNs() != srtt0 || c.Window(64) != w0 || c.Acks() != acks0 {
+		t.Fatalf("non-positive samples moved the controller: min=%d srtt=%d cwnd=%d acks=%d, want %d %d %d %d",
+			c.MinRttNs(), c.SrttNs(), c.Window(64), c.Acks(), rtt, srtt0, w0, acks0)
+	}
+	feed(c, now, 40, rtt)
+	if w := c.Window(64); w <= w0 {
+		t.Fatalf("window %d after 40 clean round trips, want growth past %d", w, w0)
+	}
+	if c.Backoffs() != 0 {
+		t.Fatalf("%d delay backoffs on a constant-RTT path", c.Backoffs())
+	}
+}
+
 func TestBackoffThenCubicRegrowth(t *testing.T) {
 	c := New()
 	now := feed(c, 0, 60, 2000) // well past 32 chunks

@@ -552,6 +552,11 @@ type Ctx struct {
 	// window — can read controllers without racing lazy construction.
 	ccs []*cc.Controller
 
+	// Scratch is per-thread storage owned by the interface layer built on
+	// this Ctx (core keeps its bulk-range request ring here, so a range
+	// call allocates nothing per call).
+	Scratch any
+
 	// demand counts this thread's in-flight slow-path chunk requests
 	// (pipeline tokens plus the single synchronous request). Atomic:
 	// runtime goroutines read it to cap speculative prefetch issue by
@@ -564,10 +569,23 @@ type Ctx struct {
 // plus an optional value. RetransNs is the share of the grant's
 // delivery latency the fabric's go-back-N recovery added (0 on a clean
 // wire or a local grant) — the congestion controller's loss signal.
+//
+// Linked reports that the request itself started the coherence
+// transaction that completed it: for a chunk homed elsewhere, its own
+// message went to the home and the grant came back, so VT minus the
+// issue time is one round trip. It is false for a request that rode
+// somebody else's in-flight fill or found the chunk already resident —
+// those complete in a fraction of a round trip and are not RTT samples.
+//
+// Filled reports that the runtime already stored the caller's source
+// words into the chunk (a whole-chunk SetRange served by a payload-free
+// write grant), so the caller skips its own copy.
 type Resp struct {
 	VT        int64
 	Val       uint64
 	RetransNs int64
+	Linked    bool
+	Filled    bool
 	Err       error
 }
 

@@ -47,7 +47,7 @@ type Route struct {
 	// Coalescible reports which payload-free protocol kinds the Tx
 	// thread may destination-coalesce (nil: none). Only kinds whose
 	// messages carry no Data and whose handling depends solely on
-	// (From, Chunk, VT) are safe to mark.
+	// (From, Chunk, Flag, VT) are safe to mark.
 	Coalescible func(kind uint8) bool
 }
 
@@ -231,17 +231,18 @@ func (n *Node) txLoop() {
 }
 
 // coalesce merges adjacent burst entries that carry the same payload-free
-// protocol command to the same (destination, array): the survivor keeps
-// its own chunk and accumulates the absorbed chunks in Data, and the Rx
-// thread fans them back out. Only strictly adjacent runs are merged so
-// per-destination FIFO order is preserved even with interleaved traffic.
+// protocol command (kind and flag) to the same (destination, array): the
+// survivor keeps its own chunk and accumulates the absorbed chunks in
+// Data, and the Rx thread fans them back out. Only strictly adjacent
+// runs are merged so per-destination FIFO order is preserved even with
+// interleaved traffic.
 func (n *Node) coalesce(burst []*fabric.Message) []*fabric.Message {
 	out := burst[:0]
 	var lead *fabric.Message
 	var lr Route
 	for _, m := range burst {
 		if lead != nil && m.To == lead.To && m.Array == lead.Array &&
-			m.Kind == lead.Kind && len(m.Data) == 0 && !m.Coal &&
+			m.Kind == lead.Kind && m.Flag == lead.Flag && len(m.Data) == 0 && !m.Coal &&
 			lr.Coalescible != nil && lr.Coalescible(m.Kind) {
 			lead.Coal = true
 			if n.c.pool != nil && lead.Payload == nil {
@@ -373,6 +374,7 @@ type Runtime struct {
 	rpcq   *queue.MPSC[rpcItem]
 
 	stalled []func(rt *Runtime) bool // retried until they report done
+	retried []func(rt *Runtime) bool // the previous retry batch's storage, reused
 
 	// Res serializes this runtime's virtual service time.
 	Res vtime.Resource
@@ -460,15 +462,21 @@ func (rt *Runtime) loop() {
 			progress = true
 		}
 		if len(rt.stalled) > 0 {
-			kept := rt.stalled[:0]
-			for _, fn := range rt.stalled {
+			// A continuation that completes may register further stalls (a
+			// drained demotion that then waits for a cache line), so retry
+			// the batch that was pending against a fresh list: Stall
+			// appends land behind the ones kept, none is overwritten.
+			pend := rt.stalled
+			rt.stalled, rt.retried = rt.retried[:0], nil
+			for i, fn := range pend {
 				if !fn(rt) {
-					kept = append(kept, fn)
+					rt.stalled = append(rt.stalled, fn)
 				} else {
 					progress = true
 				}
+				pend[i] = nil
 			}
-			rt.stalled = kept
+			rt.retried = pend
 		}
 		if progress {
 			continue

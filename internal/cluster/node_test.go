@@ -3,6 +3,7 @@ package cluster
 import (
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestClusterReusableAcrossRuns(t *testing.T) {
@@ -110,4 +111,33 @@ func TestStringer(t *testing.T) {
 	if s := c.String(); s == "" {
 		t.Fatal("empty String()")
 	}
+}
+
+// TestStallFromStalledContinuation: a continuation that completes may
+// itself stall again (the protocol does: a demotion that drained its
+// references then waits for a free cache line). The second stall must be
+// retried like any other, including when an earlier continuation in the
+// same batch is still pending.
+func TestStallFromStalledContinuation(t *testing.T) {
+	c := New(Config{Nodes: 1})
+	defer c.Close()
+	rt := c.Node(0).Runtime(0)
+	var gate atomic.Bool
+	done := make(chan struct{})
+	rt.Submit(func(rt *Runtime) {
+		rt.Stall(func(*Runtime) bool { return gate.Load() }) // stays pending
+		rt.Stall(func(rt *Runtime) bool {
+			rt.Stall(func(*Runtime) bool {
+				close(done)
+				return true
+			})
+			return true
+		})
+	})
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("a stall registered from a stalled continuation was never retried")
+	}
+	gate.Store(true)
 }

@@ -360,7 +360,7 @@ func (a *Array) wire() {
 		},
 		Handle: a.handleMsg,
 		// Payload-free commands whose handling depends only on
-		// (From, Chunk, VT) may be destination-coalesced by the Tx
+		// (From, Chunk, Flag, VT) may be destination-coalesced by the Tx
 		// thread. Operate-family messages are excluded: they carry an
 		// OpID the merge key does not compare.
 		Coalescible: func(kind uint8) bool {

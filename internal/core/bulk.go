@@ -39,7 +39,7 @@ func (a *Array) GetRange(ctx *cluster.Ctx, i int64, dst []uint64) {
 	}
 	if ciLo, ciHi, ok := a.usePipeline(i, int64(len(dst))); ok {
 		end := i + int64(len(dst))
-		a.rangePipeline(ctx, ciLo, ciHi, wantPinRead, 0, func(p *Pin) {
+		a.rangePipeline(ctx, ciLo, ciHi, wantPinRead, 0, i, nil, func(p *Pin, _ bool) {
 			lo, hi := maxi64(i, p.base), mini64(end, p.limit)
 			copy(dst[lo-i:hi-i], p.d.data[lo-p.base:hi-p.base])
 			if m := a.model; m != nil {
@@ -89,7 +89,11 @@ func (a *Array) SetRange(ctx *cluster.Ctx, i int64, src []uint64) {
 	}
 	if ciLo, ciHi, ok := a.usePipeline(i, int64(len(src))); ok {
 		end := i + int64(len(src))
-		a.rangePipeline(ctx, ciLo, ciHi, wantPinWrite, 0, func(p *Pin) {
+		a.rangePipeline(ctx, ciLo, ciHi, wantPinWrite, 0, i, src, func(p *Pin, filled bool) {
+			ctx.Stats.Ops++
+			if filled {
+				return // the runtime stored this chunk's words with the grant
+			}
 			lo, hi := maxi64(i, p.base), mini64(end, p.limit)
 			copy(p.d.data[lo-p.base:hi-p.base], src[lo-i:hi-i])
 			if m := a.model; m != nil {
@@ -97,7 +101,6 @@ func (a *Array) SetRange(ctx *cluster.Ctx, i int64, src []uint64) {
 				a.child(tc, a.self(), trace.StageService, "range-copy", p.d.ci, ctx.Clock.Now(), ctx.Clock.Now()+cc)
 				ctx.Clock.Advance(cc)
 			}
-			ctx.Stats.Ops++
 		}, tc)
 		return
 	}
@@ -148,7 +151,7 @@ func (a *Array) ApplyRange(ctx *cluster.Ctx, op OpID, i int64, src []uint64) {
 	}
 	if ciLo, ciHi, ok := a.usePipeline(i, int64(len(src))); ok {
 		end := i + int64(len(src))
-		a.rangePipeline(ctx, ciLo, ciHi, wantPinOperate, op, func(p *Pin) {
+		a.rangePipeline(ctx, ciLo, ciHi, wantPinOperate, op, i, nil, func(p *Pin, _ bool) {
 			lo, hi := maxi64(i, p.base), mini64(end, p.limit)
 			for k := lo; k < hi; k++ {
 				p.Apply(ctx, k, src[k-i])

@@ -144,18 +144,15 @@ func (a *Array) evictLine(rt *cluster.Runtime, d *dentry) {
 	st := d.state.Load()
 	d.delay.Store(true)
 	d.state.Store(permInvalid)
-	finish := func(rt *cluster.Runtime) {
-		a.finishEvict(rt, d, st)
-	}
 	if d.refcnt.Load() == 0 {
-		finish(rt)
+		a.finishEvict(rt, d, st)
 		return
 	}
 	rt.Stall(func(rt *cluster.Runtime) bool {
 		if d.refcnt.Load() != 0 {
 			return false
 		}
-		finish(rt)
+		a.finishEvict(rt, d, st)
 		return true
 	})
 }

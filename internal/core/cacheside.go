@@ -32,16 +32,23 @@ func (a *Array) issueRequest(rt *cluster.Runtime, d *dentry) {
 	home := a.homeOfChunk(d.ci)
 	d.pending = true
 	var kind uint8
+	overwrite := false
 	switch wantPerm(w.want) {
 	case permRead:
 		kind = msgReadReq
 	case permRW:
 		kind = msgWriteReq
+		// A whole-chunk SetRange reads nothing of the old contents: ask
+		// for permission only. The flag is decided by this first waiter
+		// alone, and handleDataResp installs from the same one.
+		overwrite = w.src != nil
 	default:
 		kind = msgOperateReq
 	}
 	// The issuing waiter's chain rides the request: the home side and the
 	// response decompose its wait, so respond skips its chunk-wait span.
+	// Its completion is also the one whose latency is a round trip (see
+	// cluster.Resp.Linked).
 	w.linked = true
 	vt := maxi64(w.vt, d.tvt)
 	if w.tc.Valid() && vt > w.vt && a.traceOn() {
@@ -51,7 +58,7 @@ func (a *Array) issueRequest(rt *cluster.Runtime, d *dentry) {
 		w.tc = a.child(w.tc, a.self(), trace.StageQueue, "chunk-wait", d.ci, w.vt, vt)
 		w.vt = vt
 	}
-	a.send(&fMsg{to: home, kind: kind, chunk: d.ci, op: w.op, vt: vt, tc: w.tc})
+	a.send(&fMsg{to: home, kind: kind, chunk: d.ci, op: w.op, flag: overwrite, vt: vt, tc: w.tc})
 	if kind == msgReadReq {
 		a.prefetch(w.ctx, d.ci, w.vt)
 	}
@@ -101,60 +108,96 @@ func (a *Array) prefetchChunk(rt *cluster.Runtime, d *dentry, vt int64) {
 		vt: maxi64(vt, d.tvt)})
 }
 
+// tryLine gives d a backing cache line if it has none, reporting false
+// when no line is free right now (reclamation has been started).
+func (a *Array) tryLine(rt *cluster.Runtime, d *dentry) bool {
+	if d.line != nil {
+		return true
+	}
+	ln := a.rstate(rt).allocLine()
+	if ln == nil {
+		return false
+	}
+	ln.owner = d
+	d.line = ln
+	d.data = ln.data
+	return true
+}
+
 // withLine runs cont once d has a backing cache line, allocating one
 // (and stalling on reclamation) if necessary.
 func (a *Array) withLine(rt *cluster.Runtime, d *dentry, cont func(rt *cluster.Runtime)) {
-	if d.line != nil {
-		cont(rt)
-		return
-	}
-	s := a.rstate(rt)
-	if ln := s.allocLine(); ln != nil {
-		a.adoptLine(d, ln)
+	if a.tryLine(rt, d) {
 		cont(rt)
 		return
 	}
 	rt.Stall(func(rt *cluster.Runtime) bool {
-		ln := s.allocLine()
-		if ln == nil {
+		if !a.tryLine(rt, d) {
 			return false
 		}
-		a.adoptLine(d, ln)
 		cont(rt)
 		return true
 	})
-}
-
-func (a *Array) adoptLine(d *dentry, ln *cacheLine) {
-	ln.owner = d
-	d.line = ln
-	d.data = ln.data
 }
 
 // handleDataResp installs a granted chunk copy (Read or RW permission)
 // and wakes the local waiters. When the grant upgrades a live Shared
 // line (the home excludes the requester from invalidation), active
 // readers are drained before the line is overwritten.
+//
+// A flagged grant is payload-free: the request was a whole-chunk
+// overwrite, and the words installed are the requesting waiter's own
+// source. Either way the line is complete before state is published.
 func (a *Array) handleDataResp(rt *cluster.Runtime, d *dentry, m *fabric.Message, svt int64, tc trace.Ctx) {
-	perm := uint32(m.Val)
-	fill := svt + a.copyCost(len(m.Data))
-	retrans := m.RetransNs // captured: m is recycled before completeWaiters runs
+	words := len(m.Data)
+	if m.Flag {
+		words = int(a.sh.chunkWords)
+	}
+	fill := svt + a.copyCost(words)
 	a.child(tc, a.self(), trace.StageService, "install", d.ci, svt, fill)
+	// The common case needs no wait — nothing references the old line and
+	// a line is free — and then builds no continuations.
+	if a.tryDemote(d, permInvalid) && a.tryLine(rt, d) {
+		a.finishGrant(rt, d, m, fill)
+		return
+	}
 	a.demoteLocal(rt, d, permInvalid, func(rt *cluster.Runtime) {
 		a.withLine(rt, d, func(rt *cluster.Runtime) {
-			a.installGrant(d, m) // adopts the pooled payload when it can
-			a.recycleMsg(m)      // this handler owns m (see handleMsg)
-			d.state.Store(perm)
-			d.pending = false
-			d.tvt = maxi64(d.tvt, fill)
-			a.Metrics.Fills.Add(1)
-			// Waiters completed by this grant inherit its go-back-N delay:
-			// the congestion controller's loss signal rides the Resp.
-			d.retrans = retrans
-			a.completeWaiters(rt, d)
-			d.retrans = 0
+			a.finishGrant(rt, d, m, fill)
 		})
 	})
+}
+
+// finishGrant fills d's line from grant m, publishes the granted
+// permission and completes the waiters it satisfies. It owns m (see
+// handleMsg) and recycles it.
+func (a *Array) finishGrant(rt *cluster.Runtime, d *dentry, m *fabric.Message, fill int64) {
+	if m.Flag {
+		// d.pending has kept the request's waiter at the head: only a
+		// grant removes waiters, and this is the one grant outstanding.
+		w := d.waiters[0]
+		if w.src == nil {
+			panic("core: payload-free grant without an overwrite waiter")
+		}
+		if a.pooled {
+			a.ensureLineData(d) // no inbound payload to adopt
+		}
+		copy(d.data, w.src)
+		w.filled = true
+	} else {
+		a.installGrant(d, m) // adopts the pooled payload when it can
+	}
+	perm, retrans := uint32(m.Val), m.RetransNs
+	a.recycleMsg(m)
+	d.state.Store(perm)
+	d.pending = false
+	d.tvt = maxi64(d.tvt, fill)
+	a.Metrics.Fills.Add(1)
+	// Waiters completed by this grant inherit its go-back-N delay: the
+	// congestion controller's loss signal rides the Resp.
+	d.retrans = retrans
+	a.completeWaiters(rt, d)
+	d.retrans = 0
 }
 
 // handleOpGrant installs an Operated combine buffer initialized to the
@@ -162,7 +205,6 @@ func (a *Array) handleDataResp(rt *cluster.Runtime, d *dentry, m *fabric.Message
 // first.
 func (a *Array) handleOpGrant(rt *cluster.Runtime, d *dentry, m *fabric.Message, svt int64) {
 	opid := OpID(m.OpID)
-	op := a.op(opid)
 	if a.shipMode == shipAuto {
 		// The grant piggybacks the home's shipping hint in Val (0 in off
 		// mode, keeping the wire identical to the pre-shipping protocol).
@@ -170,23 +212,31 @@ func (a *Array) handleOpGrant(rt *cluster.Runtime, d *dentry, m *fabric.Message,
 	}
 	retrans := m.RetransNs
 	a.recycleMsg(m) // this handler owns m; all fields are consumed above
+	if a.tryDemote(d, permInvalid) && a.tryLine(rt, d) {
+		a.finishOpGrant(rt, d, opid, svt, retrans)
+		return
+	}
 	a.demoteLocal(rt, d, permInvalid, func(rt *cluster.Runtime) {
 		a.withLine(rt, d, func(rt *cluster.Runtime) {
-			if a.pooled {
-				a.ensureLineData(d) // no inbound payload to adopt
-			}
-			id := op.Identity
-			for i := range d.data {
-				d.data[i] = id
-			}
-			d.state.Store(packState(permOperated, opid))
-			d.pending = false
-			d.tvt = maxi64(d.tvt, svt)
-			d.retrans = retrans
-			a.completeWaiters(rt, d)
-			d.retrans = 0
+			a.finishOpGrant(rt, d, opid, svt, retrans)
 		})
 	})
+}
+
+func (a *Array) finishOpGrant(rt *cluster.Runtime, d *dentry, opid OpID, svt, retrans int64) {
+	if a.pooled {
+		a.ensureLineData(d) // no inbound payload to adopt
+	}
+	id := a.op(opid).Identity
+	for i := range d.data {
+		d.data[i] = id
+	}
+	d.state.Store(packState(permOperated, opid))
+	d.pending = false
+	d.tvt = maxi64(d.tvt, svt)
+	d.retrans = retrans
+	a.completeWaiters(rt, d)
+	d.retrans = 0
 }
 
 // completeWaiters responds to every waiter the new state satisfies and
@@ -226,7 +276,7 @@ func (a *Array) handleInvalidate(rt *cluster.Runtime, d *dentry, m *fabric.Messa
 	home := a.homeOfChunk(d.ci)
 	if d.busy {
 		// Evicting: the line dies anyway; ack once it has.
-		d.defrd = append(d.defrd, deferredReq{from: m.From, want: defInvalidate, vt: svt, tc: tc})
+		d.defrd = append(d.defrd, homeReq{from: m.From, want: defInvalidate, vt: svt, tc: tc})
 		return
 	}
 	if d.line == nil || statePerm(d.state.Load()) != permRead {
@@ -248,7 +298,7 @@ func (a *Array) handleInvalidate(rt *cluster.Runtime, d *dentry, m *fabric.Messa
 func (a *Array) handleDowngrade(rt *cluster.Runtime, d *dentry, svt int64, tc trace.Ctx) {
 	home := a.homeOfChunk(d.ci)
 	if d.busy {
-		d.defrd = append(d.defrd, deferredReq{want: defDowngrade, vt: svt, tc: tc})
+		d.defrd = append(d.defrd, homeReq{want: defDowngrade, vt: svt, tc: tc})
 		return
 	}
 	if d.line == nil || statePerm(d.state.Load()) != permRW {
@@ -278,7 +328,7 @@ func (a *Array) handleDowngrade(rt *cluster.Runtime, d *dentry, svt int64, tc tr
 func (a *Array) handleRecall(rt *cluster.Runtime, d *dentry, svt int64, tc trace.Ctx) {
 	home := a.homeOfChunk(d.ci)
 	if d.busy {
-		d.defrd = append(d.defrd, deferredReq{want: defRecall, vt: svt, tc: tc})
+		d.defrd = append(d.defrd, homeReq{want: defRecall, vt: svt, tc: tc})
 		return
 	}
 	if d.line == nil || statePerm(d.state.Load()) != permRW {
@@ -305,7 +355,7 @@ func (a *Array) handleRecall(rt *cluster.Runtime, d *dentry, svt int64, tc trace
 func (a *Array) handleOpRecall(rt *cluster.Runtime, d *dentry, svt int64, tc trace.Ctx) {
 	home := a.homeOfChunk(d.ci)
 	if d.busy {
-		d.defrd = append(d.defrd, deferredReq{want: defOpRecall, vt: svt, tc: tc})
+		d.defrd = append(d.defrd, homeReq{want: defOpRecall, vt: svt, tc: tc})
 		return
 	}
 	st := d.state.Load()

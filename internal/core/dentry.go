@@ -3,7 +3,6 @@ package core
 import (
 	"sync/atomic"
 
-	"darray/internal/buf"
 	"darray/internal/cluster"
 	"darray/internal/trace"
 )
@@ -109,6 +108,21 @@ type waiter struct {
 	// chunk-wait span it emits for piggybacked and deferred waiters.
 	tc     trace.Ctx
 	linked bool
+
+	// src, when non-nil, is the caller's source for a whole-chunk
+	// SetRange: every word of the chunk will be overwritten with it, so
+	// a request issued for this waiter asks the home for a payload-free
+	// write grant and the runtime installs src itself (setting filled).
+	// The slice belongs to the blocked caller; the runtime only reads it.
+	src    []uint64
+	filled bool
+
+	// run is the waiter's local-request closure (handleLocal on a and d),
+	// built once and kept across recycling so submitting a pooled waiter
+	// allocates nothing.
+	a   *Array
+	d   *dentry
+	run func(rt *cluster.Runtime)
 }
 
 // dentry is one directory entry: the per-node metadata for one global
@@ -134,7 +148,7 @@ type dentry struct {
 	tvt     int64                                              // virtual time the transition has reached
 	retrans int64                                              // go-back-N delay of the grant being installed (set around completeWaiters)
 	waiters []*waiter                                          // local slow-path waiters
-	defrd   []deferredReq                                      // requests deferred while busy
+	defrd   []homeReq                                          // requests deferred while busy
 	line    *cacheLine                                         // backing cache line (nil at home / not resident)
 	onWB    func(rt *cluster.Runtime, data []uint64, vt int64) // recall continuation
 	onAcks  func(rt *cluster.Runtime)                          // invalidation-ack continuation
@@ -177,21 +191,4 @@ type dentry struct {
 type chunkObs struct {
 	ship shipEstimator // Operate contention: cached vs shipped (ship.go)
 	lock lockObs       // lock read/write mix: reader leases (lock.go)
-}
-
-type deferredReq struct {
-	from int   // requesting node (== home id for local requests)
-	want uint8 // wantRead/wantWrite/wantOperate/wantShip (pin variants local only)
-	op   OpID
-	vt   int64
-	w    *waiter   // non-nil for local requests
-	tc   trace.Ctx // causal-trace chain carried across the deferral
-
-	// Shipped-Operate operands carried across the deferral: the element
-	// offset within the chunk, a single operand (val) or a batch (data,
-	// with pay owning its pooled backing).
-	idx  int64
-	val  uint64
-	data []uint64
-	pay  *buf.Ref
 }

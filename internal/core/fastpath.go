@@ -205,13 +205,10 @@ func (a *Array) slowPath(ctx *cluster.Ctx, d *dentry, ci int64, want uint8, op O
 	if tc.Trace != 0 {
 		tc = a.trc.Child(tc, int32(a.self()), trace.StageService, "submit", ci, ctx.Clock.Now(), vt)
 	}
-	rt := a.rtOf(ci)
 	w := a.getWaiter()
-	*w = waiter{ctx: ctx, want: want, op: op, vt: vt, tc: tc}
+	w.ctx, w.want, w.op, w.vt, w.tc = ctx, want, op, vt, tc
 	ctx.DemandStart()
-	rt.Submit(func(rt *cluster.Runtime) {
-		a.handleLocal(rt, d, ci, w)
-	})
+	a.submitLocal(d, w)
 	resp := ctx.WaitResp()
 	ctx.DemandEnd()
 	if resp.Err != nil {

@@ -84,11 +84,16 @@ func fuzzOnce(t *testing.T, nodes, runtimes, cache int, seed int64, ship string)
 	c := cluster.New(cfg)
 	defer c.Close()
 	const elems = 32 * 6
-	oracle := make([]uint64, elems)
+	// Past the mixed region every node owns a stripe of three chunks that
+	// only it writes, with whole-stripe or ragged SetRange (whole chunks
+	// go payload-free, partial ends fetch), while any node may read it.
+	const stripe = 32 * 3
+	total := int64(elems + nodes*stripe)
+	oracle := make([]uint64, total)
 	var mu sync.Mutex
 
 	c.Run(func(n *cluster.Node) {
-		a := New(n, elems)
+		a := New(n, total)
 		add := a.RegisterOp(OpAddU64)
 		max := a.RegisterOp(OpMaxU64)
 		root := n.NewCtx(0)
@@ -106,7 +111,7 @@ func fuzzOnce(t *testing.T, nodes, runtimes, cache int, seed int64, ship string)
 				// updates, odd elements take locked updates.
 				iApply := i &^ 1
 				iLock := i | 1
-				switch rng.Intn(7) {
+				switch rng.Intn(9) {
 				case 0:
 					_ = a.Get(root, i)
 				case 1:
@@ -149,10 +154,32 @@ func fuzzOnce(t *testing.T, nodes, runtimes, cache int, seed int64, ship string)
 					}
 					mu.Unlock()
 					a.ApplyRange(root, add, lo, vals)
+				case 7:
+					// Overwrite this node's own stripe: all three chunks whole,
+					// or starting mid-chunk so the first one is partial.
+					lo := int64(elems + n.ID()*stripe)
+					vals := make([]uint64, stripe)
+					if rng.Intn(2) == 0 {
+						off := 1 + rng.Intn(31)
+						lo, vals = lo+int64(off), vals[off:]
+					}
+					mu.Lock()
+					for j := range vals {
+						vals[j] = uint64(phase)<<40 | uint64(k)<<16 | uint64(j)
+						oracle[lo+int64(j)] = vals[j]
+					}
+					mu.Unlock()
+					a.SetRange(root, lo, vals)
+				case 8:
+					// Read somebody's stripe while its owner may be writing it:
+					// leaves Shared copies (also on the owner's next overwrite
+					// path) and recalls Dirty ones.
+					lo := int64(elems + rng.Intn(nodes)*stripe)
+					a.GetRange(root, lo+int64(rng.Intn(32)), make([]uint64, 40))
 				}
 			}
 			c.Barrier(root)
-			for i := int64(0); i < elems; i++ {
+			for i := int64(0); i < total; i++ {
 				got := a.Get(root, i)
 				mu.Lock()
 				want := oracle[i]

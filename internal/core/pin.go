@@ -45,13 +45,13 @@ func (a *Array) PinOperate(ctx *cluster.Ctx, i int64, op OpID) *Pin {
 }
 
 // mkPin builds the Pin handle for chunk ci once a reference is held.
-func (a *Array) mkPin(d *dentry, ci int64, fn func(acc, operand uint64) uint64, op OpID) *Pin {
+func (a *Array) mkPin(d *dentry, ci int64, fn func(acc, operand uint64) uint64, op OpID) Pin {
 	base := ci * a.sh.chunkWords
 	limit := base + a.sh.chunkWords
 	if limit > a.sh.n {
 		limit = a.sh.n
 	}
-	return &Pin{a: a, d: d, base: base, limit: limit, apFn: fn, op: op}
+	return Pin{a: a, d: d, base: base, limit: limit, apFn: fn, op: op}
 }
 
 // pin acquires a pinned reference. tc, when valid, is the causal-trace
@@ -84,7 +84,8 @@ func (a *Array) pin(ctx *cluster.Ctx, i int64, want uint8, op OpID, tc trace.Ctx
 				a.Metrics.PinFast.Add(1)
 				a.notePrefetchHit(d)
 			}
-			return a.mkPin(d, ci, fn, op) // keep the reference: that is the pin
+			p := a.mkPin(d, ci, fn, op) // keep the reference: that is the pin
+			return &p
 		}
 		d.refcnt.Add(-1)
 		granted, failed := a.slowPathPin(ctx, d, ci, want, op, tc)
@@ -96,7 +97,8 @@ func (a *Array) pin(ctx *cluster.Ctx, i int64, want uint8, op OpID, tc trace.Ctx
 			if a.telOn() {
 				a.Metrics.PinSlow.Add(1)
 			}
-			return a.mkPin(d, ci, fn, op)
+			p := a.mkPin(d, ci, fn, op)
+			return &p
 		}
 	}
 }
@@ -122,11 +124,9 @@ func (a *Array) slowPathPin(ctx *cluster.Ctx, d *dentry, ci int64, want uint8, o
 		tc = a.trc.Child(tc, int32(a.self()), trace.StageService, "submit", ci, ctx.Clock.Now(), vt)
 	}
 	w := a.getWaiter()
-	*w = waiter{ctx: ctx, want: want, op: op, vt: vt, tc: tc}
+	w.ctx, w.want, w.op, w.vt, w.tc = ctx, want, op, vt, tc
 	ctx.DemandStart()
-	a.rtOf(ci).Submit(func(rt *cluster.Runtime) {
-		a.handleLocal(rt, d, ci, w)
-	})
+	a.submitLocal(d, w)
 	resp := ctx.WaitResp()
 	ctx.DemandEnd()
 	if resp.Err != nil {

@@ -25,7 +25,14 @@ type chunkReq struct {
 	ci  int64
 	d   *dentry
 	tok *cluster.Token // slow-path completion; nil when pin fast-granted
-	pin *Pin           // non-nil when the lock-free fast path granted
+
+	// pin is the acquired pin, handed to the range's process callback in
+	// place. pinned marks it valid at issue (the lock-free fast path
+	// granted); otherwise awaitChunk fills it. filled is set at await when
+	// the runtime already stored the SetRange source into the chunk.
+	pin    Pin
+	pinned bool
+	filled bool
 
 	// Congestion-control bookkeeping, set by the pipeline when the
 	// acquisition went remote under an active controller: the
@@ -35,14 +42,44 @@ type chunkReq struct {
 	issueVT int64
 }
 
+// bulkRing is one application thread's bulk-range scratch, kept on its
+// Ctx across calls: the request ring and the per-destination in-flight
+// counts of the range in progress (a thread runs one range at a time).
+type bulkRing struct {
+	reqs []chunkReq
+	infl []int64
+}
+
+// ringOf returns ctx's ring sized for slots requests and nodes
+// destinations, with the in-flight counts cleared.
+func ringOf(ctx *cluster.Ctx, slots, nodes int) *bulkRing {
+	br, _ := ctx.Scratch.(*bulkRing)
+	if br == nil {
+		br = &bulkRing{}
+		ctx.Scratch = br
+	}
+	if cap(br.reqs) < slots {
+		br.reqs = make([]chunkReq, slots)
+	}
+	br.reqs = br.reqs[:slots]
+	if cap(br.infl) < nodes {
+		br.infl = make([]int64, nodes)
+	}
+	br.infl = br.infl[:nodes]
+	clear(br.infl)
+	return br
+}
+
 // issueChunkInto starts acquiring a pin on chunk ci without blocking:
 // one non-blocking fast-path attempt, then an asynchronous slow-path
 // request completing through a token from the ctx freelist. A raised
 // delay flag is not spun on — the runtime is mid-transition and the
 // slow path will queue behind it. r is caller-provided storage (the
 // pipeline reuses a fixed ring of requests instead of allocating one
-// per chunk).
-func (a *Array) issueChunkInto(ctx *cluster.Ctx, r *chunkReq, ci int64, want uint8, op OpID, fn func(acc, operand uint64) uint64, tc trace.Ctx) {
+// per chunk). src, when non-nil, is the SetRange source covering the
+// whole chunk: it rides the waiter so a miss can be served by a
+// payload-free write grant (see waiter.src).
+func (a *Array) issueChunkInto(ctx *cluster.Ctx, r *chunkReq, ci int64, want uint8, op OpID, fn func(acc, operand uint64) uint64, src []uint64, tc trace.Ctx) {
 	d := &a.dents[ci]
 	*r = chunkReq{ci: ci, d: d}
 	ctx.Stats.Ops++
@@ -54,7 +91,7 @@ func (a *Array) issueChunkInto(ctx *cluster.Ctx, r *chunkReq, ci int64, want uin
 				a.Metrics.PinFast.Add(1)
 				a.notePrefetchHit(d)
 			}
-			r.pin = a.mkPin(d, ci, fn, op)
+			r.pin, r.pinned = a.mkPin(d, ci, fn, op), true
 			return
 		}
 		d.refcnt.Add(-1)
@@ -76,19 +113,18 @@ func (a *Array) issueChunkInto(ctx *cluster.Ctx, r *chunkReq, ci int64, want uin
 	r.tok = ctx.AcquireToken()
 	ctx.DemandStart()
 	w := a.getWaiter()
-	*w = waiter{ctx: ctx, tok: r.tok, want: want, op: op, vt: vt, tc: tc}
-	a.rtOf(ci).Submit(func(rt *cluster.Runtime) {
-		a.handleLocal(rt, d, ci, w)
-	})
+	w.ctx, w.tok, w.want, w.op, w.vt, w.tc, w.src = ctx, r.tok, want, op, vt, tc, src
+	a.submitLocal(d, w)
 }
 
-// awaitChunk blocks until r's acquisition completes and returns the pin,
-// or nil when the cluster has failed (recorded on ctx). In the rare case
-// that the granted state was lost again before the pin could be taken,
-// it falls back to the synchronous pin path.
+// awaitChunk blocks until r's acquisition completes and returns the pin
+// (normally r.pin, valid until the slot is reissued), or nil when the
+// cluster has failed (recorded on ctx). In the rare case that the granted state was
+// lost again before the pin could be taken, it falls back to the
+// synchronous pin path.
 func (a *Array) awaitChunk(ctx *cluster.Ctx, r *chunkReq, want uint8, op OpID, fn func(acc, operand uint64) uint64, tc trace.Ctx) *Pin {
-	if r.pin != nil {
-		return r.pin
+	if r.pinned {
+		return &r.pin
 	}
 	if r.tok == nil {
 		return nil // issued after the cluster already failed
@@ -104,10 +140,15 @@ func (a *Array) awaitChunk(ctx *cluster.Ctx, r *chunkReq, want uint8, op OpID, f
 	ctx.Clock.AdvanceTo(resp.VT)
 	ctx.RecycleToken(r.tok)
 	r.tok = nil
-	if r.ctrl != nil {
-		// Feed the completed round trip to the destination's controller:
-		// the sample carries both the queueing delay (resp.VT - issueVT)
-		// and the fabric's go-back-N share (resp.RetransNs).
+	if r.ctrl != nil && resp.Linked {
+		// This request went to the home and back, so it is a round trip
+		// to feed the destination's controller: the sample carries both
+		// the queueing delay (resp.VT - issueVT) and the fabric's
+		// go-back-N share (resp.RetransNs). A request that rode an
+		// in-flight speculative fill or found the chunk resident is not
+		// one — it completes in a fraction of a round trip, and fed as a
+		// sample it would drag the controller's RTT floor to nothing and
+		// read every honest round trip after it as a standing queue.
 		ev := r.ctrl.OnAck(resp.VT, resp.VT-r.issueVT, resp.RetransNs)
 		if ev != cc.EvGrow {
 			a.Metrics.CCBackoffs.Add(1)
@@ -122,7 +163,8 @@ func (a *Array) awaitChunk(ctx *cluster.Ctx, r *chunkReq, want uint8, op OpID, f
 		if a.telOn() {
 			a.Metrics.PinSlow.Add(1)
 		}
-		return a.mkPin(r.d, r.ci, fn, op)
+		r.pin, r.filled = a.mkPin(r.d, r.ci, fn, op), resp.Filled
+		return &r.pin
 	}
 	return a.pin(ctx, r.ci*a.sh.chunkWords, want, op, tc)
 }
@@ -139,7 +181,11 @@ var pipeHook func(op byte, ci int64)
 // for each pinned chunk and unpinning it. The next acquisitions are
 // issued before the current chunk is processed, so the copy overlaps
 // the fetch. Stops early (without process) once the cluster fails.
-func (a *Array) rangePipeline(ctx *cluster.Ctx, ciLo, ciHi int64, want uint8, op OpID, process func(p *Pin), tc trace.Ctx) {
+//
+// src, non-nil only for SetRange, holds the words for elements
+// [i, i+len(src)): chunks it covers whole are requested as overwrites,
+// and process is told (filled) when the runtime already stored them.
+func (a *Array) rangePipeline(ctx *cluster.Ctx, ciLo, ciHi int64, want uint8, op OpID, i int64, src []uint64, process func(p *Pin, filled bool), tc trace.Ctx) {
 	var fn func(acc, operand uint64) uint64
 	if want == wantPinOperate {
 		fn = a.op(op).Fn
@@ -148,17 +194,18 @@ func (a *Array) rangePipeline(ctx *cluster.Ctx, ciLo, ciHi int64, want uint8, op
 	if n := ciHi - ciLo + 1; depth > n {
 		depth = n
 	}
-	// Fixed ring of request slots: slot (ci-ciLo)%depth is always free
-	// again by the time ci needs it, because completions are consumed in
-	// issue order and at most depth acquisitions are ever outstanding.
-	reqs := make([]chunkReq, depth)
-	adaptive := !a.ccOff && ctx.CCOn()
+	// Fixed ring of depth+1 request slots: at most depth acquisitions are
+	// outstanding and completions are consumed in issue order, so slot
+	// (ci-ciLo)%(depth+1) is reissued only after chunk ci+1 was awaited —
+	// by then ci's pin, which lives in the slot, has been processed.
+	slots := depth + 1
+	br := ringOf(ctx, int(slots), ctx.Node.Cluster().Nodes())
+	reqs := br.reqs
 	// infl[dst] counts this range's slow-path acquisitions in flight
 	// toward dst; the controller's window caps it per destination.
-	var infl []int64
-	if adaptive {
-		infl = make([]int64, ctx.Node.Cluster().Nodes())
-	}
+	infl := br.infl
+	adaptive := !a.ccOff && ctx.CCOn()
+	cw := a.sh.chunkWords
 	self := a.self()
 	next := ciLo
 	awaited := ciLo
@@ -185,11 +232,15 @@ func (a *Array) rangePipeline(ctx *cluster.Ctx, ciLo, ciHi int64, want uint8, op
 				}
 				blockedVT = -1
 			}
-			r := &reqs[(next-ciLo)%depth]
+			r := &reqs[(next-ciLo)%slots]
 			if pipeHook != nil {
 				pipeHook('i', next)
 			}
-			a.issueChunkInto(ctx, r, next, want, op, fn, tc)
+			var whole []uint64
+			if off := next*cw - i; src != nil && off >= 0 && off+cw <= int64(len(src)) {
+				whole = src[off : off+cw]
+			}
+			a.issueChunkInto(ctx, r, next, want, op, fn, whole, tc)
 			if r.tok != nil && ctrl != nil {
 				r.ctrl = ctrl
 				r.issueVT = ctx.Clock.Now()
@@ -200,7 +251,7 @@ func (a *Array) rangePipeline(ctx *cluster.Ctx, ciLo, ciHi int64, want uint8, op
 	}
 	issue()
 	for ci := ciLo; ci <= ciHi; ci++ {
-		r := &reqs[(ci-ciLo)%depth]
+		r := &reqs[(ci-ciLo)%slots]
 		ctrl := r.ctrl
 		if pipeHook != nil {
 			pipeHook('a', ci)
@@ -214,7 +265,7 @@ func (a *Array) rangePipeline(ctx *cluster.Ctx, ciLo, ciHi int64, want uint8, op
 		if p == nil {
 			return // cluster failed; remaining tokens die with it
 		}
-		process(p)
+		process(p, r.filled)
 		p.Unpin(ctx)
 	}
 }

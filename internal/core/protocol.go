@@ -16,6 +16,9 @@ import (
 // FIFO and chunk→runtime placement guarantees per-chunk ordering.
 // kindNames below is the one table naming every kind for traces,
 // spans and the fabric's per-kind reports.
+//
+// Flag on a write-req announces a whole-chunk overwrite; the data-resp
+// answering it is flagged too and carries no payload (see grantData).
 const (
 	msgReadReq uint8 = iota
 	msgWriteReq
@@ -153,7 +156,7 @@ func (a *Array) handleMsg(rt *cluster.Runtime, m *fabric.Message) {
 	case msgReadReq:
 		a.serveHome(rt, d, homeReq{from: m.From, want: wantRead, vt: svt, tc: tc})
 	case msgWriteReq:
-		a.serveHome(rt, d, homeReq{from: m.From, want: wantWrite, vt: svt, tc: tc})
+		a.serveHome(rt, d, homeReq{from: m.From, want: wantWrite, vt: svt, tc: tc, nodata: m.Flag})
 	case msgOperateReq:
 		a.serveHome(rt, d, homeReq{from: m.From, want: wantOperate, op: OpID(m.OpID), vt: svt, tc: tc})
 	case msgDataResp:
@@ -237,16 +240,18 @@ func (a *Array) respond(rt *cluster.Runtime, d *dentry, w *waiter, vt int64) {
 		d.refcnt.Add(1)
 		val = 1
 	}
-	tok, ctx := w.tok, w.ctx
-	a.putWaiter(w) // every slow-path waiter is released exactly here
 	// d.retrans is non-zero only while a remote grant whose delivery
 	// needed go-back-N recovery completes its waiters: the loss signal
-	// the requester's congestion controller reacts to.
+	// the requester's congestion controller reacts to. Linked tells that
+	// controller whether this completion is a round trip of its own.
+	resp := cluster.Resp{VT: vt, Val: val, RetransNs: d.retrans, Linked: w.linked, Filled: w.filled}
+	tok, ctx := w.tok, w.ctx
+	a.putWaiter(w) // every slow-path waiter is released exactly here
 	if tok != nil {
-		tok.Complete(cluster.Resp{VT: vt, Val: val, RetransNs: d.retrans})
+		tok.Complete(resp)
 		return
 	}
-	ctx.Complete(cluster.Resp{VT: vt, Val: val, RetransNs: d.retrans})
+	ctx.Complete(resp)
 }
 
 func maxi64(a, b int64) int64 {
@@ -266,16 +271,25 @@ func mini64(a, b int64) int64 {
 // ---------------------------------------------------------------------------
 // Home side: the directory state machine (paper Figure 9, Table 1).
 
+// homeReq is one request to a chunk's directory. The same record parks
+// in dentry.defrd while the chunk is busy — on the home side a request
+// behind the transaction in flight, on the cache side a coherence
+// command (want is then one of the def* tags) behind an eviction.
 type homeReq struct {
-	from int
-	want uint8
+	from int   // requesting node (== home id for local requests)
+	want uint8 // wantRead/wantWrite/wantOperate/wantShip (pin variants local only)
 	op   OpID
 	vt   int64
 	w    *waiter   // non-nil for local requests
 	tc   trace.Ctx // requester's causal-trace chain (zero when untraced)
 
-	// Shipped-Operate operands (want == wantShip): chunk-relative offset,
-	// one operand or a batch with its pooled backing (see deferredReq).
+	// nodata (want == wantWrite, remote): the requester will overwrite
+	// every word of the chunk, so the RW grant carries no payload.
+	nodata bool
+
+	// Shipped-Operate operands (want == wantShip): the element offset
+	// within the chunk, a single operand (val) or a batch (data, with
+	// pay owning its pooled backing).
 	idx  int64
 	val  uint64
 	data []uint64
@@ -285,8 +299,7 @@ type homeReq struct {
 // serveHome starts (or defers) a directory transaction for chunk d.
 func (a *Array) serveHome(rt *cluster.Runtime, d *dentry, r homeReq) {
 	if d.busy {
-		d.defrd = append(d.defrd, deferredReq{from: r.from, want: r.want, op: r.op, vt: r.vt, w: r.w, tc: r.tc,
-			idx: r.idx, val: r.val, data: r.data, pay: r.pay})
+		d.defrd = append(d.defrd, r)
 		return
 	}
 	d.busy = true
@@ -469,8 +482,16 @@ func (a *Array) homeFinish(rt *cluster.Runtime, d *dentry, r homeReq) {
 // grantData replies to a remote requester with a copy of the chunk.
 // Home storage is a contiguous registered region, so the copy out of it
 // stays (and is charged) in both modes; pooling only recycles the
-// buffer the copy lands in.
+// buffer the copy lands in. A requester that announced a whole-chunk
+// overwrite (r.nodata) would read none of those words: its RW grant
+// goes out flagged and payload-free, like the dataless op-grant.
 func (a *Array) grantData(rt *cluster.Runtime, d *dentry, r homeReq, perm uint32) {
+	if r.nodata {
+		a.send(&fMsg{to: r.from, kind: msgDataResp, chunk: d.ci, val: uint64(perm),
+			flag: true, vt: d.tvt, tc: d.tctx})
+		a.homeDone(rt, d)
+		return
+	}
 	data, pay := a.leasePayload(len(d.data))
 	copy(data, d.data)
 	cc := a.copyCost(len(data))
@@ -511,8 +532,7 @@ func (a *Array) drainDeferred(rt *cluster.Runtime, d *dentry, ci int64) {
 				a.respond(rt, d, r.w, maxi64(r.vt, d.tvt))
 				continue
 			}
-			a.serveHome(rt, d, homeReq{from: r.from, want: r.want, op: r.op, vt: r.vt, w: r.w, tc: r.tc,
-				idx: r.idx, val: r.val, data: r.data, pay: r.pay})
+			a.serveHome(rt, d, r)
 			continue
 		}
 		// Cache side: deferred coherence commands.
@@ -533,7 +553,7 @@ func (a *Array) drainDeferred(rt *cluster.Runtime, d *dentry, ci int64) {
 	}
 }
 
-// Cache-side deferred command tags (reuse deferredReq.want).
+// Cache-side deferred command tags (reuse homeReq.want).
 const (
 	defInvalidate uint8 = 100 + iota
 	defDowngrade
@@ -550,21 +570,7 @@ const (
 // New application threads are parked on the delay flag meanwhile.
 // cont runs on this runtime goroutine.
 func (a *Array) demoteLocal(rt *cluster.Runtime, d *dentry, newState uint32, cont func(rt *cluster.Runtime)) {
-	old := d.state.Load()
-	if old == newState {
-		cont(rt)
-		return
-	}
-	op, np := statePerm(old), statePerm(newState)
-	if op == permInvalid || (op == permRead && np == permRW) {
-		d.state.Store(newState)
-		cont(rt)
-		return
-	}
-	d.delay.Store(true) // block incoming application threads
-	if d.refcnt.Load() == 0 {
-		d.state.Store(newState)
-		d.delay.Store(false)
+	if a.tryDemote(d, newState) {
 		cont(rt)
 		return
 	}
@@ -578,6 +584,29 @@ func (a *Array) demoteLocal(rt *cluster.Runtime, d *dentry, newState uint32, con
 		cont(rt)
 		return true
 	})
+}
+
+// tryDemote is demoteLocal's no-wait part: it publishes newState and
+// reports true unless live references must drain first. In that case it
+// leaves the delay flag raised and the caller goes through demoteLocal
+// (which retries, then stalls).
+func (a *Array) tryDemote(d *dentry, newState uint32) bool {
+	old := d.state.Load()
+	if old == newState {
+		return true
+	}
+	op, np := statePerm(old), statePerm(newState)
+	if op == permInvalid || (op == permRead && np == permRW) {
+		d.state.Store(newState)
+		return true
+	}
+	d.delay.Store(true) // block incoming application threads
+	if d.refcnt.Load() != 0 {
+		return false
+	}
+	d.state.Store(newState)
+	d.delay.Store(false)
+	return true
 }
 
 // invalidateSharers sends invalidations to every sharer except `except`

@@ -299,7 +299,7 @@ func (a *Array) shipOne(ctx *cluster.Ctx, d *dentry, ci, off int64, op OpID, ope
 		tc = a.trc.Child(tc, int32(a.self()), trace.StageShip, "ship-submit", ci, ctx.Clock.Now(), vt)
 	}
 	w := a.getWaiter()
-	*w = waiter{ctx: ctx, want: wantShip, op: op, vt: vt, tc: tc, linked: true}
+	w.ctx, w.want, w.op, w.vt, w.tc, w.linked = ctx, wantShip, op, vt, tc, true
 	a.rtOf(ci).Submit(func(rt *cluster.Runtime) {
 		a.shipRequest(rt, d, w, off, operand, nil, nil)
 	})
@@ -430,7 +430,7 @@ func (a *Array) applyRangeShipped(ctx *cluster.Ctx, op OpID, i int64, src []uint
 		}
 		tok := ctx.AcquireToken()
 		w := a.getWaiter()
-		*w = waiter{ctx: ctx, tok: tok, want: wantShip, op: op, vt: vt, tc: btc, linked: true}
+		w.ctx, w.tok, w.want, w.op, w.vt, w.tc, w.linked = ctx, tok, wantShip, op, vt, btc, true
 		off := lo - ci*cw
 		a.rtOf(ci).Submit(func(rt *cluster.Runtime) {
 			a.shipRequest(rt, d, w, off, 0, data, pay)

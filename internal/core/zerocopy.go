@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"darray/internal/buf"
+	"darray/internal/cluster"
 	"darray/internal/fabric"
 )
 
@@ -44,8 +45,18 @@ func (a *Array) putWaiter(w *waiter) {
 	if !a.pooled {
 		return
 	}
-	*w = waiter{}
+	*w = waiter{run: w.run}
 	waiterPool.Put(w)
+}
+
+// submitLocal hands slow-path waiter w for chunk d to the runtime owning
+// the chunk, which runs handleLocal on it.
+func (a *Array) submitLocal(d *dentry, w *waiter) {
+	w.a, w.d = a, d
+	if w.run == nil {
+		w.run = func(rt *cluster.Runtime) { w.a.handleLocal(rt, w.d, w.d.ci, w) }
+	}
+	a.rtOf(d.ci).Submit(w.run)
 }
 
 // recycleMsg returns a fully handled protocol message — and any payload
