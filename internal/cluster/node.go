@@ -373,6 +373,10 @@ type Runtime struct {
 	localq *queue.MPSC[func(rt *Runtime)]
 	rpcq   *queue.MPSC[rpcItem]
 
+	// served counts the local requests this runtime has run. Only its own
+	// goroutine adds to it; LocalServed reads it from anywhere.
+	served atomic.Int64
+
 	stalled []func(rt *Runtime) bool // retried until they report done
 	retried []func(rt *Runtime) bool // the previous retry batch's storage, reused
 
@@ -421,6 +425,11 @@ func (rt *Runtime) Submit(fn func(rt *Runtime)) {
 	rt.notify()
 }
 
+// LocalServed returns how many submitted local requests this runtime has
+// run so far: the traffic on the paper's local-request queue, which a
+// lock-free access path must not add to.
+func (rt *Runtime) LocalServed() int64 { return rt.served.Load() }
+
 // Stall registers a continuation to be retried by the runtime loop until
 // it returns true. Must only be called from this runtime's goroutine.
 func (rt *Runtime) Stall(fn func(rt *Runtime) bool) {
@@ -450,6 +459,7 @@ func (rt *Runtime) loop() {
 			if !ok {
 				break
 			}
+			rt.served.Add(1) // before fn: whoever sees fn's effects sees it counted
 			fn(rt)
 			progress = true
 		}

@@ -104,3 +104,44 @@ func TestPooledAllocsGetRange(t *testing.T) {
 			pooled, noPool)
 	}
 }
+
+// TestPooledAllocsLockSlowPath bounds what a lock operation through the
+// table costs the allocator: node 1 takes and drops the write lock of an
+// element homed on node 0, so every pair is a lock-req, a grant and an
+// unlock. The requester reuses a pooled waiter and its kept closure for
+// both calls (it used to build a closure for each); what is left is the
+// home's table entry and its queue, made anew for a lock that was idle.
+func TestPooledAllocsLockSlowPath(t *testing.T) {
+	skipIfNotMeasurable(t)
+	c := cluster.New(cluster.Config{Nodes: 2, ChunkWords: 64, CacheChunks: 8})
+	defer c.Close()
+	const pairs = 2000
+	var perPair float64
+	c.Run(func(n *cluster.Node) {
+		a := New(n, 2*64)
+		ctx := n.NewCtx(0)
+		c.Barrier(ctx)
+		if n.ID() == 1 {
+			pair := func() {
+				a.WLock(ctx, 3)
+				a.Unlock(ctx, 3)
+			}
+			for k := 0; k < 100; k++ {
+				pair() // warm up the pools
+			}
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			for k := 0; k < pairs; k++ {
+				pair()
+			}
+			runtime.ReadMemStats(&after)
+			perPair = float64(after.Mallocs-before.Mallocs) / pairs
+		}
+		c.Barrier(ctx)
+	})
+	t.Logf("remote WLock+Unlock: %.2f allocs/pair", perPair)
+	if perPair > 3.5 {
+		t.Errorf("remote WLock+Unlock allocates %.2f/pair, want at most the home's table entry, its queue and a lock-waiter slot (3)", perPair)
+	}
+}

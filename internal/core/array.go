@@ -135,11 +135,22 @@ type Metrics struct {
 
 	// Reader-lease accounting (see lock.go). LeaseGrants and LeaseRecalls
 	// count at the home: grants that carried a lease, and lease-recall
-	// messages a writer made it send. LeaseHits counts at the lessee:
-	// RLocks its own lease table served.
+	// messages a writer made it send.
 	LeaseGrants  atomic.Int64
-	LeaseHits    atomic.Int64
 	LeaseRecalls atomic.Int64
+
+	// Reader-gate accounting. GateCloses counts open gates the runtime
+	// shut (a writer's request at the home, a recall or a returning writer
+	// on a lessee); GateDrains the shut gates that still had readers
+	// inside, each reported once by the last reader out. The RLocks gates
+	// admitted are counted in the gate words themselves, not with another
+	// atomic per hit: gateHits and leaseHits hold those of past openings
+	// (all gates, and gates of elements homed elsewhere — hits under a
+	// lease), and GateHits adds the words' live counts.
+	GateCloses atomic.Int64
+	GateDrains atomic.Int64
+	gateHits   atomic.Int64
+	leaseHits  atomic.Int64
 
 	// Zero-copy data-path accounting (all zero under NoPool; see
 	// zerocopy.go for the lease/adopt/donate vocabulary).

@@ -135,26 +135,20 @@ func (s *rtState) startReclaim() {
 }
 
 // evictLine evicts the cache line backing d. Caller guarantees d is an
-// idle non-home dentry with a resident line. Because eviction may need
-// to wait out late-arriving references, the final steps may run as a
-// stalled continuation; d.busy stays set until done.
+// idle non-home dentry with a resident line. It revokes the permission
+// like any other demotion — drain, then publish Invalid — because a
+// thread may take a reference (or a Pin, whose accessors trust state)
+// between the scan's refcnt check and here; the final steps then run as
+// a stalled continuation, and d.busy stays set until done.
 func (a *Array) evictLine(rt *cluster.Runtime, d *dentry) {
 	a.trace("evict", d.ci, -1, d.tvt, trace.Ctx{})
 	d.busy = true
 	st := d.state.Load()
-	d.delay.Store(true)
-	d.state.Store(permInvalid)
-	if d.refcnt.Load() == 0 {
+	if a.tryDemote(d, permInvalid) {
 		a.finishEvict(rt, d, st)
 		return
 	}
-	rt.Stall(func(rt *cluster.Runtime) bool {
-		if d.refcnt.Load() != 0 {
-			return false
-		}
-		a.finishEvict(rt, d, st)
-		return true
-	})
+	a.demoteLocal(rt, d, permInvalid, func(rt *cluster.Runtime) { a.finishEvict(rt, d, st) })
 }
 
 func (a *Array) finishEvict(rt *cluster.Runtime, d *dentry, prevState uint32) {
@@ -182,7 +176,6 @@ func (a *Array) finishEvict(rt *cluster.Runtime, d *dentry, prevState uint32) {
 	s.freeLine(d.line)
 	d.line = nil
 	d.data = nil
-	d.delay.Store(false)
 	d.busy = false
 	a.Metrics.Evictions.Add(1)
 	a.drainDeferred(rt, d, ci)

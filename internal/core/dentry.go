@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"sync/atomic"
 
 	"darray/internal/cluster"
@@ -117,9 +118,14 @@ type waiter struct {
 	src    []uint64
 	filled bool
 
-	// run is the waiter's local-request closure (handleLocal on a and d),
-	// built once and kept across recycling so submitting a pooled waiter
-	// allocates nothing.
+	// idx is the element a lock-table request (want >= wantRLock, see
+	// lock.go) is about; vt is then its request or release time.
+	idx int64
+
+	// run is the waiter's local-request closure (handleLocal, or
+	// handleLockLocal for a lock-table request, on a and d), built once
+	// and kept across recycling so submitting a pooled waiter allocates
+	// nothing.
 	a   *Array
 	d   *dentry
 	run func(rt *cluster.Runtime)
@@ -175,12 +181,52 @@ type dentry struct {
 	// like the directory fields above).
 	obs chunkObs
 
+	// gates holds one reader gate per element of the chunk (lock.go): the
+	// lock-free entrance to the element locks, as the triple above is to
+	// the data. Nil until the owning runtime first opens one; published
+	// once and never replaced.
+	gates atomic.Pointer[[]gate]
+
 	// Function-shipping state on the cache side. shipQ is the FIFO of
 	// in-flight shipped ops — per-(pair,chunk) ordering matches each
 	// msgShipReply to the head waiter. ship is the last mode hint from
 	// home (auto mode only), read on the Apply miss path.
 	shipQ []*waiter
 	ship  atomic.Bool
+}
+
+// enter takes a fast-path reference on d: announce (refcnt++), then
+// validate (delay still clear). Every lock-free entry point goes through
+// it before it loads state. The re-load after the announce is what
+// closes the race with a revocation: the runtime raises delay and then
+// reads refcnt, so of the two seq-cst pairs at least one side sees the
+// other — either this thread sees delay raised and backs its reference
+// out, or its reference was counted before the runtime's zero check and
+// the revocation waits for it (PROTOCOL.md "The fast path and the drain
+// rule"). The first load keeps parked threads off refcnt, so they cannot
+// hold the runtime's drain check above zero. A false return holds no
+// reference; callers that must get in call awaitDelay and retry.
+func (d *dentry) enter() bool {
+	if d.delay.Load() {
+		return false
+	}
+	d.refcnt.Add(1)
+	if d.delay.Load() {
+		d.refcnt.Add(-1)
+		return false
+	}
+	return true
+}
+
+// awaitDelay parks the calling application thread until the runtime
+// lowers d's delay flag.
+func (a *Array) awaitDelay(d *dentry) {
+	if a.telOn() {
+		a.Metrics.DelayStalls.Add(1)
+	}
+	for d.delay.Load() {
+		runtime.Gosched()
+	}
 }
 
 // chunkObs is what the home has seen of one chunk's traffic. It outlives

@@ -1,15 +1,15 @@
 package core
 
 import (
-	"runtime"
 	"sync/atomic"
 
 	"darray/internal/cluster"
 	"darray/internal/trace"
 )
 
-// Get reads element i (paper Figure 4). The fast path costs one atomic
-// read of the delay flag, two atomic refcnt updates, and a few branches;
+// Get reads element i (paper Figure 4). The fast path costs two atomic
+// reads of the delay flag (before and after the announce, see
+// dentry.enter), two atomic refcnt updates, and a few branches;
 // when the chunk is not readable locally the request goes to the runtime
 // via the local-request queue and the thread blocks until it is filled.
 func (a *Array) Get(ctx *cluster.Ctx, i int64) uint64 {
@@ -30,15 +30,10 @@ func (a *Array) Get(ctx *cluster.Ctx, i int64) uint64 {
 		a.noteSeq(ctx, ci)
 	}
 	for {
-		if d.delay.Load() { // prevent runtime starvation
-			if a.telOn() {
-				a.Metrics.DelayStalls.Add(1)
-			}
-			for d.delay.Load() {
-				runtime.Gosched()
-			}
+		if !d.enter() { // hold a reference
+			a.awaitDelay(d)
+			continue
 		}
-		d.refcnt.Add(1) // hold a reference
 		st := d.state.Load()
 		if p := statePerm(st); p == permRead || p == permRW {
 			// Atomic load (a plain MOV on amd64): combining — a local
@@ -82,15 +77,10 @@ func (a *Array) Set(ctx *cluster.Ctx, i int64, v uint64) {
 		tc, t0 = a.rootSpan(ctx)
 	}
 	for {
-		if d.delay.Load() {
-			if a.telOn() {
-				a.Metrics.DelayStalls.Add(1)
-			}
-			for d.delay.Load() {
-				runtime.Gosched()
-			}
+		if !d.enter() {
+			a.awaitDelay(d)
+			continue
 		}
-		d.refcnt.Add(1)
 		st := d.state.Load()
 		if statePerm(st) == permRW {
 			d.data[off] = v
@@ -134,15 +124,10 @@ func (a *Array) Apply(ctx *cluster.Ctx, op OpID, i int64, operand uint64) {
 		tc, t0 = a.rootSpan(ctx)
 	}
 	for {
-		if d.delay.Load() {
-			if a.telOn() {
-				a.Metrics.DelayStalls.Add(1)
-			}
-			for d.delay.Load() {
-				runtime.Gosched()
-			}
+		if !d.enter() {
+			a.awaitDelay(d)
+			continue
 		}
-		d.refcnt.Add(1)
 		st := d.state.Load()
 		if p := statePerm(st); p == permRW || (p == permOperated && stateOp(st) == op) {
 			addr := &d.data[off]

@@ -125,9 +125,15 @@ func TestLeaseRecallAcrossDeadLinkDegrades(t *testing.T) {
 		for !c.Failed() {
 			runtime.Gosched()
 		}
-		a.Unlock(ctx, idx) // the lease reader leaves locally
-		a.RLock(ctx, idx)  // not acquired: the thread is degraded
-		a.Unlock(ctx, idx) // and its unlock finds nothing to release
+		a.Unlock(ctx, idx) // the lease reader leaves through the gate
+		// The recall never arrived, so the gate is still open and a pair
+		// through it needs nothing of the dead cluster.
+		a.RLock(ctx, idx)
+		a.Unlock(ctx, idx)
+		// Off the gate the degraded thread acquires nothing, and its unlock
+		// finds nothing to release.
+		a.RLock(ctx, idx+1)
+		a.Unlock(ctx, idx+1)
 	})
 }
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"sync/atomic"
 
 	"darray/internal/cluster"
@@ -69,15 +68,10 @@ func (a *Array) pin(ctx *cluster.Ctx, i int64, want uint8, op OpID, tc trace.Ctx
 		a.noteSeq(ctx, ci)
 	}
 	for {
-		if d.delay.Load() {
-			if a.telOn() {
-				a.Metrics.DelayStalls.Add(1)
-			}
-			for d.delay.Load() {
-				runtime.Gosched()
-			}
+		if !d.enter() {
+			a.awaitDelay(d)
+			continue
 		}
-		d.refcnt.Add(1)
 		if satisfies(d.state.Load(), want, op) {
 			ctx.Stats.Hits++
 			if a.telOn() {

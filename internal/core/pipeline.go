@@ -83,8 +83,7 @@ func (a *Array) issueChunkInto(ctx *cluster.Ctx, r *chunkReq, ci int64, want uin
 	d := &a.dents[ci]
 	*r = chunkReq{ci: ci, d: d}
 	ctx.Stats.Ops++
-	if !d.delay.Load() {
-		d.refcnt.Add(1)
+	if d.enter() {
 		if satisfies(d.state.Load(), want, op) {
 			ctx.Stats.Hits++
 			if a.telOn() {

@@ -523,10 +523,7 @@ func (a *Array) homeDone(rt *cluster.Runtime, d *dentry) {
 func (a *Array) drainDeferred(rt *cluster.Runtime, d *dentry, ci int64) {
 	for !d.busy && len(d.defrd) > 0 {
 		r := d.defrd[0]
-		d.defrd = d.defrd[1:]
-		if len(d.defrd) == 0 {
-			d.defrd = nil
-		}
+		d.defrd = popFront(d.defrd) // keeps the capacity for the next deferral
 		if a.homeOfChunk(ci) == a.self() {
 			if r.w != nil && satisfies(d.state.Load(), r.want, r.op) {
 				a.respond(rt, d, r.w, maxi64(r.vt, d.tvt))

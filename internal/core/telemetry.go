@@ -74,9 +74,9 @@ func KindName(k uint8) string {
 }
 
 // counterMetric builds a single-node counter Metric for collectMetrics.
-func counterMetric(name string, node int, v *atomic.Int64) telemetry.Metric {
+func counterMetric(name string, node int, v int64) telemetry.Metric {
 	per := make([]int64, node+1)
-	per[node] = v.Load()
+	per[node] = v
 	return telemetry.Metric{Name: name, Kind: telemetry.KindCounter, PerNode: per}
 }
 
@@ -116,8 +116,9 @@ func (a *Array) collectMetrics(emit telemetry.Emit) {
 		{"core/ship/flips", &m.ShipFlips},
 		{"core/ship/bytes_saved", &m.ShipBytesSaved},
 		{"core/lock/lease_grants", &m.LeaseGrants},
-		{"core/lock/lease_hits", &m.LeaseHits},
 		{"core/lock/lease_recalls", &m.LeaseRecalls},
+		{"core/lock/gate_closes", &m.GateCloses},
+		{"core/lock/gate_drains", &m.GateDrains},
 		{"core/coherence/invalidations", &m.Invals},
 		{"core/coherence/recalls", &m.Recalls},
 		{"core/coherence/downgrades", &m.Downgrades},
@@ -126,10 +127,13 @@ func (a *Array) collectMetrics(emit telemetry.Emit) {
 		{"core/alloc/donate", &m.Donates},
 		{"core/alloc/copy", &m.PayloadCopies},
 	} {
-		emit(counterMetric(c.name, node, c.v))
+		emit(counterMetric(c.name, node, c.v.Load()))
 	}
+	gateHits, leaseHits := a.GateHits()
+	emit(counterMetric("core/lock/gate_hits", node, gateHits))
+	emit(counterMetric("core/lock/lease_hits", node, leaseHits))
 	for t := Transition(0); t < NumTransitions; t++ {
-		emit(counterMetric("core/coherence/"+t.String(), node, &m.Transitions[t]))
+		emit(counterMetric("core/coherence/"+t.String(), node, m.Transitions[t].Load()))
 	}
 	for _, h := range []struct {
 		name string

@@ -94,10 +94,41 @@ func (a *Array) snapshotLocks() lockView {
 				fail("lock %d: %d threads still await a grant", idx, len(q))
 			}
 			for idx, le := range s.leases {
-				if le.readers != 0 || le.recalled {
-					fail("lease %d not at rest: %d readers, recalled %v", idx, le.readers, le.recalled)
+				if le.recalled {
+					fail("lease %d not at rest: recalled", idx)
+				}
+				if g := a.gateOf(idx); g == nil || g.word.Load()&gateOpen == 0 {
+					fail("lease %d: its gate is not open", idx)
 				}
 				v.leases[idx] = true
+			}
+			// Every gate of this runtime's chunks: nobody inside, and open
+			// only where the tables above would admit a reader with no
+			// message — at the home no writer holds or waits, elsewhere an
+			// unrecalled lease is held.
+			for ci := int64(rt.Index()); ci < a.sh.nChunks; ci += int64(a.node.Runtimes()) {
+				gs := a.dents[ci].gates.Load()
+				if gs == nil {
+					continue
+				}
+				atHome := a.homeOfChunk(ci) == a.self()
+				for off := range *gs {
+					w := (*gs)[off].word.Load()
+					idx := ci*a.sh.chunkWords + int64(off)
+					if n := gateCount(w); n != 0 {
+						fail("gate %d not at rest: %d readers inside", idx, n)
+					}
+					if w&gateOpen == 0 {
+						continue
+					}
+					if atHome {
+						if ls := s.locks[idx]; ls != nil && (ls.writerHeld || len(ls.queue) != 0) {
+							fail("gate %d open at its home beside a writer (held %v, %d queued)", idx, ls.writerHeld, len(ls.queue))
+						}
+					} else if le := s.leases[idx]; le == nil || le.recalled {
+						fail("gate %d open on a node without an unrecalled lease", idx)
+					}
+				}
 			}
 		})
 	}
@@ -105,9 +136,10 @@ func (a *Array) snapshotLocks() lockView {
 	return v
 }
 
-// validateLocks checks the lock tables of every node: nothing held,
-// queued, awaited or mid-recall, and each home's lessee mask names
-// exactly the nodes whose lease table has the element.
+// validateLocks checks the lock tables and reader gates of every node:
+// nothing held, queued, awaited or mid-recall, no reader inside a gate,
+// gates open only where the tables admit readers, and each home's lessee
+// mask naming exactly the nodes whose lease table has the element.
 func validateLocks(insts []*Array) error {
 	views := make([]lockView, len(insts))
 	for v, a := range insts {
@@ -152,8 +184,9 @@ func validateLocks(insts []*Array) error {
 //	          with the registered operator; nobody holds Read/RW.
 //
 // and for the element locks (validateLocks): none held or queued, no
-// lease with a reader inside or a recall pending, and home lessee masks
-// equal to the set of nodes holding the lease.
+// recall pending, every reader gate empty and open only where its node
+// may admit a reader with no message, and home lessee masks equal to
+// the set of nodes holding the lease.
 func ValidateQuiesced(insts []*Array) error {
 	if len(insts) == 0 {
 		return fmt.Errorf("core: no instances to validate")

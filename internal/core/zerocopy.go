@@ -39,8 +39,9 @@ func (a *Array) getWaiter() *waiter {
 	return &waiter{}
 }
 
-// putWaiter recycles a waiter whose completion is being delivered; the
-// call sites are respond and, for lock waiters, grantWaiter.
+// putWaiter recycles a waiter whose request is done with it; the call
+// sites are respond and, for lock-table requests, grantWaiter and
+// handleLockLocal.
 func (a *Array) putWaiter(w *waiter) {
 	if !a.pooled {
 		return
@@ -50,11 +51,18 @@ func (a *Array) putWaiter(w *waiter) {
 }
 
 // submitLocal hands slow-path waiter w for chunk d to the runtime owning
-// the chunk, which runs handleLocal on it.
+// the chunk, which runs handleLocal on it — or handleLockLocal, when w
+// carries a lock-table request.
 func (a *Array) submitLocal(d *dentry, w *waiter) {
 	w.a, w.d = a, d
 	if w.run == nil {
-		w.run = func(rt *cluster.Runtime) { w.a.handleLocal(rt, w.d, w.d.ci, w) }
+		w.run = func(rt *cluster.Runtime) {
+			if w.want >= wantRLock {
+				w.a.handleLockLocal(rt, w)
+				return
+			}
+			w.a.handleLocal(rt, w.d, w.d.ci, w)
+		}
 	}
 	a.rtOf(d.ci).Submit(w.run)
 }
