@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test locks race vet benchcheck bench bench-json bench-diff bufdebug stream chaos trace hotspot contention check
+.PHONY: build test locks kvs race vet benchcheck bench bench-json bench-diff bufdebug stream chaos trace hotspot contention check
 
 build:
 	$(GO) build ./...
@@ -12,7 +12,7 @@ test:
 # protocol, the telemetry registry, the fault-injected fabric, the
 # lock-free queues, the streaming bench, and the layers between them.
 race:
-	$(GO) test -race ./internal/core/... ./internal/telemetry/... ./internal/cluster/... ./internal/fabric/... ./internal/fault/... ./internal/chaos/... ./internal/queue/... ./internal/bench/... ./internal/cc/...
+	$(GO) test -race ./internal/core/... ./internal/telemetry/... ./internal/cluster/... ./internal/fabric/... ./internal/fault/... ./internal/chaos/... ./internal/queue/... ./internal/bench/... ./internal/cc/... ./internal/kvs/... ./internal/gam/... ./internal/gamkvs/...
 
 # Lock-protocol gate: the element-lock, reader-lease and reader-gate
 # tests (grant policy, the gate word's transitions, message-free and
@@ -24,6 +24,16 @@ race:
 # minutes instead of hanging CI for ten.
 locks:
 	GOMAXPROCS=4 $(GO) test -race -timeout 120s -count=1 -run 'TestLease|TestLocks|TestRLock|TestGate|TestAnnounceRecheck' ./internal/core/
+
+# Record-granular KVS gate: the store, the GAM baseline under it and
+# their pairing, which hold pins across whole buckets and records and so
+# lean on grant installations that stall (a held reference, no free line)
+# — plus the four reproducers of a coherence command arriving during such
+# a stall. Four cores, race detector, ten rounds: the count is what
+# catches a hang that shows one run in three, the bound what reports it.
+kvs:
+	GOMAXPROCS=4 $(GO) test -race -count=10 -timeout 120s ./internal/kvs/ ./internal/gam/ ./internal/gamkvs/
+	GOMAXPROCS=4 $(GO) test -race -count=10 -timeout 120s -run 'TestStalled' ./internal/core/
 
 vet:
 	$(GO) vet ./...
@@ -96,4 +106,4 @@ trace:
 	$(GO) run ./cmd/darray-trace $(or $(TMPDIR),/tmp)/darray-trace-smoke.json
 	$(GO) test -run 'TestAcceptance' -count=1 ./internal/trace/
 
-check: build vet benchcheck test locks race stream chaos bufdebug trace hotspot contention
+check: build vet benchcheck test locks kvs race stream chaos bufdebug trace hotspot contention

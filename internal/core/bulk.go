@@ -24,7 +24,20 @@ func (a *Array) usePipeline(i, n int64) (ciLo, ciHi int64, ok bool) {
 	return ciLo, ciHi, a.pipeline > 1 && ciHi > ciLo
 }
 
-// GetRange copies elements [i, i+len(dst)) into dst.
+// chargeCopy charges ctx the copy of n words to or from chunk ci, as a
+// span of the range op tc when that is sampled.
+func (a *Array) chargeCopy(ctx *cluster.Ctx, tc trace.Ctx, ci, n int64) {
+	if m := a.model; m != nil {
+		cc := m.CopyCost(int(8 * n))
+		a.child(tc, a.self(), trace.StageService, "range-copy", ci, ctx.Clock.Now(), ctx.Clock.Now()+cc)
+		ctx.Clock.Advance(cc)
+	}
+}
+
+// GetRange copies elements [i, i+len(dst)) into dst. A range inside one
+// chunk allocates nothing and costs one acquisition plus the copy, which
+// is what lets a caller read a small record whole instead of word by
+// word (internal/kvs does, twice per Get).
 func (a *Array) GetRange(ctx *cluster.Ctx, i int64, dst []uint64) {
 	if len(dst) == 0 {
 		return
@@ -42,39 +55,26 @@ func (a *Array) GetRange(ctx *cluster.Ctx, i int64, dst []uint64) {
 		a.rangePipeline(ctx, ciLo, ciHi, wantPinRead, 0, i, nil, func(p *Pin, _ bool) {
 			lo, hi := maxi64(i, p.base), mini64(end, p.limit)
 			copy(dst[lo-i:hi-i], p.d.data[lo-p.base:hi-p.base])
-			if m := a.model; m != nil {
-				cc := m.CopyCost(int(8 * (hi - lo)))
-				a.child(tc, a.self(), trace.StageService, "range-copy", p.d.ci, ctx.Clock.Now(), ctx.Clock.Now()+cc)
-				ctx.Clock.Advance(cc)
-			}
-			ctx.Stats.Ops++
+			a.chargeCopy(ctx, tc, p.d.ci, hi-lo)
 		}, tc)
 		return
 	}
+	var p Pin
 	for len(dst) > 0 {
-		p := a.pin(ctx, i, wantPinRead, 0, tc)
-		if p == nil {
+		if !a.acquire(ctx, &p, i, wantPinRead, 0, tc) {
 			return // cluster failed; see ctx.Err
 		}
-		n := p.Limit() - i
-		if n > int64(len(dst)) {
-			n = int64(len(dst))
-		}
-		base := i - p.First()
-		copy(dst[:n], p.d.data[base:base+n])
-		if m := a.model; m != nil {
-			cc := m.CopyCost(int(8 * n))
-			a.child(tc, a.self(), trace.StageService, "range-copy", p.d.ci, ctx.Clock.Now(), ctx.Clock.Now()+cc)
-			ctx.Clock.Advance(cc)
-		}
-		ctx.Stats.Ops++
+		n := mini64(p.limit-i, int64(len(dst)))
+		copy(dst[:n], p.d.data[i-p.base:])
+		a.chargeCopy(ctx, tc, p.d.ci, n)
 		p.Unpin(ctx)
 		dst = dst[n:]
 		i += n
 	}
 }
 
-// SetRange copies src into elements [i, i+len(src)).
+// SetRange copies src into elements [i, i+len(src)). Like GetRange it
+// allocates nothing inside one chunk.
 func (a *Array) SetRange(ctx *cluster.Ctx, i int64, src []uint64) {
 	if len(src) == 0 {
 		return
@@ -90,37 +90,23 @@ func (a *Array) SetRange(ctx *cluster.Ctx, i int64, src []uint64) {
 	if ciLo, ciHi, ok := a.usePipeline(i, int64(len(src))); ok {
 		end := i + int64(len(src))
 		a.rangePipeline(ctx, ciLo, ciHi, wantPinWrite, 0, i, src, func(p *Pin, filled bool) {
-			ctx.Stats.Ops++
 			if filled {
 				return // the runtime stored this chunk's words with the grant
 			}
 			lo, hi := maxi64(i, p.base), mini64(end, p.limit)
 			copy(p.d.data[lo-p.base:hi-p.base], src[lo-i:hi-i])
-			if m := a.model; m != nil {
-				cc := m.CopyCost(int(8 * (hi - lo)))
-				a.child(tc, a.self(), trace.StageService, "range-copy", p.d.ci, ctx.Clock.Now(), ctx.Clock.Now()+cc)
-				ctx.Clock.Advance(cc)
-			}
+			a.chargeCopy(ctx, tc, p.d.ci, hi-lo)
 		}, tc)
 		return
 	}
+	var p Pin
 	for len(src) > 0 {
-		p := a.pin(ctx, i, wantPinWrite, 0, tc)
-		if p == nil {
+		if !a.acquire(ctx, &p, i, wantPinWrite, 0, tc) {
 			return // cluster failed; see ctx.Err
 		}
-		n := p.Limit() - i
-		if n > int64(len(src)) {
-			n = int64(len(src))
-		}
-		base := i - p.First()
-		copy(p.d.data[base:base+n], src[:n])
-		if m := a.model; m != nil {
-			cc := m.CopyCost(int(8 * n))
-			a.child(tc, a.self(), trace.StageService, "range-copy", p.d.ci, ctx.Clock.Now(), ctx.Clock.Now()+cc)
-			ctx.Clock.Advance(cc)
-		}
-		ctx.Stats.Ops++
+		n := mini64(p.limit-i, int64(len(src)))
+		copy(p.d.data[i-p.base:], src[:n])
+		a.chargeCopy(ctx, tc, p.d.ci, n)
 		p.Unpin(ctx)
 		src = src[n:]
 		i += n
@@ -159,15 +145,12 @@ func (a *Array) ApplyRange(ctx *cluster.Ctx, op OpID, i int64, src []uint64) {
 		}, tc)
 		return
 	}
+	var p Pin
 	for len(src) > 0 {
-		p := a.pin(ctx, i, wantPinOperate, op, tc)
-		if p == nil {
+		if !a.acquire(ctx, &p, i, wantPinOperate, op, tc) {
 			return // cluster failed; see ctx.Err
 		}
-		n := p.Limit() - i
-		if n > int64(len(src)) {
-			n = int64(len(src))
-		}
+		n := mini64(p.limit-i, int64(len(src)))
 		for k := int64(0); k < n; k++ {
 			p.Apply(ctx, i+k, src[k])
 		}

@@ -161,9 +161,26 @@ func (a *Array) handleDataResp(rt *cluster.Runtime, d *dentry, m *fabric.Message
 		a.finishGrant(rt, d, m, fill)
 		return
 	}
+	a.stalledInstall(rt, d, func(rt *cluster.Runtime) { a.finishGrant(rt, d, m, fill) })
+}
+
+// stalledInstall runs finish — the installation of a grant that has
+// arrived — once nothing references d's old line and a line is free. The
+// home counted the grant as delivered when it sent it, so its next
+// command for this chunk (a recall or downgrade of the ownership being
+// installed, an invalidation of the copy, an op-recall of the combine
+// buffer) may arrive, per-QP FIFO, while the installation still waits.
+// Judged against the pre-grant state such a command would look stale and
+// be dropped or acked for nothing; the chunk is therefore busy for the
+// duration, which parks later commands in d.defrd, and they run against
+// the installed state when it is done.
+func (a *Array) stalledInstall(rt *cluster.Runtime, d *dentry, finish func(rt *cluster.Runtime)) {
+	d.busy = true
 	a.demoteLocal(rt, d, permInvalid, func(rt *cluster.Runtime) {
 		a.withLine(rt, d, func(rt *cluster.Runtime) {
-			a.finishGrant(rt, d, m, fill)
+			finish(rt)
+			d.busy = false
+			a.drainDeferred(rt, d, d.ci)
 		})
 	})
 }
@@ -216,11 +233,7 @@ func (a *Array) handleOpGrant(rt *cluster.Runtime, d *dentry, m *fabric.Message,
 		a.finishOpGrant(rt, d, opid, svt, retrans)
 		return
 	}
-	a.demoteLocal(rt, d, permInvalid, func(rt *cluster.Runtime) {
-		a.withLine(rt, d, func(rt *cluster.Runtime) {
-			a.finishOpGrant(rt, d, opid, svt, retrans)
-		})
-	})
+	a.stalledInstall(rt, d, func(rt *cluster.Runtime) { a.finishOpGrant(rt, d, opid, svt, retrans) })
 }
 
 func (a *Array) finishOpGrant(rt *cluster.Runtime, d *dentry, opid OpID, svt, retrans int64) {
@@ -270,12 +283,16 @@ func (a *Array) completeWaiters(rt *cluster.Runtime, d *dentry) {
 
 // handleInvalidate drops a Shared copy (home is granting someone
 // exclusive or Operated access). Invalidations are idempotent: a line
-// already gone (silent eviction, concurrent demotion) just acks.
+// already gone (a silent eviction the home never heard of) just acks.
+// That is only true of a copy that is really gone — one whose grant has
+// arrived and is still being installed is busy, and the invalidation
+// waits for it (see stalledInstall).
 func (a *Array) handleInvalidate(rt *cluster.Runtime, d *dentry, m *fabric.Message, svt int64, tc trace.Ctx) {
 	a.Metrics.Invals.Add(1)
 	home := a.homeOfChunk(d.ci)
 	if d.busy {
-		// Evicting: the line dies anyway; ack once it has.
+		// Evicting (the line dies anyway: ack once it has) or installing
+		// (the copy must exist before it can be dropped).
 		d.defrd = append(d.defrd, homeReq{from: m.From, want: defInvalidate, vt: svt, tc: tc})
 		return
 	}
@@ -302,7 +319,11 @@ func (a *Array) handleDowngrade(rt *cluster.Runtime, d *dentry, svt int64, tc tr
 		return
 	}
 	if d.line == nil || statePerm(d.state.Load()) != permRW {
-		return // voluntary writeback already in flight covers this
+		// The ownership left on its own: an eviction's writeback crossed
+		// this command on the wire and answers it (handleWBData runs the
+		// home's continuation). Not busy rules out the other reading, a
+		// grant of that ownership still being installed.
+		return
 	}
 	d.busy = true
 	d.tvt = maxi64(d.tvt, svt)
@@ -332,7 +353,7 @@ func (a *Array) handleRecall(rt *cluster.Runtime, d *dentry, svt int64, tc trace
 		return
 	}
 	if d.line == nil || statePerm(d.state.Load()) != permRW {
-		return // voluntary writeback in flight
+		return // voluntary writeback in flight, as in handleDowngrade
 	}
 	d.busy = true
 	d.tvt = maxi64(d.tvt, svt)
@@ -360,7 +381,7 @@ func (a *Array) handleOpRecall(rt *cluster.Runtime, d *dentry, svt int64, tc tra
 	}
 	st := d.state.Load()
 	if d.line == nil || statePerm(st) != permOperated {
-		return // voluntary flush in flight
+		return // voluntary flush in flight, as in handleDowngrade
 	}
 	op := stateOp(st)
 	d.busy = true

@@ -43,6 +43,16 @@ func (a *Array) PinOperate(ctx *cluster.Ctx, i int64, op OpID) *Pin {
 	return a.pin(ctx, i, wantPinOperate, op, trace.Ctx{})
 }
 
+// pin acquires a pinned reference for the public Pin* calls, which hand
+// out a pointer; the range paths acquire into their own storage.
+func (a *Array) pin(ctx *cluster.Ctx, i int64, want uint8, op OpID, tc trace.Ctx) *Pin {
+	p := new(Pin)
+	if !a.acquire(ctx, p, i, want, op, tc) {
+		return nil
+	}
+	return p
+}
+
 // mkPin builds the Pin handle for chunk ci once a reference is held.
 func (a *Array) mkPin(d *dentry, ci int64, fn func(acc, operand uint64) uint64, op OpID) Pin {
 	base := ci * a.sh.chunkWords
@@ -53,10 +63,36 @@ func (a *Array) mkPin(d *dentry, ci int64, fn func(acc, operand uint64) uint64, 
 	return Pin{a: a, d: d, base: base, limit: limit, apFn: fn, op: op}
 }
 
-// pin acquires a pinned reference. tc, when valid, is the causal-trace
-// chain of the enclosing bulk range op (standalone Pin* calls are not
-// root-sampled; ranges thread their root context through here).
-func (a *Array) pin(ctx *cluster.Ctx, i int64, want uint8, op OpID, tc trace.Ctx) *Pin {
+// pinHit accounts a pin acquisition the lock-free fast path served: it
+// and its Unpin run exactly a Get hit's control path (dentry.enter, the
+// state load, the refcnt release), so it is charged and counted as one —
+// at one acquisition per 512-word chunk that was invisible, at two per
+// KVS op it is most of the bill. tc, when valid, is the enclosing range
+// op: the charge gets a span of its own, or the op's critical path would
+// start with a hole.
+func (a *Array) pinHit(ctx *cluster.Ctx, d *dentry, tc trace.Ctx) {
+	ctx.Stats.Hits++
+	if m := a.model; m != nil {
+		if tc.Trace != 0 {
+			now := ctx.Clock.Now()
+			a.child(tc, a.self(), trace.StageService, "pin-hit", d.ci, now, now+m.GetHit)
+		}
+		ctx.Clock.Advance(m.GetHit)
+	}
+	if a.telOn() {
+		a.Metrics.Hits.Add(1)
+		a.Metrics.PinFast.Add(1)
+		a.notePrefetchHit(d)
+	}
+}
+
+// acquire takes a pinned reference on the chunk holding element i into
+// caller storage p, so the serial range path allocates nothing. It
+// reports false when the cluster has failed (see ctx.Err). tc, when
+// valid, is the causal-trace chain of the enclosing bulk range op
+// (standalone Pin* calls are not root-sampled; ranges thread their root
+// context through here).
+func (a *Array) acquire(ctx *cluster.Ctx, p *Pin, i int64, want uint8, op OpID, tc trace.Ctx) bool {
 	ci, _ := a.locate(i)
 	d := &a.dents[ci]
 	ctx.Stats.Ops++
@@ -73,26 +109,22 @@ func (a *Array) pin(ctx *cluster.Ctx, i int64, want uint8, op OpID, tc trace.Ctx
 			continue
 		}
 		if satisfies(d.state.Load(), want, op) {
-			ctx.Stats.Hits++
-			if a.telOn() {
-				a.Metrics.PinFast.Add(1)
-				a.notePrefetchHit(d)
-			}
-			p := a.mkPin(d, ci, fn, op) // keep the reference: that is the pin
-			return &p
+			a.pinHit(ctx, d, tc)
+			*p = a.mkPin(d, ci, fn, op) // keep the reference: that is the pin
+			return true
 		}
 		d.refcnt.Add(-1)
 		granted, failed := a.slowPathPin(ctx, d, ci, want, op, tc)
 		if failed {
-			return nil // cluster failed; see ctx.Err
+			return false
 		}
 		if granted {
 			// The runtime took the reference on our behalf.
 			if a.telOn() {
 				a.Metrics.PinSlow.Add(1)
 			}
-			p := a.mkPin(d, ci, fn, op)
-			return &p
+			*p = a.mkPin(d, ci, fn, op)
+			return true
 		}
 	}
 }

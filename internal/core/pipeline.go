@@ -85,11 +85,7 @@ func (a *Array) issueChunkInto(ctx *cluster.Ctx, r *chunkReq, ci int64, want uin
 	ctx.Stats.Ops++
 	if d.enter() {
 		if satisfies(d.state.Load(), want, op) {
-			ctx.Stats.Hits++
-			if a.telOn() {
-				a.Metrics.PinFast.Add(1)
-				a.notePrefetchHit(d)
-			}
+			a.pinHit(ctx, d, tc)
 			r.pin, r.pinned = a.mkPin(d, ci, fn, op), true
 			return
 		}

@@ -114,6 +114,37 @@ func (g *Array) Set(ctx *cluster.Ctx, i int64, v uint64) {
 	g.charge(ctx)
 }
 
+// GetRange reads elements [i, i+len(dst)) — GAM's Read(addr, size). The
+// lock-based access path is per cache line, not per word: each chunk
+// piece of the range takes the shard mutex, does the index lookup and is
+// charged one access, around the protocol's own ranged copy.
+func (g *Array) GetRange(ctx *cluster.Ctx, i int64, dst []uint64) {
+	g.eachPiece(ctx, i, int64(len(dst)), func(i, lo, hi int64) { g.inner.GetRange(ctx, i, dst[lo:hi]) })
+}
+
+// SetRange writes src to elements [i, i+len(src)) — GAM's Write(addr,
+// size), chunk piece by chunk piece like GetRange.
+func (g *Array) SetRange(ctx *cluster.Ctx, i int64, src []uint64) {
+	g.eachPiece(ctx, i, int64(len(src)), func(i, lo, hi int64) { g.inner.SetRange(ctx, i, src[lo:hi]) })
+}
+
+// eachPiece splits [i, i+n) at chunk boundaries and runs access on each
+// piece — its first element and its bounds within the caller's buffer —
+// through the lock-based access path.
+func (g *Array) eachPiece(ctx *cluster.Ctx, i, n int64, access func(i, lo, hi int64)) {
+	cw := g.inner.ChunkWords()
+	for lo := int64(0); lo < n; {
+		hi := min(n, lo+cw-(i+lo)%cw)
+		mu := g.shard(i + lo)
+		mu.Lock()
+		g.lookup((i + lo) / cw)
+		access(i+lo, lo, hi)
+		mu.Unlock()
+		g.charge(ctx)
+		lo = hi
+	}
+}
+
 // Atomic applies fn to element i under exclusive ownership: the chunk
 // migrates to the caller as Dirty and the update happens in place. This
 // is GAM's atomic interface; under contention ownership ping-pongs.

@@ -1,7 +1,9 @@
 // Package gamkvs wires the distributed key-value store (internal/kvs)
 // to the GAM baseline's arrays, reproducing the GAM-based KVS the paper
-// compares against in Figure 17: identical bucket/slab design, but every
-// word access pays GAM's lock-based data access path.
+// compares against in Figure 17: identical bucket/slab design and the
+// same whole-bucket, whole-record accesses, but each of them (and every
+// lock operation, on a lock word that lives in the DSM) pays GAM's
+// lock-based data access path.
 package gamkvs
 
 import (

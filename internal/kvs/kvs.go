@@ -5,6 +5,13 @@
 // offset into the byte array. Gets probe a bucket under the distributed
 // reader lock; puts update it under the writer lock.
 //
+// A bucket and a record are each one access: the store reads and writes
+// them whole, as ranges, and works on its private copy. That is the
+// paper's own answer to runs of adjacent elements (take the reference
+// once, §4.1) — a Get on an unchained bucket is four calls into the
+// array underneath (RLock, bucket, record, Unlock), whatever the record's
+// length.
+//
 // The store is generic over a WordStore, so the same code runs on
 // DArray (internal/core) and on the GAM baseline (internal/gamkvs wires
 // that up), which is exactly the comparison in the paper's Figure 17.
@@ -18,11 +25,12 @@ import (
 	"darray/internal/cluster"
 )
 
-// WordStore is the distributed-array interface the KVS is built on.
-// Both *core.Array and *gam.Array satisfy it.
+// WordStore is the distributed-array interface the KVS is built on:
+// ranged reads and writes plus element locks. Both *core.Array and
+// *gam.Array satisfy it.
 type WordStore interface {
-	Get(ctx *cluster.Ctx, i int64) uint64
-	Set(ctx *cluster.Ctx, i int64, v uint64)
+	GetRange(ctx *cluster.Ctx, i int64, dst []uint64)
+	SetRange(ctx *cluster.Ctx, i int64, src []uint64)
 	RLock(ctx *cluster.Ctx, i int64)
 	WLock(ctx *cluster.Ctx, i int64)
 	Unlock(ctx *cluster.Ctx, i int64)
@@ -62,6 +70,28 @@ type Store struct {
 	oflowLimit int64
 	oflowMu    sync.Mutex
 	oflowNext  int64 // local overflow cursor into this node's share
+
+	// scratch recycles the per-operation buffers (*scratch). They are
+	// handed to interface methods, so on the stack they would escape and
+	// cost every Get two allocations beyond the value it returns.
+	scratch sync.Pool
+}
+
+// scratch is one operation's private copy of what it reads and writes:
+// the bucket being probed and one record (the candidate a tag matched,
+// or the record a Put encodes). rec keeps its capacity across uses.
+type scratch struct {
+	bkt [BucketWords]uint64
+	rec []uint64
+}
+
+// record returns sc.rec sized to n words.
+func (sc *scratch) record(n int64) []uint64 {
+	if int64(cap(sc.rec)) < n {
+		sc.rec = make([]uint64, n)
+	}
+	sc.rec = sc.rec[:n]
+	return sc.rec
 }
 
 // Node returns this handle's node.
@@ -91,6 +121,7 @@ func New(node *cluster.Node, entries, bytes WordStore, cfg Config) *Store {
 		node:      node,
 		nBuckets:  nb,
 		oflowBase: nb,
+		scratch:   sync.Pool{New: func() any { return new(scratch) }},
 	}
 	s.oflowLimit = nb + overflowCount(nb, node.Cluster().Nodes())
 	// Slab manages this node's local partition of the byte array.
@@ -165,70 +196,79 @@ func packWord(b []byte) uint64 {
 	return binary.LittleEndian.Uint64(buf[:])
 }
 
-// writeKV stores key/val into the byte array at off.
-func (s *Store) writeKV(ctx *cluster.Ctx, off int64, key, val []byte) {
-	s.bytes.Set(ctx, off, uint64(len(key))<<32|uint64(len(val)))
-	base := off + 1
+// encode lays key and val out as a record in rec, which must be
+// kvWords(len(key), len(val)) long, and returns it.
+func encode(rec []uint64, key, val []byte) []uint64 {
+	rec[0] = uint64(len(key))<<32 | uint64(len(val))
+	w := rec[1:]
 	for _, b := range [2][]byte{key, val} {
 		for i := 0; i < len(b); i += 8 {
-			s.bytes.Set(ctx, base+int64(i/8), packWord(b[i:]))
+			w[i/8] = packWord(b[i:])
 		}
-		base += wordsFor(len(b))
+		w = w[wordsFor(len(b)):]
 	}
+	return rec
 }
 
-// keyAt reports whether the record at off stores exactly key. It
-// compares in place, one word at a time, and stops at the first
-// difference: a tag collision costs a header read and usually one word.
-func (s *Store) keyAt(ctx *cluster.Ctx, off int64, key []byte) bool {
-	if int(s.bytes.Get(ctx, off)>>32) != len(key) {
+// recordLens splits a record's header word.
+func recordLens(hdr uint64) (keyLen, valLen int) {
+	return int(hdr >> 32), int(hdr & 0xffffffff)
+}
+
+// decodeVal copies the value out of a whole record.
+func decodeVal(rec []uint64) []byte {
+	kl, vl := recordLens(rec[0])
+	words := rec[1+wordsFor(kl):]
+	buf := make([]byte, 8*len(words)) // whole words; the tail padding is cut off below
+	for w, v := range words {
+		binary.LittleEndian.PutUint64(buf[8*w:], v)
+	}
+	return buf[:vl]
+}
+
+// holds reads the record an entry points at — size words at off, in one
+// access — into sc.rec and reports whether it stores exactly key. The
+// header must agree with the entry's size, so a record is never decoded
+// past the words that were read.
+func (s *Store) holds(ctx *cluster.Ctx, sc *scratch, off, size int64, key []byte) bool {
+	rec := sc.record(size)
+	s.bytes.GetRange(ctx, off, rec)
+	kl, vl := recordLens(rec[0])
+	if kl != len(key) || kvWords(kl, vl) != size {
 		return false
 	}
-	for i := 0; i < len(key); i += 8 {
-		if s.bytes.Get(ctx, off+1+int64(i/8)) != packWord(key[i:]) {
+	for i := 0; i < kl; i += 8 {
+		if rec[1+i/8] != packWord(key[i:]) {
 			return false
 		}
 	}
 	return true
 }
 
-// readVal loads the value of the record stored at off.
-func (s *Store) readVal(ctx *cluster.Ctx, off int64) []byte {
-	hdr := s.bytes.Get(ctx, off)
-	kl, vl := int(hdr>>32), int(hdr&0xffffffff)
-	base := off + 1 + wordsFor(kl)
-	buf := make([]byte, 8*wordsFor(vl)) // whole words; the tail padding is cut off below
-	for w := int64(0); w < wordsFor(vl); w++ {
-		binary.LittleEndian.PutUint64(buf[8*w:], s.bytes.Get(ctx, base+w))
-	}
-	return buf[:vl]
-}
-
-// probe walks bucket b (and its overflow chain) looking for key, and
-// returns the entry's global index, its contents, and whether it
-// matched. When no match is found, firstFree is the index of the first
-// empty slot on the chain (or -1) and lastBucket is the chain's tail.
-func (s *Store) probe(ctx *cluster.Ctx, b int64, tag uint8, key []byte) (idx int64, ent uint64, found bool, firstFree int64, lastBucket int64) {
+// probe walks bucket b (and its overflow chain) looking for key, one
+// ranged read per bucket on the chain and one per tag match, and returns
+// the entry's global index, its contents, and whether it matched — the
+// matching record is then in sc.rec. When no match is found, firstFree
+// is the index of the first empty slot on the chain (or -1) and
+// lastBucket is the chain's tail.
+func (s *Store) probe(ctx *cluster.Ctx, sc *scratch, b int64, tag uint8, key []byte) (idx int64, ent uint64, found bool, firstFree int64, lastBucket int64) {
 	firstFree = -1
 	for {
 		base := s.bucketBase(b)
-		for e := int64(0); e < entriesPerBkt; e++ {
-			ent = s.entries.Get(ctx, base+e)
-			if ent == 0 {
+		s.entries.GetRange(ctx, base, sc.bkt[:])
+		for e, cand := range sc.bkt[:entriesPerBkt] {
+			if cand == 0 {
 				if firstFree < 0 {
-					firstFree = base + e
+					firstFree = base + int64(e)
 				}
 				continue
 			}
-			t, _, off := unpackEntry(ent)
-			if t != tag {
-				continue
-			}
-			if s.keyAt(ctx, off, key) {
-				return base + e, ent, true, firstFree, b
+			t, size, off := unpackEntry(cand)
+			if t == tag && s.holds(ctx, sc, off, size, key) {
+				return base + int64(e), cand, true, firstFree, b
 			}
 		}
-		next := s.entries.Get(ctx, base+entriesPerBkt)
+		next := sc.bkt[entriesPerBkt]
 		if next == 0 {
 			return 0, 0, false, firstFree, b
 		}
@@ -236,24 +276,32 @@ func (s *Store) probe(ctx *cluster.Ctx, b int64, tag uint8, key []byte) (idx int
 	}
 }
 
+// setEntry writes one word of the entry array.
+func (s *Store) setEntry(ctx *cluster.Ctx, sc *scratch, idx int64, v uint64) {
+	sc.bkt[0] = v
+	s.entries.SetRange(ctx, idx, sc.bkt[:1])
+}
+
 // Get returns the value stored under key (paper Figure 11's flow: hash,
-// probe entries under the reader lock, follow the overflow pointer).
+// probe entries under the reader lock, follow the overflow pointer). The
+// lock covers the reads only: the value is decoded from the private copy
+// after it is released.
 func (s *Store) Get(ctx *cluster.Ctx, key []byte) ([]byte, error) {
 	b, tag := s.hashKey(key)
 	lockIdx := s.bucketBase(b)
+	sc := s.scratch.Get().(*scratch)
+	defer s.scratch.Put(sc)
 	s.entries.RLock(ctx, lockIdx)
-	_, ent, found, _, _ := s.probe(ctx, b, tag, key)
+	_, _, found, _, _ := s.probe(ctx, sc, b, tag, key)
+	s.entries.Unlock(ctx, lockIdx)
 	if !found {
-		s.entries.Unlock(ctx, lockIdx)
 		return nil, ErrNotFound
 	}
-	_, _, off := unpackEntry(ent)
-	val := s.readVal(ctx, off)
-	s.entries.Unlock(ctx, lockIdx)
-	return val, nil
+	return decodeVal(sc.rec), nil
 }
 
-// Put inserts or replaces key's value.
+// Put inserts or replaces key's value. The record is written whole
+// before the bucket is locked: nothing points at it yet.
 func (s *Store) Put(ctx *cluster.Ctx, key, val []byte) error {
 	words := kvWords(len(key), len(val))
 	if words > maxKVWords {
@@ -263,21 +311,24 @@ func (s *Store) Put(ctx *cluster.Ctx, key, val []byte) error {
 	if err != nil {
 		return err
 	}
-	s.writeKV(ctx, off, key, val)
+	sc := s.scratch.Get().(*scratch)
+	defer s.scratch.Put(sc)
+	s.bytes.SetRange(ctx, off, encode(sc.record(words), key, val))
 
 	b, tag := s.hashKey(key)
 	lockIdx := s.bucketBase(b)
+	ent := packEntry(tag, words, off)
 	s.entries.WLock(ctx, lockIdx)
-	idx, old, found, firstFree, lastBucket := s.probe(ctx, b, tag, key)
+	idx, old, found, firstFree, lastBucket := s.probe(ctx, sc, b, tag, key)
 	switch {
 	case found:
-		s.entries.Set(ctx, idx, packEntry(tag, words, off))
+		s.setEntry(ctx, sc, idx, ent)
 		s.entries.Unlock(ctx, lockIdx)
 		_, oldWords, oldOff := unpackEntry(old)
 		s.freeKV(oldOff, oldWords)
 		return nil
 	case firstFree >= 0:
-		s.entries.Set(ctx, firstFree, packEntry(tag, words, off))
+		s.setEntry(ctx, sc, firstFree, ent)
 		s.entries.Unlock(ctx, lockIdx)
 		return nil
 	default:
@@ -288,8 +339,8 @@ func (s *Store) Put(ctx *cluster.Ctx, key, val []byte) error {
 			s.freeKV(off, words)
 			return err
 		}
-		s.entries.Set(ctx, s.bucketBase(nb), packEntry(tag, words, off))
-		s.entries.Set(ctx, s.bucketBase(lastBucket)+entriesPerBkt, uint64(nb+1))
+		s.setEntry(ctx, sc, s.bucketBase(nb), ent)
+		s.setEntry(ctx, sc, s.bucketBase(lastBucket)+entriesPerBkt, uint64(nb+1))
 		s.entries.Unlock(ctx, lockIdx)
 		return nil
 	}
@@ -299,13 +350,15 @@ func (s *Store) Put(ctx *cluster.Ctx, key, val []byte) error {
 func (s *Store) Delete(ctx *cluster.Ctx, key []byte) error {
 	b, tag := s.hashKey(key)
 	lockIdx := s.bucketBase(b)
+	sc := s.scratch.Get().(*scratch)
+	defer s.scratch.Put(sc)
 	s.entries.WLock(ctx, lockIdx)
-	idx, ent, found, _, _ := s.probe(ctx, b, tag, key)
+	idx, ent, found, _, _ := s.probe(ctx, sc, b, tag, key)
 	if !found {
 		s.entries.Unlock(ctx, lockIdx)
 		return ErrNotFound
 	}
-	s.entries.Set(ctx, idx, 0)
+	s.setEntry(ctx, sc, idx, 0)
 	s.entries.Unlock(ctx, lockIdx)
 	_, words, off := unpackEntry(ent)
 	s.freeKV(off, words)

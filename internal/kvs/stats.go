@@ -16,18 +16,20 @@ type Stats struct {
 // inconsistency (but Scan is O(buckets) and meant for tests/tools).
 func (s *Store) Scan(ctx *cluster.Ctx) Stats {
 	st := Stats{Buckets: s.nBuckets, SlabUsedWords: s.slab.Used()}
+	sc := s.scratch.Get().(*scratch)
+	defer s.scratch.Put(sc)
 	for b := int64(0); b < s.nBuckets; b++ {
 		lockIdx := s.bucketBase(b)
 		s.entries.RLock(ctx, lockIdx)
 		cur := b
 		for {
-			base := s.bucketBase(cur)
-			for e := int64(0); e < entriesPerBkt; e++ {
-				if s.entries.Get(ctx, base+e) != 0 {
+			s.entries.GetRange(ctx, s.bucketBase(cur), sc.bkt[:])
+			for _, ent := range sc.bkt[:entriesPerBkt] {
+				if ent != 0 {
 					st.UsedEntries++
 				}
 			}
-			next := s.entries.Get(ctx, base+entriesPerBkt)
+			next := sc.bkt[entriesPerBkt]
 			if next == 0 {
 				break
 			}
