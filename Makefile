@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test locks kvs race vet benchcheck bench bench-json bench-diff bufdebug stream chaos trace hotspot contention check
+.PHONY: build test locks kvs race vet benchcheck bench bufdebug stream chaos trace hotspot contention loc check
 
 build:
 	$(GO) build ./...
@@ -47,19 +47,10 @@ benchcheck:
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...
 
-# Machine-readable micro results (sequential/random paths per system,
-# streaming bulk transfers serial and pipelined) with run metadata.
-bench-json:
-	$(GO) run ./cmd/darray-bench -json-out BENCH_micro.json
-
-# Zero-copy ablation: the micro suite pooled vs NoPool side by side.
-# Virtual ns/op must match; allocs/op is the pool's payoff.
-bench-diff:
-	$(GO) run ./cmd/darray-bench -bench-diff -words-per-node 8192 -max-nodes 3
-
-# Buffer-misuse detection: -tags bufdebug arms double-release and
+# Buffer-misuse detection, and the never-recycling reference for the
+# zero-copy data path: -tags bufdebug arms double-release and
 # use-after-release panics and quarantines released buffers, so any
-# stale alias in the zero-copy data path trips deterministically.
+# stale alias trips deterministically.
 bufdebug:
 	$(GO) test -tags bufdebug -count=1 ./internal/buf/ ./internal/core/ ./internal/chaos/
 
@@ -68,9 +59,9 @@ bufdebug:
 # in every directory state with a same-node reader racing it, a stall
 # registered from a stalled continuation — on four cores under the race
 # detector, bounded so a lost completion fails in two minutes. Then the
-# smoke: the bulk-transfer pipeline, doorbell batching, and coalescing
-# tables at CI scale, plus the >=2x speedup gate (whose all-off
-# comparison still moves with host scheduling, so it runs last).
+# smoke: the stream tables (window, doorbell batch and prefetch ceilings
+# at one against the defaults, and a depth sweep) at CI scale, plus the
+# >=2x GetRange and >=1.5x SetRange speedup gates.
 stream:
 	GOMAXPROCS=4 $(GO) test -race -timeout 120s -count=1 -run 'TestNonPositiveSample|TestRTTSamples|TestOverwriteGrant|TestStallFromStalled' ./internal/cc/ ./internal/core/ ./internal/cluster/
 	$(GO) run ./cmd/darray-bench -fig stream -words-per-node 8192 -max-nodes 3
@@ -89,10 +80,11 @@ hotspot:
 	$(GO) run ./cmd/darray-bench -fig hotspot -max-nodes 6
 	$(GO) test -run 'TestHotspot|TestShip' -count=1 ./internal/bench/ ./internal/core/
 
-# Congestion-control smoke: the multi-stream contention tables (adaptive
-# windows vs the fixed knobs) at CI scale, plus the crossover gate
-# (>=1.3x better p99 and higher Jain fairness at 8 streams, lone-stream
-# throughput within 5%) and the fixed-window chaos ablation.
+# Congestion-control smoke: the multi-stream contention tables (cc.Adaptive
+# windows vs cc.Fixed ones through the same pipeline) at CI scale, plus
+# the crossover gate (>=1.3x better p99 and higher Jain fairness at 8
+# streams, lone-stream throughput within 5%) and the chaos run that must
+# fingerprint identically under both policies.
 contention:
 	$(GO) run ./cmd/darray-bench -fig contention -words-per-node 65536 -max-nodes 2
 	$(GO) test -run 'TestContention|TestChaosStreamContention' -count=1 ./internal/bench/ ./internal/chaos/
@@ -105,5 +97,10 @@ trace:
 	$(GO) run ./cmd/darray-kv -nodes 3 -threads 1 -records 2048 -ops 500 -trace-out $(or $(TMPDIR),/tmp)/darray-trace-smoke.json
 	$(GO) run ./cmd/darray-trace $(or $(TMPDIR),/tmp)/darray-trace-smoke.json
 	$(GO) test -run 'TestAcceptance' -count=1 ./internal/trace/
+
+# Non-test Go outside the benchmark module: the line count ROADMAP item 3
+# is judged by.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs wc -l | tail -1
 
 check: build vet benchcheck test locks kvs race stream chaos bufdebug trace hotspot contention

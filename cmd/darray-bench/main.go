@@ -23,14 +23,11 @@ import (
 	"runtime/pprof"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
+	"darray/cmd/internal/clusterflags"
 	"darray/internal/bench"
-	"darray/internal/chaos"
-	"darray/internal/fault"
 	"darray/internal/telemetry"
-	"darray/internal/trace"
 )
 
 func main() {
@@ -47,25 +44,12 @@ func main() {
 		zipfOps    = flag.Int("zipf-ops", 20000, "fig14 ops per node")
 		randomOps  = flag.Int("random-ops", 20000, "fig18 ops per node")
 		threads    = flag.String("threads", "1,2,4,8", "thread sweep for fig12/fig17")
-		metrics    = flag.Bool("metrics", false, "collect telemetry; print per-experiment deltas and a final cluster-wide report")
 		metricsFmt = flag.String("metrics-format", "text", "final report format: text or json")
 		metricAddr = flag.String("metrics-addr", "", "serve live metrics (expvar, /debug/metrics, pprof) on this address; implies -metrics")
-		chaosOn    = flag.Bool("chaos", false, "inject seeded fabric faults under every experiment (drops, dups, spikes, a partition window, a stalled node)")
-		chaosSeed  = flag.Int64("chaos-seed", 1, "fault plan seed for -chaos; the same seed replays the same plan")
-		jsonOut    = flag.String("json-out", "", "run the micro suite and write machine-readable results (e.g. BENCH_micro.json)")
-		txBurst    = flag.Int("tx-burst", 0, "work requests per doorbell in the Tx thread (0 default, 1 or -1 disables batching); a ceiling when congestion control is on")
-		pipeDepth  = flag.Int("pipeline", 0, "outstanding chunk fetches per bulk range (0 default, 1 or -1 serial); a ceiling when congestion control is on")
-		prefetch   = flag.Int("prefetch", 0, "chunks prefetched on a sequential miss (0 default, -1 disables prefetch and the detector)")
-		noCoalesce = flag.Bool("no-coalesce", false, "disable destination coalescing of coherence commands")
-		noPool     = flag.Bool("no-pool", false, "disable the zero-copy buffer pool (allocate-per-message ablation)")
-		noCC       = flag.Bool("no-cc", false, "disable congestion control: -pipeline and -tx-burst become fixed settings instead of ceilings")
-		ship       = flag.String("ship", "auto", "function-shipping mode: auto (per-chunk contention estimator), on, off")
-		benchDiff  = flag.Bool("bench-diff", false, "run the micro suite pooled and NoPool, print a ns/op and allocs/op comparison")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file (inspect with go tool pprof)")
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file at exit")
-		traceOut   = flag.String("trace-out", "", "record causal spans and write a Perfetto-loadable Chrome trace to this file")
-		traceEvery = flag.Int("trace-sample", 1, "with -trace-out, sample every Nth public op as a trace root")
 	)
+	cf := clusterflags.Register(flag.CommandLine)
 	flag.Parse()
 
 	if *list {
@@ -114,23 +98,13 @@ func main() {
 	p.ZipfOps = *zipfOps
 	p.RandomOps = *randomOps
 	p.Threads = parseInts(*threads)
-	p.TxBurst = *txBurst
-	p.PipelineDepth = *pipeDepth
-	p.PrefetchAhead = *prefetch
-	p.DisableCoalesce = *noCoalesce
-	p.NoPool = *noPool
-	p.NoCC = *noCC
-	p.Ship = *ship
-	if *metricAddr != "" {
-		*metrics = true
-	}
-	var trc *trace.Tracer
-	if *traceOut != "" {
-		trc = trace.New(0)
-		trc.Enable(*traceEvery)
-		p.Tracer = trc
-	}
-	if *metrics {
+	p.TxBurst = cf.TxBurst
+	p.PipelineDepth = cf.Pipeline
+	p.PrefetchAhead = cf.Prefetch
+	p.NoCC = cf.NoCC
+	p.Ship = cf.Ship
+	p.Tracer = cf.Tracer()
+	if cf.Metrics || *metricAddr != "" {
 		reg := telemetry.New()
 		reg.Enable()
 		p.Telemetry = reg
@@ -147,19 +121,9 @@ func main() {
 			fmt.Printf("serving metrics on %s (/debug/metrics, /debug/vars, /debug/pprof)\n", *metricAddr)
 		}
 	}
-	var (
-		chaosMu    sync.Mutex
-		chaosPlans []*fault.Plan
-	)
-	if *chaosOn {
-		p.Faults = func(nodes int) *fault.Plan {
-			plan := fault.New(chaos.DefaultFaults(*chaosSeed, nodes))
-			chaosMu.Lock()
-			chaosPlans = append(chaosPlans, plan)
-			chaosMu.Unlock()
-			return plan
-		}
-		fmt.Printf("chaos: fault injection on, seed=%d (replay with -chaos-seed %d)\n", *chaosSeed, *chaosSeed)
+	if cf.Chaos {
+		p.Faults = cf.Plan
+		fmt.Printf("chaos: fault injection on, seed=%d (replay with -chaos-seed %d)\n", cf.ChaosSeed, cf.ChaosSeed)
 	}
 	bench.PrintModel(os.Stdout, p)
 	fmt.Println()
@@ -182,35 +146,14 @@ func main() {
 			os.Exit(1)
 		}
 		run(e)
-	case *jsonOut != "":
-		// -json-out alone runs just the micro suite (below).
-	case *benchDiff:
-		start := time.Now()
-		bench.MicroDiff(os.Stdout, p)
-		fmt.Printf("(bench-diff completed in %v wall time)\n", time.Since(start).Round(time.Millisecond))
 	default:
 		flag.Usage()
 		os.Exit(2)
 	}
 
-	if *jsonOut != "" {
-		start := time.Now()
-		if err := bench.WriteMicroJSON(*jsonOut, p); err != nil {
-			fmt.Fprintf(os.Stderr, "json-out: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s (micro suite, %v wall time)\n", *jsonOut, time.Since(start).Round(time.Millisecond))
-	}
-
-	if trc != nil {
-		if err := trc.WriteFile(*traceOut); err != nil {
-			fmt.Fprintf(os.Stderr, "trace-out: %v\n", err)
-			os.Exit(1)
-		}
-		spans := trc.Spans()
-		fmt.Printf("# trace\nwrote %s (%d spans; load in https://ui.perfetto.dev)\n%s\n",
-			*traceOut, len(spans), trace.Summarize(spans))
-		fmt.Println(trc.StageReport())
+	if err := cf.WriteTrace(os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
 	if p.Telemetry != nil {
 		snap := p.Telemetry.Snapshot().NonZero()
@@ -220,15 +163,8 @@ func main() {
 			fmt.Printf("# cumulative metrics (all experiments)\n%s", snap.Report())
 		}
 	}
-	if *chaosOn {
-		var total fault.Stats
-		chaosMu.Lock()
-		for _, plan := range chaosPlans {
-			total = total.Merge(plan.Stats())
-		}
-		n := len(chaosPlans)
-		chaosMu.Unlock()
-		fmt.Printf("chaos: seed=%d clusters=%d %s\n", *chaosSeed, n, total)
+	if cf.Chaos {
+		fmt.Println(cf.ChaosSummary())
 	}
 }
 

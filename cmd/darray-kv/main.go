@@ -14,73 +14,34 @@ import (
 	"sync"
 	"time"
 
-	"darray/internal/chaos"
+	"darray/cmd/internal/clusterflags"
 	"darray/internal/cluster"
 	"darray/internal/core"
-	"darray/internal/fault"
 	"darray/internal/gamkvs"
 	"darray/internal/kvs"
 	"darray/internal/stats"
-	"darray/internal/trace"
-	"darray/internal/vtime"
 	"darray/internal/ycsb"
 )
 
 func main() {
 	var (
-		nodes      = flag.Int("nodes", 3, "simulated cluster nodes")
-		threads    = flag.Int("threads", 2, "application threads per node")
-		records    = flag.Int64("records", 50000, "distinct keys")
-		ops        = flag.Int("ops", 20000, "operations per thread")
-		getRatio   = flag.Float64("get-ratio", 0.95, "fraction of gets")
-		rmwRatio   = flag.Float64("rmw-ratio", 0, "fraction of read-modify-writes (YCSB-F style; read the record, bump its counter via Operate)")
-		theta      = flag.Float64("theta", 0.99, "zipfian skew")
-		backend    = flag.String("backend", "darray", "darray or gam")
-		valueLen   = flag.Int("value-len", 100, "value size in bytes")
-		metrics    = flag.Bool("metrics", false, "print the cluster telemetry report after the run")
-		chaosOn    = flag.Bool("chaos", false, "inject seeded fabric faults (enables the virtual-time model: fault windows are vtime-keyed)")
-		chaosSeed  = flag.Int64("chaos-seed", 1, "fault plan seed for -chaos")
-		txBurst    = flag.Int("tx-burst", 0, "work requests per doorbell in the Tx thread (0 default, 1 or -1 disables batching); a ceiling when congestion control is on")
-		pipeDepth  = flag.Int("pipeline", 0, "outstanding chunk fetches per bulk range (0 default, 1 or -1 serial); a ceiling when congestion control is on")
-		prefetch   = flag.Int("prefetch", 0, "chunks prefetched on a sequential miss (0 default, -1 disables prefetch and the detector)")
-		noCoalesce = flag.Bool("no-coalesce", false, "disable destination coalescing of coherence commands")
-		noPool     = flag.Bool("no-pool", false, "disable the zero-copy buffer pool (allocate-per-message ablation)")
-		noCC       = flag.Bool("no-cc", false, "disable congestion control: -pipeline and -tx-burst become fixed settings instead of ceilings")
-		ship       = flag.String("ship", "auto", "function-shipping mode: auto (per-chunk contention estimator), on, off")
-		traceOut   = flag.String("trace-out", "", "record causal spans and write a Perfetto-loadable Chrome trace to this file (enables the virtual-time model)")
-		traceEvery = flag.Int("trace-sample", 1, "with -trace-out, sample every Nth public op as a trace root")
+		nodes    = flag.Int("nodes", 3, "simulated cluster nodes")
+		threads  = flag.Int("threads", 2, "application threads per node")
+		records  = flag.Int64("records", 50000, "distinct keys")
+		ops      = flag.Int("ops", 20000, "operations per thread")
+		getRatio = flag.Float64("get-ratio", 0.95, "fraction of gets")
+		rmwRatio = flag.Float64("rmw-ratio", 0, "fraction of read-modify-writes (YCSB-F style; read the record, bump its counter via Operate)")
+		theta    = flag.Float64("theta", 0.99, "zipfian skew")
+		backend  = flag.String("backend", "darray", "darray or gam")
+		valueLen = flag.Int("value-len", 100, "value size in bytes")
 	)
+	cf := clusterflags.Register(flag.CommandLine)
 	flag.Parse()
 
-	clcfg := cluster.Config{
-		Nodes:           *nodes,
-		Metrics:         *metrics,
-		MsgKindName:     core.KindName,
-		TxBurst:         *txBurst,
-		PipelineDepth:   *pipeDepth,
-		PrefetchAhead:   *prefetch,
-		DisableCoalesce: *noCoalesce,
-		NoPool:          *noPool,
-		NoCC:            *noCC,
-		Ship:            *ship,
+	if cf.Chaos {
+		fmt.Printf("chaos: fault injection on, seed=%d\n", cf.ChaosSeed)
 	}
-	var plan *fault.Plan
-	if *chaosOn {
-		plan = fault.New(chaos.DefaultFaults(*chaosSeed, *nodes))
-		clcfg.Faults = plan
-		clcfg.Model = vtime.Default()
-		fmt.Printf("chaos: fault injection on, seed=%d\n", *chaosSeed)
-	}
-	var trc *trace.Tracer
-	if *traceOut != "" {
-		trc = trace.New(0)
-		trc.Enable(*traceEvery)
-		clcfg.Tracer = trc
-		if clcfg.Model == nil {
-			clcfg.Model = vtime.Default() // spans need virtual time
-		}
-	}
-	c := cluster.New(clcfg)
+	c := cluster.New(cf.Config(*nodes))
 	defer c.Close()
 
 	cfg := kvs.Config{
@@ -173,30 +134,24 @@ func main() {
 
 	wall := time.Since(start)
 	total := gets + puts + rmws
-	fmt.Printf("backend=%s nodes=%d threads=%d records=%d ship=%s\n", *backend, *nodes, *threads, *records, *ship)
+	fmt.Printf("backend=%s nodes=%d threads=%d records=%d ship=%s\n", *backend, *nodes, *threads, *records, cf.Ship)
 	fmt.Printf("ops: %d total (%d gets, %d puts, %d rmws, %d not-found)\n", total, gets, puts, rmws, notFound)
 	fmt.Printf("wall: %v  (%.0f ops/s host throughput)\n", wall.Round(time.Millisecond),
 		float64(total)/wall.Seconds())
 	fmt.Printf("sampled host latency: p50=%v p99=%v max=%v\n",
 		time.Duration(lat.Percentile(50)), time.Duration(lat.Percentile(99)),
 		time.Duration(lat.Max()))
-	if *metrics {
+	if cf.Metrics {
 		fmt.Print(c.MetricsReport())
 	}
-	if trc != nil {
-		if err := trc.WriteFile(*traceOut); err != nil {
-			fmt.Fprintf(os.Stderr, "trace-out: %v\n", err)
-			os.Exit(1)
-		}
-		spans := trc.Spans()
-		fmt.Printf("# trace\nwrote %s (%d spans; load in https://ui.perfetto.dev)\n%s\n",
-			*traceOut, len(spans), trace.Summarize(spans))
-		fmt.Println(trc.StageReport())
+	if err := cf.WriteTrace(os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
-	if plan != nil {
-		fmt.Printf("chaos: seed=%d %s\n", *chaosSeed, plan.Stats())
+	if cf.Chaos {
+		fmt.Println(cf.ChaosSummary())
 		if err := c.Err(); err != nil {
-			fmt.Fprintf(os.Stderr, "chaos: cluster degraded (seed=%d): %v\n", *chaosSeed, err)
+			fmt.Fprintf(os.Stderr, "chaos: cluster degraded (seed=%d): %v\n", cf.ChaosSeed, err)
 			os.Exit(1)
 		}
 	}

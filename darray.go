@@ -65,19 +65,6 @@ var (
 	OpMaxF64 = core.OpMaxF64
 )
 
-// WithPrefetch returns Options pinning one array's bulk-transfer
-// pipeline to k outstanding chunk fetches (k <= 1 forces the serial
-// path); combine with the cluster-wide Config knobs (TxBurst,
-// PipelineDepth, PrefetchAhead, DisableCoalesce) to tune or ablate the
-// streaming optimizations.
-var WithPrefetch = core.WithPrefetch
-
-// WithShipping returns Options forcing one array's function-shipping
-// mode: "auto" (per-chunk contention estimator), "on" (every remote
-// Apply ships to the home), or "off" (cached combining only, the
-// pre-shipping protocol). It overrides the cluster-wide Config.Ship.
-var WithShipping = core.WithShipping
-
 // NewCluster builds and starts a simulated cluster.
 func NewCluster(cfg Config) *Cluster { return cluster.New(cfg) }
 

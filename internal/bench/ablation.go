@@ -61,8 +61,7 @@ func seqReadWith(p Params, mutate func(*cluster.Config)) float64 {
 	cfg := cluster.Config{Nodes: nodes, Model: p.Model, CacheChunks: int(chunksPerRT),
 		Telemetry: p.Telemetry, MsgKindName: core.KindName,
 		TxBurst: p.TxBurst, PipelineDepth: p.PipelineDepth,
-		PrefetchAhead: p.PrefetchAhead, DisableCoalesce: p.DisableCoalesce,
-		NoCC: p.NoCC}
+		PrefetchAhead: p.PrefetchAhead, NoCC: p.NoCC}
 	if p.Faults != nil {
 		cfg.Faults = p.Faults(nodes)
 	}

@@ -57,12 +57,13 @@ type slabRec struct {
 }
 
 // runContention measures `streams` concurrent remote GetRange streams
-// between two nodes. noCC pins the fixed-depth knobs; faulted runs the
+// between two nodes. noCC holds every window at its ceiling (cc.Fixed);
+// faulted runs the
 // same traffic over a seeded 2% loss + 1% duplication plan and reports
 // the retransmission bill.
 func runContention(p Params, streams int, noCC, faulted bool) contentionResult {
 	const nodes = 2
-	const chunkWords = 512  // cluster default chunk geometry
+	const chunkWords = 512   // cluster default chunk geometry
 	sWords := p.WordsPerNode // per-stream volume, constant across N
 	words := int64(nodes) * int64(streams) * sWords
 	var plan *fault.Plan
@@ -70,18 +71,16 @@ func runContention(p Params, streams int, noCC, faulted bool) contentionResult {
 		plan = fault.New(fault.Config{Seed: 42, Nodes: nodes, DropProb: 0.02, DupProb: 0.01})
 	}
 	c := cluster.New(cluster.Config{
-		Nodes:           nodes,
-		Model:           p.Model,
-		CacheChunks:     256,
-		Telemetry:       p.Telemetry,
-		MsgKindName:     core.KindName,
-		Faults:          plan,
-		TxBurst:         p.TxBurst,
-		PipelineDepth:   p.PipelineDepth,
-		PrefetchAhead:   p.PrefetchAhead,
-		DisableCoalesce: p.DisableCoalesce,
-		NoPool:          p.NoPool,
-		NoCC:            noCC,
+		Nodes:         nodes,
+		Model:         p.Model,
+		CacheChunks:   256,
+		Telemetry:     p.Telemetry,
+		MsgKindName:   core.KindName,
+		Faults:        plan,
+		TxBurst:       p.TxBurst,
+		PipelineDepth: p.PipelineDepth,
+		PrefetchAhead: p.PrefetchAhead,
+		NoCC:          noCC,
 	})
 	defer c.Close()
 

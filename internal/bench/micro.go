@@ -45,18 +45,13 @@ type Params struct {
 	// Transport and pipeline knobs, forwarded to every cluster the
 	// experiments build. Zero values keep the cluster defaults; -1
 	// disables (see cluster.Config).
-	TxBurst         int
-	PipelineDepth   int
-	PrefetchAhead   int
-	DisableCoalesce bool
+	TxBurst       int
+	PipelineDepth int
+	PrefetchAhead int
 
-	// NoPool disables the zero-copy buffer pool — the allocate-per-message
-	// ablation behind `make bench-diff`.
-	NoPool bool
-
-	// NoCC disables congestion-controlled streaming, pinning the bulk
-	// pipeline and Tx doorbells to the static knobs above — the
-	// fixed-window ablation behind the contention experiment.
+	// NoCC pins the bulk pipeline and Tx doorbells to the static knobs
+	// above (cluster.Config.NoCC) — the fixed-window reference of the
+	// contention experiment.
 	NoCC bool
 
 	// Ship selects the function-shipping mode for every cluster the
@@ -98,20 +93,18 @@ func (p Params) cluster(nodes int) *cluster.Cluster {
 		plan = p.Faults(nodes)
 	}
 	return cluster.New(cluster.Config{
-		Nodes:           nodes,
-		Model:           p.Model,
-		CacheChunks:     int(perRT),
-		Telemetry:       p.Telemetry,
-		MsgKindName:     core.KindName,
-		Faults:          plan,
-		TxBurst:         p.TxBurst,
-		PipelineDepth:   p.PipelineDepth,
-		PrefetchAhead:   p.PrefetchAhead,
-		DisableCoalesce: p.DisableCoalesce,
-		NoPool:          p.NoPool,
-		NoCC:            p.NoCC,
-		Ship:            p.Ship,
-		Tracer:          p.Tracer,
+		Nodes:         nodes,
+		Model:         p.Model,
+		CacheChunks:   int(perRT),
+		Telemetry:     p.Telemetry,
+		MsgKindName:   core.KindName,
+		Faults:        plan,
+		TxBurst:       p.TxBurst,
+		PipelineDepth: p.PipelineDepth,
+		PrefetchAhead: p.PrefetchAhead,
+		NoCC:          p.NoCC,
+		Ship:          p.Ship,
+		Tracer:        p.Tracer,
 	})
 }
 

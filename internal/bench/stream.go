@@ -40,20 +40,18 @@ func (r streamResult) wallNsPerOp() float64 {
 	return float64(r.wallNs) / float64(r.words)
 }
 
-// streamConfig selects the machinery under test.
+// streamConfig selects the ceilings under test.
 type streamConfig struct {
-	pipeline int  // core pipeline depth override (0 = cluster default)
-	txBurst  int  // cluster TxBurst (0 = default, -1 = off)
-	coalesce bool // destination coalescing
+	pipeline int  // PipelineDepth (0 = default, -1 = one chunk at a time)
+	txBurst  int  // TxBurst (0 = default, -1 = one doorbell per message, so nothing coalesces)
 	prefetch int  // PrefetchAhead (0 = default, -1 = off)
 	write    bool // SetRange instead of GetRange
 }
 
-// baselineStream is the all-off configuration: serial chunk-at-a-time
-// ranges, one doorbell per message, no coalescing, no prefetch — the
-// pre-pipeline behaviour, kept reachable for apples-to-apples ablations.
+// baselineStream is the all-off configuration: a window of one chunk,
+// one doorbell per message, no prefetch.
 func baselineStream(write bool) streamConfig {
-	return streamConfig{pipeline: -1, txBurst: -1, coalesce: false, prefetch: -1, write: write}
+	return streamConfig{pipeline: -1, txBurst: -1, prefetch: -1, write: write}
 }
 
 // runStream executes the streaming workload on `nodes` nodes: node v
@@ -75,10 +73,8 @@ func runStream(p Params, nodes int, sc streamConfig) streamResult {
 		TxBurst:       sc.txBurst,
 		PrefetchAhead: sc.prefetch,
 		PipelineDepth: sc.pipeline,
-		NoPool:        p.NoPool,
 		NoCC:          p.NoCC,
 	}
-	cfg.DisableCoalesce = !sc.coalesce
 	if p.Faults != nil {
 		cfg.Faults = p.Faults(nodes)
 	}
@@ -124,9 +120,9 @@ func runStream(p Params, nodes int, sc streamConfig) streamResult {
 }
 
 // Stream is the streaming-transfer experiment: cross-node GetRange and
-// SetRange throughput with the transfer pipeline, doorbell batching, and
-// destination coalescing individually toggled, plus a pipeline-depth
-// sweep. The "all-off" row reproduces the serial pre-pipeline behaviour.
+// SetRange throughput with the transfer pipeline and doorbell batching
+// (which is what lets commands coalesce) individually toggled, plus a
+// pipeline-depth sweep. The "all-off" row is the ring at a window of one.
 func Stream(p Params) []stats.Table {
 	nodes := min(3, p.MaxNodes)
 	configs := []struct {
@@ -134,9 +130,9 @@ func Stream(p Params) []stats.Table {
 		sc    streamConfig
 	}{
 		{"all-off (serial)", baselineStream(false)},
-		{"pipeline-only", streamConfig{pipeline: 0, txBurst: -1, coalesce: false, prefetch: -1}},
-		{"batching-only", streamConfig{pipeline: -1, txBurst: 0, coalesce: true, prefetch: -1}},
-		{"all-on", streamConfig{pipeline: 0, txBurst: 0, coalesce: true, prefetch: 0}},
+		{"pipeline-only", streamConfig{pipeline: 0, txBurst: -1, prefetch: -1}},
+		{"batching-only", streamConfig{pipeline: -1, txBurst: 0, prefetch: -1}},
+		{"all-on", streamConfig{}},
 	}
 	tbl := stats.Table{
 		Title:  "Streaming: cross-node GetRange, " + itoa(nodes) + " nodes (virtual time)",
@@ -183,7 +179,7 @@ func Stream(p Params) []stats.Table {
 			label = "serial"
 		}
 		depthTbl.Xs = append(depthTbl.Xs, label)
-		sc := streamConfig{pipeline: d, txBurst: 0, coalesce: true, prefetch: -1}
+		sc := streamConfig{pipeline: d, prefetch: -1}
 		ys = append(ys, runStream(p, nodes, sc).mops())
 	}
 	depthTbl.Series = []stats.Series{{Label: "darray", Ys: ys}}
@@ -195,7 +191,7 @@ func Stream(p Params) []stats.Table {
 		YFmt:   "%.2f",
 	}
 	wOff := runStream(p, nodes, baselineStream(true))
-	wOn := runStream(p, nodes, streamConfig{txBurst: 0, coalesce: true, write: true})
+	wOn := runStream(p, nodes, streamConfig{write: true})
 	wr.Series = []stats.Series{
 		{Label: "Mwords/s", Ys: []float64{wOff.mops(), wOn.mops()}},
 		{Label: "ns/word", Ys: []float64{wOff.nsPerOp(), wOn.nsPerOp()}},

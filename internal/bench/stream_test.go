@@ -15,13 +15,13 @@ func streamParams() Params {
 }
 
 // TestStreamPipelineSpeedup is the acceptance gate for the transfer
-// pipeline: cross-node GetRange with the pipeline, doorbell batching,
-// and coalescing enabled must run at least 2x faster in virtual time
-// than the serial all-off baseline (the pre-pipeline behaviour).
+// pipeline: cross-node GetRange at the default ceilings (pipeline,
+// doorbell batching and with it coalescing, prefetch) must run at least
+// 2x faster in virtual time than the all-off baseline, a window of one.
 func TestStreamPipelineSpeedup(t *testing.T) {
 	p := streamParams()
 	base := runStream(p, 2, baselineStream(false))
-	full := runStream(p, 2, streamConfig{pipeline: 0, txBurst: 0, coalesce: true, prefetch: 0})
+	full := runStream(p, 2, streamConfig{})
 	if base.words != full.words || base.words == 0 {
 		t.Fatalf("word counts differ: base=%d full=%d", base.words, full.words)
 	}
@@ -33,34 +33,12 @@ func TestStreamPipelineSpeedup(t *testing.T) {
 	}
 }
 
-// TestStreamBaselineMatchesSerial verifies the ablation claim: with the
-// pipeline, batching, coalescing, and prefetch all off, a multi-chunk
-// GetRange goes through the identical serial path regardless of how it
-// is spelled, so two all-off runs agree in virtual time within noise.
-func TestStreamBaselineMatchesSerial(t *testing.T) {
-	p := streamParams()
-	a := runStream(p, 2, baselineStream(false))
-	b := runStream(p, 2, baselineStream(false))
-	if a.words != b.words {
-		t.Fatalf("word counts differ: %d vs %d", a.words, b.words)
-	}
-	ra, rb := a.nsPerOp(), b.nsPerOp()
-	diff := ra - rb
-	if diff < 0 {
-		diff = -diff
-	}
-	t.Logf("all-off runs: %.1f vs %.1f ns/word (virtual)", ra, rb)
-	if diff > 0.05*ra {
-		t.Errorf("all-off runs differ by more than 5%%: %.1f vs %.1f ns/word", ra, rb)
-	}
-}
-
 // TestStreamWriteSpeedup checks the pipeline also helps the exclusive
 // (SetRange) path, where every chunk needs an ownership transfer.
 func TestStreamWriteSpeedup(t *testing.T) {
 	p := streamParams()
 	base := runStream(p, 2, baselineStream(true))
-	full := runStream(p, 2, streamConfig{pipeline: 0, txBurst: 0, coalesce: true, write: true})
+	full := runStream(p, 2, streamConfig{write: true})
 	speed := base.nsPerOp() / full.nsPerOp()
 	t.Logf("SetRange: serial %.1f ns/word, pipelined %.1f ns/word, speedup %.2fx (virtual)",
 		base.nsPerOp(), full.nsPerOp(), speed)

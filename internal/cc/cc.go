@@ -36,7 +36,10 @@
 // the owning stream's thread.
 package cc
 
-import "sync/atomic"
+import (
+	"math"
+	"sync/atomic"
+)
 
 // Fixed-point scale for window arithmetic.
 const (
@@ -88,12 +91,29 @@ const (
 	EvReset
 )
 
+// Policy says what a controller does with the signals it is fed. It is
+// chosen once, where the controllers are built; the code that consults
+// them never asks which one it got.
+type Policy uint8
+
+const (
+	// Adaptive is the controller described above: slow start, cubic
+	// growth, back-off on loss and on standing queue.
+	Adaptive Policy = iota
+	// Fixed pins the window (and the Tx batch) at the caller's ceiling:
+	// round trips are still measured, never acted on. It is the
+	// static-knob reference the contention experiment compares against.
+	Fixed
+)
+
 // Controller is one stream's congestion state toward one destination.
 // The owning application thread calls OnAck; any goroutine may call the
 // atomic readers (Window, SrttNs).
 type Controller struct {
 	cwnd atomic.Int64 // congestion window, chunks << fpShift
 	srtt atomic.Int64 // smoothed RTT, virtual ns
+
+	fixed bool // Policy Fixed: cwnd stays above every ceiling
 
 	// Estimator state (owner-thread only).
 	rttvar int64 // RTT variance, virtual ns (RFC 6298)
@@ -113,10 +133,14 @@ type Controller struct {
 	resets   atomic.Int64
 }
 
-// New returns a controller in slow start at the initial window.
-func New() *Controller {
-	c := &Controller{ssthresh: maxWindow, lastBackoff: -1 << 62, lastLoss: -1 << 62}
+// New returns a controller under policy p: an adaptive one in slow start
+// at the initial window, a fixed one with a window no ceiling clamps.
+func New(p Policy) *Controller {
+	c := &Controller{fixed: p == Fixed, ssthresh: maxWindow, lastBackoff: -1 << 62, lastLoss: -1 << 62}
 	c.cwnd.Store(initWindow)
+	if c.fixed {
+		c.cwnd.Store(math.MaxInt64)
+	}
 	return c
 }
 
@@ -170,6 +194,9 @@ func (c *Controller) OnAck(now, rtt, retransNs int64) Event {
 		c.srtt.Store(srtt)
 	} else if srtt == 0 {
 		srtt = rtt
+	}
+	if c.fixed {
+		return EvGrow
 	}
 
 	cwnd := c.cwnd.Load()
@@ -359,14 +386,16 @@ func icbrt(x int64) int64 {
 type Burst struct {
 	budget int
 	max    int
+	fixed  bool // Policy Fixed: the budget stays at max
 }
 
-// NewBurst returns a budget starting at (and capped by) max.
-func NewBurst(max int) *Burst {
+// NewBurst returns a budget starting at (and capped by) max; under the
+// Fixed policy it never leaves it.
+func NewBurst(max int, p Policy) *Burst {
 	if max < 1 {
 		max = 1
 	}
-	return &Burst{budget: max, max: max}
+	return &Burst{budget: max, max: max, fixed: p == Fixed}
 }
 
 // Limit returns the current batch budget (>= 1).
@@ -375,6 +404,9 @@ func (b *Burst) Limit() int { return b.budget }
 // OnBurst feeds the outcome of one posted batch: whether any of its
 // messages needed retransmission.
 func (b *Burst) OnBurst(retransmitted bool) {
+	if b.fixed {
+		return
+	}
 	if retransmitted {
 		b.budget = b.budget * betaNum / betaDen
 		if b.budget < 1 {

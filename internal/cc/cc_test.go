@@ -13,7 +13,7 @@ func feed(c *Controller, now int64, n int, rtt int64) int64 {
 }
 
 func TestSlowStartRamp(t *testing.T) {
-	c := New()
+	c := New(Adaptive)
 	if w := c.Window(64); w != initWindow>>fpShift {
 		t.Fatalf("initial window = %d, want %d", w, initWindow>>fpShift)
 	}
@@ -45,7 +45,7 @@ func TestSlowStartRamp(t *testing.T) {
 // round trip as a full window of standing queue, and the window stepped
 // down to 2 and stayed there.
 func TestNonPositiveSampleIgnored(t *testing.T) {
-	c := New()
+	c := New(Adaptive)
 	const rtt = 4000
 	now := feed(c, 0, 4, rtt)
 	w0, srtt0, acks0 := c.Window(64), c.SrttNs(), c.Acks()
@@ -68,7 +68,7 @@ func TestNonPositiveSampleIgnored(t *testing.T) {
 }
 
 func TestBackoffThenCubicRegrowth(t *testing.T) {
-	c := New()
+	c := New(Adaptive)
 	now := feed(c, 0, 60, 2000) // well past 32 chunks
 	w0 := c.Window(256)
 	if w0 < 32 {
@@ -119,7 +119,7 @@ func TestBackoffThenCubicRegrowth(t *testing.T) {
 }
 
 func TestBackoffHysteresis(t *testing.T) {
-	c := New()
+	c := New(Adaptive)
 	now := feed(c, 0, 40, 2000)
 	now += 2000
 	c.OnAck(now, 2000, 300)
@@ -139,7 +139,7 @@ func TestBackoffHysteresis(t *testing.T) {
 }
 
 func TestTimeoutGradeReset(t *testing.T) {
-	c := New()
+	c := New(Adaptive)
 	now := feed(c, 0, 40, 2000)
 	if c.Window(256) < 20 {
 		t.Fatalf("ramp failed: %d", c.Window(256))
@@ -175,7 +175,7 @@ func TestTimeoutGradeReset(t *testing.T) {
 // tracks the spike magnitude — and with spikes removed both converge.
 func TestRttvarConvergence(t *testing.T) {
 	const base, spike = 2000, 20000
-	c := New()
+	c := New(Adaptive)
 	now := int64(0)
 	for i := 1; i <= 500; i++ {
 		now += base
@@ -208,7 +208,7 @@ func TestRttvarConvergence(t *testing.T) {
 }
 
 func TestDelaySignalBacksOff(t *testing.T) {
-	c := New()
+	c := New(Adaptive)
 	now := feed(c, 0, 30, 2000)
 	// Queueing delay (no retransmission) inflating the Vegas standing-
 	// queue estimate past its budget is a congestion signal on its own —
@@ -253,7 +253,7 @@ func TestIcbrt(t *testing.T) {
 }
 
 func TestBurstAIMD(t *testing.T) {
-	b := NewBurst(16)
+	b := NewBurst(16, Adaptive)
 	if b.Limit() != 16 {
 		t.Fatalf("initial limit %d", b.Limit())
 	}
@@ -272,5 +272,40 @@ func TestBurstAIMD(t *testing.T) {
 	}
 	if b.Limit() != 16 {
 		t.Fatalf("recovered limit %d, want ceiling 16", b.Limit())
+	}
+}
+
+// TestFixedPolicyHoldsTheCeiling: a Fixed controller's window is whatever
+// ceiling the caller names, through clean, delayed, lossy and
+// timeout-grade round trips alike; it still measures them. A Fixed Tx
+// budget stays at its ceiling after a retransmitted burst.
+func TestFixedPolicyHoldsTheCeiling(t *testing.T) {
+	c := New(Fixed)
+	now := int64(0)
+	for i, s := range []struct{ rtt, retrans int64 }{
+		{5000, 0}, {5000, 0}, {90000, 0}, {5000, 2000}, {400000, 300000}, {5000, 0},
+	} {
+		now += s.rtt
+		if ev := c.OnAck(now, s.rtt, s.retrans); ev != EvGrow {
+			t.Fatalf("sample %d: event %d, want no reaction", i, ev)
+		}
+		for _, ceiling := range []int{1, 8, 1000} {
+			if w := c.Window(ceiling); w != ceiling {
+				t.Fatalf("sample %d: window %d under ceiling %d", i, w, ceiling)
+			}
+		}
+	}
+	if c.Backoffs() != 0 || c.Resets() != 0 {
+		t.Fatalf("fixed controller backed off: %d backoffs, %d resets", c.Backoffs(), c.Resets())
+	}
+	if c.SrttNs() == 0 || c.MinRttNs() != 5000 {
+		t.Fatalf("fixed controller stopped measuring: srtt %d, min %d", c.SrttNs(), c.MinRttNs())
+	}
+
+	b := NewBurst(16, Fixed)
+	b.OnBurst(true)
+	b.OnBurst(false)
+	if b.Limit() != 16 {
+		t.Fatalf("fixed burst limit %d, want the ceiling 16", b.Limit())
 	}
 }

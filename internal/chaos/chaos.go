@@ -47,18 +47,14 @@ type Config struct {
 	ChunkWords  int
 	CacheChunks int
 
-	// NoPool disables the zero-copy buffer pool (the allocate-per-message
-	// ablation). Results must be bit-identical either way.
-	NoPool bool
-
 	// Ship selects the function-shipping mode ("" = "auto", "on",
 	// "off"). Shipped ops are commutative, so results must be
 	// bit-identical in every mode.
 	Ship string
 
-	// NoCC disables congestion-controlled streaming (the fixed-knob
-	// ablation). Adaptive windows only reschedule traffic, so results
-	// must be bit-identical either way.
+	// NoCC pins the congestion windows at their ceilings (cc.Fixed).
+	// Windows only reschedule traffic, so results must be bit-identical
+	// either way.
 	NoCC bool
 
 	Out io.Writer // optional progress/trace output
@@ -209,7 +205,6 @@ func runOnce(w Workload, cfg Config, plan *fault.Plan) (uint64, error) {
 		ChunkWords:     cfg.ChunkWords,
 		CacheChunks:    cfg.CacheChunks,
 		RuntimeThreads: 2,
-		NoPool:         cfg.NoPool,
 		Ship:           cfg.Ship,
 		NoCC:           cfg.NoCC,
 	})
@@ -224,10 +219,8 @@ func runOnce(w Workload, cfg Config, plan *fault.Plan) (uint64, error) {
 	if verr != nil {
 		return 0, verr
 	}
-	if pool != nil {
-		if n := pool.Outstanding(); n != 0 {
-			return 0, fmt.Errorf("buffer leak: %d pool buffers still referenced after close", n)
-		}
+	if n := pool.Outstanding(); n != 0 {
+		return 0, fmt.Errorf("buffer leak: %d pool buffers still referenced after close", n)
 	}
 	if err := waitDrained(before); err != nil {
 		return 0, err
@@ -235,25 +228,15 @@ func runOnce(w Workload, cfg Config, plan *fault.Plan) (uint64, error) {
 	return fp, nil
 }
 
-// validateArrays runs core.ValidateQuiesced over every array, retrying
-// briefly: the workload's final barrier is out-of-band, so the last
-// protocol acknowledgements may still be landing when it returns.
+// validateArrays checks the coherence invariants of every array once
+// the last protocol acknowledgements have landed (core.AwaitQuiesced).
 func validateArrays(arrays []*core.Array) error {
-	var err error
-	for attempt := 0; attempt < 100; attempt++ {
-		err = nil
-		for _, a := range arrays {
-			if e := core.ValidateQuiesced(a.Instances()); e != nil {
-				err = e
-				break
-			}
+	for _, a := range arrays {
+		if err := core.AwaitQuiesced(a.Instances()); err != nil {
+			return fmt.Errorf("coherence invariants: %w", err)
 		}
-		if err == nil {
-			return nil
-		}
-		time.Sleep(2 * time.Millisecond)
 	}
-	return fmt.Errorf("coherence invariants: %w", err)
+	return nil
 }
 
 // waitDrained polls until the process goroutine count returns to the

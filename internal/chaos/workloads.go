@@ -266,8 +266,8 @@ func BulkRange(words int64) Workload {
 // window, and a stalled node. Each thread fingerprints only its own
 // slice, and the per-(node, thread) digests are folded in fixed order,
 // so the fingerprint depends on (threads, seed) alone: adaptive windows
-// may reschedule the traffic arbitrarily against the fixed-knob
-// ablation without moving it.
+// may reschedule the traffic arbitrarily against fixed ones without
+// moving it.
 func StreamContention(words int64, streams int) Workload {
 	return Workload{
 		Name: fmt.Sprintf("stream-contention-%d", streams),

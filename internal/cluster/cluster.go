@@ -49,21 +49,17 @@ type Config struct {
 	// reproduces the one-doorbell-per-message behaviour exactly; default
 	// 16.
 	TxBurst int
-	// DisableCoalesce turns off destination coalescing of payload-free
-	// coherence commands within a Tx burst (for apples-to-apples
-	// ablations; see Node.coalesce).
-	DisableCoalesce bool
 	// PipelineDepth is the default number of outstanding chunk fetches a
 	// bulk range operation keeps in flight (core.GetRange and friends).
-	// 1 or -1 restores the serial chunk-at-a-time slow path; default 8.
-	// With congestion control active (the default) this is a ceiling:
-	// the per-(thread, destination) controller picks the actual window.
+	// 1 or -1 fetches one chunk at a time; default 8. With congestion
+	// control active (the default) this is a ceiling: the per-(thread,
+	// destination) controller picks the actual window.
 	PipelineDepth int
 
-	// NoCC disables congestion control cluster-wide: bulk pipelines run
-	// at the fixed PipelineDepth and the Tx thread always batches up to
-	// TxBurst, reproducing the static-knob behaviour bit-for-bit (the
-	// ablation baseline; see internal/cc).
+	// NoCC builds every congestion controller with cc.Fixed instead of
+	// cc.Adaptive: bulk pipelines run at PipelineDepth and the Tx thread
+	// batches up to TxBurst, whatever the round trips say — the
+	// static-knob reference of the contention experiment.
 	NoCC bool
 
 	// Ship selects the default function-shipping mode for arrays built on
@@ -72,14 +68,6 @@ type Config struct {
 	// (cached combining only, reproducing the pre-shipping protocol
 	// bit-for-bit).
 	Ship string
-
-	// NoPool disables the zero-copy buffer pool (internal/buf) and every
-	// recycling discipline built on it — payloads, protocol messages,
-	// queue link nodes, waiters, completion tokens — reproducing the
-	// allocate-per-message behaviour bit-for-bit as the ablation
-	// baseline. Virtual-time results are identical either way; only real
-	// allocator traffic differs.
-	NoPool bool
 
 	// Telemetry optionally shares one metrics registry across clusters
 	// (the benchmark harness builds one cluster per data point); nil
@@ -150,7 +138,7 @@ type Cluster struct {
 	cfg   Config
 	fab   *fabric.Fabric
 	nodes []*Node
-	pool  *buf.Pool // nil when cfg.NoPool
+	pool  *buf.Pool
 
 	bar barrier
 
@@ -182,13 +170,11 @@ func New(cfg Config) *Cluster {
 	cfg.fill()
 	c := &Cluster{
 		cfg:     cfg,
-		fab:     fabric.New(fabric.Config{Nodes: cfg.Nodes, Model: cfg.Model, Faults: cfg.Faults, Pooled: !cfg.NoPool}),
+		fab:     fabric.New(fabric.Config{Nodes: cfg.Nodes, Model: cfg.Model, Faults: cfg.Faults, Pooled: true}),
+		pool:    buf.NewPool(),
 		collSeq: make(map[uint64]*collSlot),
 		tel:     cfg.Telemetry,
 		failCh:  make(chan struct{}),
-	}
-	if !cfg.NoPool {
-		c.pool = buf.NewPool()
 	}
 	if c.tel == nil {
 		c.tel = telemetry.New()
@@ -214,6 +200,15 @@ func New(cfg Config) *Cluster {
 // Config returns the cluster's (filled-in) configuration.
 func (c *Cluster) Config() Config { return c.cfg }
 
+// ccPolicy is the policy every congestion controller of this cluster is
+// built with — the one place Config.NoCC is read.
+func (c *Cluster) ccPolicy() cc.Policy {
+	if c.cfg.NoCC {
+		return cc.Fixed
+	}
+	return cc.Adaptive
+}
+
 // Model returns the virtual-time model (may be nil).
 func (c *Cluster) Model() *vtime.Model { return c.cfg.Model }
 
@@ -226,9 +221,8 @@ func (c *Cluster) Node(i int) *Node { return c.nodes[i] }
 // Fabric exposes the underlying fabric (for stats and baselines).
 func (c *Cluster) Fabric() *fabric.Fabric { return c.fab }
 
-// BufPool returns the cluster's shared payload buffer pool, or nil when
-// the NoPool ablation is active. Systems built on the cluster lease
-// their outbound payloads here.
+// BufPool returns the cluster's shared payload buffer pool. Systems
+// built on the cluster lease their outbound payloads here.
 func (c *Cluster) BufPool() *buf.Pool { return c.pool }
 
 // Detacher lets per-runtime attachments (Runtime.Attach values) release
@@ -283,13 +277,11 @@ func (c *Cluster) Close() {
 		for _, n := range c.nodes {
 			n.stopAll()
 		}
-		if c.pool != nil {
-			// All goroutines are stopped: return in-flight payloads and
-			// cached lines to the pool so Outstanding()==0 after a clean
-			// shutdown (the chaos leak check relies on this).
-			for _, n := range c.nodes {
-				n.drainResidual()
-			}
+		// All goroutines are stopped: return in-flight payloads and cached
+		// lines to the pool so Outstanding()==0 after a clean shutdown (the
+		// chaos leak check relies on this).
+		for _, n := range c.nodes {
+			n.drainResidual()
 		}
 		c.telMu.Lock()
 		handles := c.telHandles
@@ -335,13 +327,11 @@ func (c *Cluster) collectFabric(emit telemetry.Emit) {
 		per[node] = v
 		emit(telemetry.Metric{Name: name, Kind: telemetry.KindCounter, PerNode: per})
 	}
-	if p := c.pool; p != nil {
-		// The pool is cluster-wide, not per node; report under node 0.
-		perNode("buf/pool/hit", 0, p.Hits())
-		perNode("buf/pool/miss", 0, p.Misses())
-		perNode("buf/pool/retained", 0, p.Retained())
-		perNode("buf/pool/outstanding", 0, p.Outstanding())
-	}
+	// The pool is cluster-wide, not per node; report under node 0.
+	perNode("buf/pool/hit", 0, c.pool.Hits())
+	perNode("buf/pool/miss", 0, c.pool.Misses())
+	perNode("buf/pool/retained", 0, c.pool.Retained())
+	perNode("buf/pool/outstanding", 0, c.pool.Outstanding())
 	for i := 0; i < c.cfg.Nodes; i++ {
 		st := c.fab.Endpoint(i).Stats()
 		perNode("fabric/coalesced_cmds", i, c.nodes[i].coalesced.Load())
@@ -544,12 +534,12 @@ type Ctx struct {
 
 	resp chan Resp // reusable completion channel for slow-path waits
 	err  error     // first completion error observed by this thread
-	toks []*Token  // recycled completion tokens (pooled clusters only)
+	toks []*Token  // recycled completion tokens
 
-	// ccs[dst] is this thread's congestion controller toward node dst
-	// (nil slice under Config.NoCC). Built eagerly at NewCtx so runtime
-	// goroutines — the prefetcher capping speculative issues by spare
-	// window — can read controllers without racing lazy construction.
+	// ccs[dst] is this thread's congestion controller toward node dst.
+	// Built eagerly at NewCtx so runtime goroutines — the prefetcher
+	// capping speculative issues by spare window — can read controllers
+	// without racing lazy construction.
 	ccs []*cc.Controller
 
 	// Scratch is per-thread storage owned by the interface layer built on
@@ -589,17 +579,8 @@ type Resp struct {
 	Err       error
 }
 
-// CC returns this thread's congestion controller toward node dst, or
-// nil when the cluster runs with congestion control disabled.
-func (ctx *Ctx) CC(dst int) *cc.Controller {
-	if ctx.ccs == nil {
-		return nil
-	}
-	return ctx.ccs[dst]
-}
-
-// CCOn reports whether congestion control is active for this thread.
-func (ctx *Ctx) CCOn() bool { return ctx.ccs != nil }
+// CC returns this thread's congestion controller toward node dst.
+func (ctx *Ctx) CC(dst int) *cc.Controller { return ctx.ccs[dst] }
 
 // DemandStart records one slow-path chunk request entering flight.
 func (ctx *Ctx) DemandStart() { ctx.demand.Add(1) }
@@ -678,13 +659,8 @@ func (ctx *Ctx) AcquireToken() *Token {
 // reuse. Only tokens whose Wait returned a real completion may be
 // recycled: after a cluster-failure Wait a runtime may still deliver
 // into the token's channel, and that stale completion must not be
-// mistaken for a future request's. No-op on NoPool clusters.
-func (ctx *Ctx) RecycleToken(t *Token) {
-	if ctx.Node.c.pool == nil {
-		return
-	}
-	ctx.toks = append(ctx.toks, t)
-}
+// mistaken for a future request's.
+func (ctx *Ctx) RecycleToken(t *Token) { ctx.toks = append(ctx.toks, t) }
 
 // Fail records the first error observed on this thread (completion
 // errors from one-sided verbs or slow-path requests).
@@ -723,12 +699,11 @@ func (n *Node) NewCtx(tid int) *Ctx {
 		TID:  tid,
 		Rng:  rand.New(rand.NewSource(int64(n.id)*1_000_003 + int64(tid)*7919 + 1)),
 		resp: make(chan Resp, 1),
+		ccs:  make([]*cc.Controller, n.c.cfg.Nodes),
 	}
-	if !n.c.cfg.NoCC {
-		ctx.ccs = make([]*cc.Controller, n.c.cfg.Nodes)
-		for i := range ctx.ccs {
-			ctx.ccs[i] = cc.New()
-		}
+	policy := n.c.ccPolicy()
+	for i := range ctx.ccs {
+		ctx.ccs[i] = cc.New(policy)
 	}
 	return ctx
 }

@@ -52,15 +52,11 @@ type Route struct {
 }
 
 func newNode(c *Cluster, id int) *Node {
-	newTxq := queue.NewMPSC[*fabric.Message]
-	if c.pool != nil {
-		newTxq = queue.NewMPSCPooled[*fabric.Message]
-	}
 	n := &Node{
 		id:     id,
 		c:      c,
 		ep:     c.fab.Endpoint(id),
-		txq:    newTxq(),
+		txq:    queue.NewMPSCPooled[*fabric.Message](),
 		stop:   make(chan struct{}),
 		routes: make(map[uint32]Route),
 	}
@@ -166,33 +162,28 @@ func (n *Node) drainResidual() {
 // thread's own serial resource.
 //
 // Bursting: when the queue holds more than one message the loop drains
-// up to TxBurst of them, optionally destination-coalesces adjacent
-// payload-free commands, and posts the burst behind a single doorbell —
-// the leader pays the full SendCost, followers only the chained-WQE
-// cost. TxBurst=1 reproduces the unbatched per-message charging.
+// up to TxBurst of them, destination-coalesces adjacent payload-free
+// commands, and posts the burst behind a single doorbell — the leader
+// pays the full SendCost, followers only the chained-WQE cost. TxBurst=1
+// reproduces the unbatched per-message charging (a burst of one has
+// nothing to coalesce).
 //
-// With congestion control active (Config.NoCC unset) TxBurst is only a
-// ceiling: an AIMD budget shrinks the batch when posts needed go-back-N
-// recovery — a big doorbell behind a lossy link turns one drop into a
-// burst-wide resend — and grows it back one WQE per clean burst.
+// TxBurst is a ceiling: an AIMD budget (cc.Burst) shrinks the batch when
+// posts needed go-back-N recovery — a big doorbell behind a lossy link
+// turns one drop into a burst-wide resend — and grows it back one WQE
+// per clean burst. Under cc.Fixed the budget stays at the ceiling.
 func (n *Node) txLoop() {
 	defer n.wg.Done()
 	var txRes vtime.Resource
 	mdl := n.c.cfg.Model
-	var bud *cc.Burst
-	if !n.c.cfg.NoCC {
-		bud = cc.NewBurst(n.c.cfg.TxBurst)
-	}
+	bud := cc.NewBurst(n.c.cfg.TxBurst, n.c.ccPolicy())
 	burst := make([]*fabric.Message, 0, n.c.cfg.TxBurst)
 	for {
 		m, ok := n.txq.PopWait(n.stop)
 		if !ok {
 			return
 		}
-		limit := n.c.cfg.TxBurst
-		if bud != nil {
-			limit = bud.Limit()
-		}
+		limit := bud.Limit()
 		burst = append(burst[:0], m)
 		for len(burst) < limit {
 			m2, ok := n.txq.Pop()
@@ -201,7 +192,7 @@ func (n *Node) txLoop() {
 			}
 			burst = append(burst, m2)
 		}
-		if !n.c.cfg.DisableCoalesce && len(burst) > 1 {
+		if len(burst) > 1 {
 			burst = n.coalesce(burst)
 		}
 		n.dbHist.Observe(int64(len(burst)))
@@ -217,16 +208,12 @@ func (n *Node) txLoop() {
 				// failed: every blocked WaitResp unblocks with this error.
 				// The message was not delivered; its payload reference is
 				// ours to release.
-				if n.c.pool != nil {
-					m.Payload.Release()
-					fabric.FreeMessage(m)
-				}
+				m.Payload.Release()
+				fabric.FreeMessage(m)
 				n.c.fail(fmt.Errorf("node %d tx: %w", n.id, err))
 			}
 		}
-		if bud != nil {
-			bud.OnBurst(n.ep.TakeRetransSignal())
-		}
+		bud.OnBurst(n.ep.TakeRetransSignal())
 	}
 }
 
@@ -245,7 +232,7 @@ func (n *Node) coalesce(burst []*fabric.Message) []*fabric.Message {
 			m.Kind == lead.Kind && m.Flag == lead.Flag && len(m.Data) == 0 && !m.Coal &&
 			lr.Coalescible != nil && lr.Coalescible(m.Kind) {
 			lead.Coal = true
-			if n.c.pool != nil && lead.Payload == nil {
+			if lead.Payload == nil {
 				// Lease the absorbed-chunk index list at full burst
 				// capacity so the appends below stay inside the buffer.
 				lead.Payload = n.c.pool.Get(n.c.cfg.TxBurst)
@@ -264,9 +251,7 @@ func (n *Node) coalesce(burst []*fabric.Message) []*fabric.Message {
 				lead.SendVT = m.SendVT
 			}
 			n.coalesced.Add(1)
-			if n.c.pool != nil {
-				fabric.FreeMessage(m) // absorbed; only its chunk index survives
-			}
+			fabric.FreeMessage(m) // absorbed; only its chunk index survives
 			continue
 		}
 		lead = m
@@ -305,7 +290,7 @@ func (n *Node) rxLoop() {
 			// Never mutate m itself: the sender's endpoint may still hold
 			// the same pointer for retransmission. Deliver copies, built
 			// from a template taken before the first delivery — once a
-			// copy is delivered a pooled runtime may free it concurrently.
+			// copy is delivered its runtime may free it concurrently.
 			tpl := *m
 			tpl.Coal, tpl.Data, tpl.Payload, tpl.CoalTC = false, nil, nil, nil
 			// Only the lead command owns the message's own trace context;
@@ -321,29 +306,18 @@ func (n *Node) rxLoop() {
 					cm.QueuedVT = int64(tcs[3*i+2])
 				}
 			}
-			if n.c.pool != nil {
-				lead := fabric.NewMessage()
-				*lead = tpl
-				n.deliver(r, lead)
-				for i, ci := range m.Data {
-					cm := fabric.NewMessage()
-					*cm = ctpl
-					cm.Chunk = int64(ci)
-					restore(cm, i)
-					n.deliver(r, cm)
-				}
-				m.Payload.Release() // the absorbed-chunk index list
-				fabric.FreeMessage(m)
-			} else {
-				lead := tpl
-				n.deliver(r, &lead)
-				for i, ci := range m.Data {
-					cm := ctpl
-					cm.Chunk = int64(ci)
-					restore(&cm, i)
-					n.deliver(r, &cm)
-				}
+			lead := fabric.NewMessage()
+			*lead = tpl
+			n.deliver(r, lead)
+			for i, ci := range m.Data {
+				cm := fabric.NewMessage()
+				*cm = ctpl
+				cm.Chunk = int64(ci)
+				restore(cm, i)
+				n.deliver(r, cm)
 			}
+			m.Payload.Release() // the absorbed-chunk index list
+			fabric.FreeMessage(m)
 			continue
 		}
 		n.deliver(r, m)
@@ -394,17 +368,11 @@ type Runtime struct {
 }
 
 func newRuntime(n *Node, idx int) *Runtime {
-	newLocalq := queue.NewMPSC[func(rt *Runtime)]
-	newRpcq := queue.NewMPSC[rpcItem]
-	if n.c.pool != nil {
-		newLocalq = queue.NewMPSCPooled[func(rt *Runtime)]
-		newRpcq = queue.NewMPSCPooled[rpcItem]
-	}
 	return &Runtime{
 		node:   n,
 		idx:    idx,
-		localq: newLocalq(),
-		rpcq:   newRpcq(),
+		localq: queue.NewMPSCPooled[func(rt *Runtime)](),
+		rpcq:   queue.NewMPSCPooled[rpcItem](),
 		Attach: make(map[uint32]any),
 		wake:   make(chan struct{}, 1),
 		stop:   make(chan struct{}),

@@ -28,9 +28,9 @@ func skipIfNotMeasurable(t *testing.T) {
 // slow path (CacheChunks is far below the remote partition size, so
 // each round re-evicts and re-fetches). It reports heap allocations per
 // slow-path miss, measured around the steady-state phase only.
-func allocWorkload(t *testing.T, noPool bool, byRange bool) float64 {
+func allocWorkload(t *testing.T, byRange bool) float64 {
 	t.Helper()
-	cfg := cluster.Config{Nodes: 2, ChunkWords: 64, CacheChunks: 8, NoPool: noPool}
+	cfg := cluster.Config{Nodes: 2, ChunkWords: 64, CacheChunks: 8}
 	c := cluster.New(cfg)
 	defer c.Close()
 
@@ -78,30 +78,27 @@ func allocWorkload(t *testing.T, noPool bool, byRange bool) float64 {
 	return allocsPerMiss
 }
 
-// TestPooledAllocsGet asserts the pooled data path allocates at most
-// half as much per cross-node Get miss as the NoPool ablation — the
-// PR's headline regression gate.
+// TestPooledAllocsGet bounds what a cross-node Get miss costs the
+// allocator. It measures 1.19 allocs/miss; allocating a buffer, a
+// message, a waiter and queue nodes per miss instead of recycling them
+// measured 15.37 (EXPERIMENTS.md, "Retired ablations").
 func TestPooledAllocsGet(t *testing.T) {
 	skipIfNotMeasurable(t)
-	pooled := allocWorkload(t, false, false)
-	noPool := allocWorkload(t, true, false)
-	t.Logf("Get: pooled %.2f allocs/miss, NoPool %.2f allocs/miss", pooled, noPool)
-	if pooled > 0.5*noPool {
-		t.Errorf("pooled Get path allocates %.2f/miss, want <= 50%% of NoPool (%.2f/miss)",
-			pooled, noPool)
+	got := allocWorkload(t, false)
+	t.Logf("Get: %.2f allocs/miss", got)
+	if got > 1.5 {
+		t.Errorf("Get path allocates %.2f/miss, want <= 1.5", got)
 	}
 }
 
-// TestPooledAllocsGetRange asserts the same bound on the pipelined bulk
-// path, which additionally exercises token and chunk-request recycling.
+// TestPooledAllocsGetRange bounds the same for a whole-chunk GetRange
+// miss: 2.33 allocs/miss measured, 25.74 without recycling.
 func TestPooledAllocsGetRange(t *testing.T) {
 	skipIfNotMeasurable(t)
-	pooled := allocWorkload(t, false, true)
-	noPool := allocWorkload(t, true, true)
-	t.Logf("GetRange: pooled %.2f allocs/miss, NoPool %.2f allocs/miss", pooled, noPool)
-	if pooled > 0.5*noPool {
-		t.Errorf("pooled GetRange path allocates %.2f/miss, want <= 50%% of NoPool (%.2f/miss)",
-			pooled, noPool)
+	got := allocWorkload(t, true)
+	t.Logf("GetRange: %.2f allocs/miss", got)
+	if got > 3.0 {
+		t.Errorf("GetRange path allocates %.2f/miss, want <= 3.0", got)
 	}
 }
 

@@ -40,29 +40,21 @@ type Array struct {
 	// gates the fast-path counters below (see telOn).
 	reg *telemetry.Registry
 
-	// pool is the cluster's payload buffer pool; pooled mirrors
-	// pool != nil for branch-friendly checks (see zerocopy.go). Nil/false
-	// under the Config.NoPool ablation.
-	pool   *buf.Pool
-	pooled bool
+	// pool is the cluster's payload buffer pool (see zerocopy.go).
+	pool *buf.Pool
 
 	// Protocol counters (updated by runtime goroutines with atomics).
 	Metrics Metrics
 
-	// pipeline is the effective bulk-transfer pipeline depth for this
-	// array (>= 1; 1 means serial chunk-at-a-time ranges). With
-	// congestion control active it is the window ceiling.
+	// pipeline is the cluster's PipelineDepth (>= 1): the ceiling of the
+	// window a bulk range keeps in flight toward one destination.
 	pipeline int
-	// ccOff disables adaptive windows for this array: bulk ranges issue
-	// at the fixed pipeline depth (the pre-CC behaviour, bit-for-bit).
-	// Resolved from Options.NoCC or the cluster-wide Config.NoCC.
-	ccOff bool
-	// ccCwnd/ccSrtt sample the adaptive window (chunks) and smoothed RTT
-	// (virtual ns) at each congestion-controlled completion, telemetry-
-	// gated like the fast-path counters.
+	// ccCwnd/ccSrtt sample the window (chunks) and smoothed RTT (virtual
+	// ns) at each remote bulk completion, telemetry-gated like the
+	// fast-path counters.
 	ccCwnd telemetry.Histogram
 	ccSrtt telemetry.Histogram
-	// shipMode is the resolved function-shipping mode for this array
+	// shipMode is the cluster's function-shipping mode
 	// (shipOff/shipAuto/shipOn; see ship.go).
 	shipMode uint8
 	// seqTrig is the mid-chunk offset at which Get feeds the sequential
@@ -114,7 +106,7 @@ type Metrics struct {
 	PrefetchWasted    atomic.Int64 // speculative fills evicted or invalidated untouched
 	PrefetchThrottled atomic.Int64 // speculative issues withheld for lack of spare window credit
 
-	// Congestion-control accounting (zero under NoCC; see internal/cc).
+	// Congestion-control accounting (see internal/cc).
 	CCBackoffs atomic.Int64 // multiplicative backoffs + timeout-grade resets observed by bulk pipelines
 
 	// Fast-path counters, gated on cluster telemetry (see telOn).
@@ -152,12 +144,12 @@ type Metrics struct {
 	gateHits   atomic.Int64
 	leaseHits  atomic.Int64
 
-	// Zero-copy data-path accounting (all zero under NoPool; see
-	// zerocopy.go for the lease/adopt/donate vocabulary).
+	// Zero-copy data-path accounting (see zerocopy.go for the
+	// lease/adopt/donate vocabulary).
 	Leases        atomic.Int64 // payload buffers leased from the pool
 	Adopts        atomic.Int64 // inbound grant buffers adopted as line backing
 	Donates       atomic.Int64 // line buffers donated as outbound payloads
-	PayloadCopies atomic.Int64 // pooled payloads that still required a copy
+	PayloadCopies atomic.Int64 // payloads that still required a copy
 }
 
 // Options configures construction beyond the defaults.
@@ -167,55 +159,12 @@ type Options struct {
 	// len == nodes; offsets must be non-decreasing, start at 0, and are
 	// rounded up to chunk boundaries.
 	PartitionOffset []int64
-
-	// Pipeline overrides the cluster's PipelineDepth for this array: the
-	// number of outstanding chunk fetches a bulk range keeps in flight.
-	// 0 uses the cluster default; 1 or -1 forces the serial path.
-	Pipeline int
-
-	// NoSeqDetect disables the sequential-access detector (speculative
-	// next-chunk prefetch from the Get/PinRead fast path) for this
-	// array. The detector is also off cluster-wide when PrefetchAhead
-	// is -1 (the prefetch-free ablation configuration).
-	NoSeqDetect bool
-
-	// Ship overrides the cluster's Config.Ship for this array: "auto",
-	// "on", or "off" ("" keeps the cluster default). NoShip forces
-	// cached-only Operate ("off") regardless of either setting.
-	Ship   string
-	NoShip bool
-
-	// NoCC disables congestion-controlled streaming for this array: bulk
-	// pipelines run at the fixed Pipeline depth and prefetch is capped
-	// only by demand credit, reproducing the static-knob schedule
-	// bit-for-bit. Also implied by the cluster-wide Config.NoCC.
-	NoCC bool
-}
-
-// WithPrefetch returns Options pinning the bulk-transfer pipeline depth
-// to k outstanding chunk fetches (k <= 1 forces the serial path).
-func WithPrefetch(k int) Options {
-	if k < 1 {
-		k = -1
-	}
-	return Options{Pipeline: k}
-}
-
-// WithShipping returns Options pinning this array's function-shipping
-// mode: "auto" (the per-chunk contention estimator decides), "on"
-// (every remote Apply ships), or "off" (cached combining only).
-func WithShipping(mode string) Options {
-	shipModeOf(mode) // validate eagerly
-	if mode == "" {
-		mode = "auto"
-	}
-	return Options{Ship: mode}
 }
 
 // New collectively creates a distributed array of n 8-byte elements,
 // evenly partitioned across the cluster's nodes by default. Every node
-// must call New in the same program order (SPMD). Multiple Options
-// values are merged field-wise (later non-zero fields win).
+// must call New in the same program order (SPMD). Of several Options
+// values the last one that sets a field wins.
 func New(node *cluster.Node, n int64, opts ...Options) *Array {
 	if n <= 0 {
 		panic("core: array length must be positive")
@@ -224,21 +173,6 @@ func New(node *cluster.Node, n int64, opts ...Options) *Array {
 	for _, o := range opts {
 		if o.PartitionOffset != nil {
 			opt.PartitionOffset = o.PartitionOffset
-		}
-		if o.Pipeline != 0 {
-			opt.Pipeline = o.Pipeline
-		}
-		if o.NoSeqDetect {
-			opt.NoSeqDetect = true
-		}
-		if o.Ship != "" {
-			opt.Ship = o.Ship
-		}
-		if o.NoShip {
-			opt.NoShip = true
-		}
-		if o.NoCC {
-			opt.NoCC = true
 		}
 	}
 	c := node.Cluster()
@@ -295,39 +229,21 @@ func buildShared(c *cluster.Cluster, n int64, opt Options) *shared {
 	}
 	sh.starts[nodes] = nChunks
 
-	depth := opt.Pipeline
-	if depth == 0 {
-		depth = c.Config().PipelineDepth
-	}
-	if depth < 1 {
-		depth = 1
-	}
 	// The detector samples Get at mid-chunk: far enough in to confirm a
 	// streaming pattern, early enough that the speculative fill beats the
 	// scan to the next chunk boundary.
 	seqTrig := cw / 2
-	if opt.NoSeqDetect || c.Config().PrefetchAhead == 0 {
-		seqTrig = -1
+	if c.Config().PrefetchAhead == 0 {
+		seqTrig = -1 // prefetch off cluster-wide turns the detector off too
 	}
-
-	shipCfg := opt.Ship
-	if shipCfg == "" {
-		shipCfg = c.Config().Ship
-	}
-	ship := shipModeOf(shipCfg)
-	if opt.NoShip {
-		ship = shipOff
-	}
-
-	ccOff := opt.NoCC || c.Config().NoCC
 
 	sh.insts = make([]*Array, nodes)
 	for v := int64(0); v < nodes; v++ {
 		node := c.Node(int(v))
 		a := &Array{sh: sh, node: node, model: c.Model(), reg: c.Telemetry(),
-			pipeline: depth, seqTrig: seqTrig, shipMode: ship, ccOff: ccOff,
-			pool: c.BufPool(), pooled: c.BufPool() != nil,
-			trc: c.Tracer()}
+			pipeline: c.Config().PipelineDepth, seqTrig: seqTrig,
+			shipMode: shipModeOf(c.Config().Ship),
+			pool:     c.BufPool(), trc: c.Tracer()}
 		lo, hi := sh.starts[v]*cw, sh.starts[v+1]*cw
 		if hi > n {
 			hi = n

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"darray/internal/cluster"
 	"darray/internal/trace"
 )
@@ -11,17 +13,18 @@ import (
 // to the Pin interface for dense transfers (and the access pattern GAM
 // was designed around, cf. §2).
 //
-// When the range spans more than one chunk and the array's pipeline
-// depth is > 1, acquisitions run through rangePipeline so up to K
-// coherence round trips are in flight at once; otherwise the serial
-// chunk-at-a-time loop below is used (and is the ablation baseline).
+// A range spanning more than one chunk runs through rangePipeline, which
+// keeps up to a window of coherence round trips in flight; a range inside
+// one chunk is a single acquire, which allocates nothing.
 
-// usePipeline reports whether a range over [i, i+n) should go through
-// the async pipeline, and returns the covered chunk interval.
-func (a *Array) usePipeline(i, n int64) (ciLo, ciHi int64, ok bool) {
-	ciLo = i / a.sh.chunkWords
-	ciHi = (i + n - 1) / a.sh.chunkWords
-	return ciLo, ciHi, a.pipeline > 1 && ciHi > ciLo
+// chunkSpan returns the chunk interval [ciLo, ciHi] covering elements
+// [i, i+n), which must lie inside the array: the last chunk's storage is
+// padded to a whole chunk, so a copy would run past the end unnoticed.
+func (a *Array) chunkSpan(i, n int64) (ciLo, ciHi int64) {
+	if i < 0 || i+n > a.sh.n {
+		panic(fmt.Sprintf("core: range [%d,%d) out of range [0,%d)", i, i+n, a.sh.n))
+	}
+	return i / a.sh.chunkWords, (i + n - 1) / a.sh.chunkWords
 }
 
 // chargeCopy charges ctx the copy of n words to or from chunk ci, as a
@@ -50,7 +53,7 @@ func (a *Array) GetRange(ctx *cluster.Ctx, i int64, dst []uint64) {
 			defer a.endRoot(ctx, tc, "GetRange", i/a.sh.chunkWords, t0)
 		}
 	}
-	if ciLo, ciHi, ok := a.usePipeline(i, int64(len(dst))); ok {
+	if ciLo, ciHi := a.chunkSpan(i, int64(len(dst))); ciHi > ciLo {
 		end := i + int64(len(dst))
 		a.rangePipeline(ctx, ciLo, ciHi, wantPinRead, 0, i, nil, func(p *Pin, _ bool) {
 			lo, hi := maxi64(i, p.base), mini64(end, p.limit)
@@ -60,17 +63,12 @@ func (a *Array) GetRange(ctx *cluster.Ctx, i int64, dst []uint64) {
 		return
 	}
 	var p Pin
-	for len(dst) > 0 {
-		if !a.acquire(ctx, &p, i, wantPinRead, 0, tc) {
-			return // cluster failed; see ctx.Err
-		}
-		n := mini64(p.limit-i, int64(len(dst)))
-		copy(dst[:n], p.d.data[i-p.base:])
-		a.chargeCopy(ctx, tc, p.d.ci, n)
-		p.Unpin(ctx)
-		dst = dst[n:]
-		i += n
+	if !a.acquire(ctx, &p, i, wantPinRead, 0, tc) {
+		return // cluster failed; see ctx.Err
 	}
+	copy(dst, p.d.data[i-p.base:])
+	a.chargeCopy(ctx, tc, p.d.ci, int64(len(dst)))
+	p.Unpin(ctx)
 }
 
 // SetRange copies src into elements [i, i+len(src)). Like GetRange it
@@ -87,7 +85,7 @@ func (a *Array) SetRange(ctx *cluster.Ctx, i int64, src []uint64) {
 			defer a.endRoot(ctx, tc, "SetRange", i/a.sh.chunkWords, t0)
 		}
 	}
-	if ciLo, ciHi, ok := a.usePipeline(i, int64(len(src))); ok {
+	if ciLo, ciHi := a.chunkSpan(i, int64(len(src))); ciHi > ciLo {
 		end := i + int64(len(src))
 		a.rangePipeline(ctx, ciLo, ciHi, wantPinWrite, 0, i, src, func(p *Pin, filled bool) {
 			if filled {
@@ -100,17 +98,12 @@ func (a *Array) SetRange(ctx *cluster.Ctx, i int64, src []uint64) {
 		return
 	}
 	var p Pin
-	for len(src) > 0 {
-		if !a.acquire(ctx, &p, i, wantPinWrite, 0, tc) {
-			return // cluster failed; see ctx.Err
-		}
-		n := mini64(p.limit-i, int64(len(src)))
-		copy(p.d.data[i-p.base:], src[:n])
-		a.chargeCopy(ctx, tc, p.d.ci, n)
-		p.Unpin(ctx)
-		src = src[n:]
-		i += n
+	if !a.acquire(ctx, &p, i, wantPinWrite, 0, tc) {
+		return // cluster failed; see ctx.Err
 	}
+	copy(p.d.data[i-p.base:], src)
+	a.chargeCopy(ctx, tc, p.d.ci, int64(len(src)))
+	p.Unpin(ctx)
 }
 
 // ApplyRange combines src[k] into element i+k for every k under the
@@ -127,15 +120,12 @@ func (a *Array) ApplyRange(ctx *cluster.Ctx, op OpID, i int64, src []uint64) {
 			defer a.endRoot(ctx, tc, "ApplyRange", i/a.sh.chunkWords, t0)
 		}
 	}
-	if a.shipMode != shipOff {
-		ciLo := i / a.sh.chunkWords
-		ciHi := (i + int64(len(src)) - 1) / a.sh.chunkWords
-		if a.shipActiveRange(ciLo, ciHi, op) {
-			a.applyRangeShipped(ctx, op, i, src, tc)
-			return
-		}
+	ciLo, ciHi := a.chunkSpan(i, int64(len(src)))
+	if a.shipMode != shipOff && a.shipActiveRange(ciLo, ciHi, op) {
+		a.applyRangeShipped(ctx, op, i, src, tc)
+		return
 	}
-	if ciLo, ciHi, ok := a.usePipeline(i, int64(len(src))); ok {
+	if ciHi > ciLo {
 		end := i + int64(len(src))
 		a.rangePipeline(ctx, ciLo, ciHi, wantPinOperate, op, i, nil, func(p *Pin, _ bool) {
 			lo, hi := maxi64(i, p.base), mini64(end, p.limit)
@@ -146,18 +136,13 @@ func (a *Array) ApplyRange(ctx *cluster.Ctx, op OpID, i int64, src []uint64) {
 		return
 	}
 	var p Pin
-	for len(src) > 0 {
-		if !a.acquire(ctx, &p, i, wantPinOperate, op, tc) {
-			return // cluster failed; see ctx.Err
-		}
-		n := mini64(p.limit-i, int64(len(src)))
-		for k := int64(0); k < n; k++ {
-			p.Apply(ctx, i+k, src[k])
-		}
-		p.Unpin(ctx)
-		src = src[n:]
-		i += n
+	if !a.acquire(ctx, &p, i, wantPinOperate, op, tc) {
+		return // cluster failed; see ctx.Err
 	}
+	for k, v := range src {
+		p.Apply(ctx, i+int64(k), v)
+	}
+	p.Unpin(ctx)
 }
 
 // Reduce folds the whole array through the registered operator on the

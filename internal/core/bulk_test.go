@@ -142,40 +142,42 @@ func TestRangeRoundTripQuick(t *testing.T) {
 	})
 }
 
-// TestBulkRangeManyChunks streams SetRange/GetRange through the
-// pipelined bulk path across 24 chunks and two node boundaries, with a
-// serial (pipeline and detector off) array as a control: both spellings
-// must observe identical data.
+// TestBulkRangeManyChunks streams SetRange/GetRange across 24 chunks and
+// two node boundaries, at the default ceilings and with every ceiling at
+// one (a window of one chunk, one doorbell per message, no prefetch):
+// both spellings must observe the data written.
 func TestBulkRangeManyChunks(t *testing.T) {
-	c := tc(t, 3, func(cfg *cluster.Config) { cfg.CacheChunks = 32 })
-	c.Run(func(n *cluster.Node) {
-		const words = 3 * 64 * 8 // 8 chunks per node
-		a := New(n, words)
-		s := New(n, words, Options{Pipeline: -1, NoSeqDetect: true})
-		ctx := n.NewCtx(0)
-		c.Barrier(ctx)
-		if n.ID() == 0 {
-			src := make([]uint64, words)
-			for i := range src {
-				src[i] = uint64(7*i + 1)
+	for _, off := range []bool{false, true} {
+		c := tc(t, 3, func(cfg *cluster.Config) {
+			cfg.CacheChunks = 32
+			if off {
+				cfg.TxBurst, cfg.PipelineDepth, cfg.PrefetchAhead = -1, -1, -1
 			}
-			a.SetRange(ctx, 0, src) // one call spanning every chunk
-			s.SetRange(ctx, 0, src)
-		}
-		c.Barrier(ctx)
-		got := make([]uint64, words)
-		a.GetRange(ctx, 0, got)
-		ser := make([]uint64, words)
-		s.GetRange(ctx, 0, ser)
-		for i := range got {
-			if got[i] != uint64(7*i+1) || ser[i] != got[i] {
-				t.Errorf("node %d: [%d] pipelined=%d serial=%d, want %d",
-					n.ID(), i, got[i], ser[i], 7*i+1)
-				return
+		})
+		c.Run(func(n *cluster.Node) {
+			const words = 3 * 64 * 8 // 8 chunks per node
+			a := New(n, words)
+			ctx := n.NewCtx(0)
+			c.Barrier(ctx)
+			if n.ID() == 0 {
+				src := make([]uint64, words)
+				for i := range src {
+					src[i] = uint64(7*i + 1)
+				}
+				a.SetRange(ctx, 0, src) // one call spanning every chunk
 			}
-		}
-		c.Barrier(ctx)
-	})
+			c.Barrier(ctx)
+			got := make([]uint64, words)
+			a.GetRange(ctx, 0, got)
+			for i := range got {
+				if got[i] != uint64(7*i+1) {
+					t.Errorf("ceilings off=%v, node %d: [%d] = %d, want %d", off, n.ID(), i, got[i], 7*i+1)
+					return
+				}
+			}
+			c.Barrier(ctx)
+		})
+	}
 }
 
 // TestApplyRangeManyChunksAllNodes drives a commutative ApplyRange from

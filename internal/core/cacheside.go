@@ -196,13 +196,11 @@ func (a *Array) finishGrant(rt *cluster.Runtime, d *dentry, m *fabric.Message, f
 		if w.src == nil {
 			panic("core: payload-free grant without an overwrite waiter")
 		}
-		if a.pooled {
-			a.ensureLineData(d) // no inbound payload to adopt
-		}
+		a.ensureLineData(d) // no inbound payload to adopt
 		copy(d.data, w.src)
 		w.filled = true
 	} else {
-		a.installGrant(d, m) // adopts the pooled payload when it can
+		a.installGrant(d, m) // adopts the payload when it can
 	}
 	perm, retrans := uint32(m.Val), m.RetransNs
 	a.recycleMsg(m)
@@ -237,9 +235,7 @@ func (a *Array) handleOpGrant(rt *cluster.Runtime, d *dentry, m *fabric.Message,
 }
 
 func (a *Array) finishOpGrant(rt *cluster.Runtime, d *dentry, opid OpID, svt, retrans int64) {
-	if a.pooled {
-		a.ensureLineData(d) // no inbound payload to adopt
-	}
+	a.ensureLineData(d) // no inbound payload to adopt
 	id := a.op(opid).Identity
 	for i := range d.data {
 		d.data[i] = id
@@ -269,11 +265,8 @@ func (a *Array) completeWaiters(rt *cluster.Runtime, d *dentry) {
 	}
 	d.waiters = kept
 	if len(d.waiters) == 0 {
-		if !a.pooled {
-			d.waiters = nil
-		}
-		// Pooled: keep the empty slice so the next miss on this chunk
-		// appends into retained capacity instead of reallocating.
+		// The empty slice is kept so the next miss on this chunk appends
+		// into retained capacity instead of reallocating.
 		return
 	}
 	if !d.pending && !d.busy {
@@ -329,12 +322,10 @@ func (a *Array) handleDowngrade(rt *cluster.Runtime, d *dentry, svt int64, tc tr
 	d.tvt = maxi64(d.tvt, svt)
 	a.demoteLocal(rt, d, permRead, func(rt *cluster.Runtime) {
 		// The line survives as a Shared copy, so the writeback cannot
-		// donate its buffer — this path genuinely copies in both modes.
+		// donate its buffer — this path genuinely copies.
 		data, pay := a.leasePayload(len(d.data))
 		copy(data, d.data)
-		if a.pooled {
-			a.Metrics.PayloadCopies.Add(1)
-		}
+		a.Metrics.PayloadCopies.Add(1)
 		a.Metrics.WriteBacks.Add(1)
 		d.busy = false
 		cc := a.copyCost(len(data))

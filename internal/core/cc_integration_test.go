@@ -14,7 +14,7 @@ import (
 // 2-node cluster and returns the pipeline's issue/await interleaving as
 // a string like "i0 i1 a0 i2 a1 ...". Single app thread, so the hook
 // sequence is deterministic.
-func captureSchedule(t *testing.T, cfg cluster.Config, opts Options, nChunks int64) string {
+func captureSchedule(t *testing.T, cfg cluster.Config, nChunks int64) string {
 	t.Helper()
 	cfg.Nodes = 2
 	cfg.ChunkWords = 64
@@ -23,7 +23,7 @@ func captureSchedule(t *testing.T, cfg cluster.Config, opts Options, nChunks int
 	defer c.Close()
 	var sched []string
 	c.Run(func(n *cluster.Node) {
-		a := New(n, 2*64*nChunks, opts) // nChunks homed per node
+		a := New(n, 2*64*nChunks) // nChunks homed per node
 		ctx := n.NewCtx(0)
 		c.Barrier(ctx)
 		if n.ID() == 1 {
@@ -40,9 +40,8 @@ func captureSchedule(t *testing.T, cfg cluster.Config, opts Options, nChunks int
 }
 
 // fixedSchedule is the static-knob pipeline schedule over n chunks at
-// depth K, exactly as the pre-CC implementation interleaved it: K
-// issues up front, then one issue immediately after each await until
-// the range is exhausted.
+// depth K: K issues up front, then one issue immediately after each
+// await until the range is exhausted.
 func fixedSchedule(n, k int64) string {
 	if k > n {
 		k = n
@@ -62,32 +61,37 @@ func fixedSchedule(n, k int64) string {
 	return strings.Join(s, " ")
 }
 
-// TestNoCCScheduleBitIdentical locks the NoCC ablation to the fixed-
-// depth issue schedule the static knobs produced before congestion
-// control existed: depth issues up front, then strictly one issue per
-// completion. Any window gating leaking into the NoCC path breaks the
-// exact interleaving.
+// TestNoCCScheduleBitIdentical locks a cluster whose controllers are
+// cc.Fixed to the fixed-depth issue schedule the static knobs produced
+// before congestion control existed: depth issues up front, then
+// strictly one issue per completion. It is the same ring and the same
+// window check the adaptive run goes through; any reaction of a fixed
+// controller to its round trips breaks the exact interleaving.
 func TestNoCCScheduleBitIdentical(t *testing.T) {
 	const chunks, depth = 16, 4
 	got := captureSchedule(t, cluster.Config{
 		RuntimeThreads: 1, CacheChunks: 64,
 		PipelineDepth: depth, PrefetchAhead: -1, NoCC: true,
-	}, Options{}, chunks)
+	}, chunks)
 	if want := fixedSchedule(chunks, depth); got != want {
 		t.Fatalf("NoCC schedule diverged from fixed-depth behaviour:\n got: %s\nwant: %s", got, want)
 	}
 }
 
-// TestNoCCArrayOptionSchedule covers the per-array ablation: a CC-
-// enabled cluster still runs this one array at the fixed schedule.
-func TestNoCCArrayOptionSchedule(t *testing.T) {
-	const chunks, depth = 12, 4
-	got := captureSchedule(t, cluster.Config{
-		RuntimeThreads: 1, CacheChunks: 64,
-		PipelineDepth: depth, PrefetchAhead: -1,
-	}, Options{NoCC: true}, chunks)
-	if want := fixedSchedule(chunks, depth); got != want {
-		t.Fatalf("Options.NoCC schedule diverged:\n got: %s\nwant: %s", got, want)
+// TestDepthOneScheduleIsSerial locks what "serial" means now that every
+// multi-chunk range runs through the ring: with every ceiling at one
+// (the all-off rows of the stream figure) the schedule is exactly one
+// chunk at a time — i0 a0 i1 a1 … — whichever policy holds the window.
+func TestDepthOneScheduleIsSerial(t *testing.T) {
+	const chunks = 8
+	for _, noCC := range []bool{false, true} {
+		got := captureSchedule(t, cluster.Config{
+			RuntimeThreads: 1, CacheChunks: 64,
+			PipelineDepth: -1, TxBurst: -1, PrefetchAhead: -1, NoCC: noCC,
+		}, chunks)
+		if want := fixedSchedule(chunks, 1); got != want {
+			t.Fatalf("NoCC=%v: depth-1 schedule is not one chunk at a time:\n got: %s\nwant: %s", noCC, got, want)
+		}
 	}
 }
 
@@ -100,7 +104,7 @@ func TestAdaptiveSlowStartNarrowsBurst(t *testing.T) {
 	got := strings.Fields(captureSchedule(t, cluster.Config{
 		RuntimeThreads: 1, CacheChunks: 64,
 		PipelineDepth: depth, PrefetchAhead: -1,
-	}, Options{}, chunks))
+	}, chunks))
 	burst := 0
 	for _, ev := range got {
 		if ev[0] != 'i' {
@@ -127,16 +131,15 @@ func TestAdaptiveSlowStartNarrowsBurst(t *testing.T) {
 }
 
 // TestPrefetchDemandCredit exercises the spare-credit cap: speculation
-// is refused once in-flight demand exhausts the window (even under
-// NoCC, where the window is the fixed depth), and allowed again when
-// demand drains.
+// is refused once in-flight demand exhausts the window (here a fixed
+// one, the depth itself), and allowed again when demand drains.
 func TestPrefetchDemandCredit(t *testing.T) {
 	c := tc(t, 2, func(cfg *cluster.Config) {
 		cfg.PipelineDepth = 4
 		cfg.NoCC = true
 	})
 	c.Run(func(n *cluster.Node) {
-		a := New(n, 2 * 64 * 8)
+		a := New(n, 2*64*8)
 		ctx := n.NewCtx(0)
 		c.Barrier(ctx)
 		if n.ID() == 1 {
@@ -177,7 +180,7 @@ func TestPrefetchDemandCredit(t *testing.T) {
 func TestAdaptivePrefetchCreditTracksWindow(t *testing.T) {
 	c := tc(t, 2, func(cfg *cluster.Config) { cfg.PipelineDepth = 16 })
 	c.Run(func(n *cluster.Node) {
-		a := New(n, 2 * 64 * 8)
+		a := New(n, 2*64*8)
 		ctx := n.NewCtx(0)
 		c.Barrier(ctx)
 		if n.ID() == 1 {

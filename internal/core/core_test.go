@@ -53,6 +53,23 @@ func TestBoundsPanic(t *testing.T) {
 	})
 }
 
+// TestRangeBoundsPanic: a range that stays inside the last chunk but runs
+// past the array's end must panic like an out-of-range index — that
+// chunk's storage is padded, so the copy alone would not notice.
+func TestRangeBoundsPanic(t *testing.T) {
+	c := tc(t, 1)
+	c.Run(func(n *cluster.Node) {
+		a := New(n, 100) // chunk 1 holds elements 64..99 of a 64-word chunk
+		ctx := n.NewCtx(0)
+		defer func() {
+			if recover() == nil {
+				t.Error("expected panic for a range past the end of the array")
+			}
+		}()
+		a.GetRange(ctx, 90, make([]uint64, 20))
+	})
+}
+
 func TestPartitioning(t *testing.T) {
 	c := tc(t, 4)
 	c.Run(func(n *cluster.Node) {

@@ -13,19 +13,13 @@ import (
 )
 
 // settle waits until every lock table is at rest and consistent across
-// nodes. Unlock is asynchronous, so the last releases may still be on
-// the wire when the threads that sent them reach a barrier. Call it from
-// one goroutine while no thread is inside a lock operation; it reports
-// with Errorf because that goroutine is a node's, not the test's.
+// nodes (AwaitQuiesced). It reports with Errorf because the calling
+// goroutine is a node's, not the test's.
 func settle(t *testing.T, a *Array) {
 	t.Helper()
-	var err error
-	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
-		if err = ValidateQuiesced(a.Instances()); err == nil {
-			return
-		}
+	if err := AwaitQuiesced(a.Instances()); err != nil {
+		t.Errorf("lock tables did not settle: %v", err)
 	}
-	t.Errorf("lock tables did not settle: %v", err)
 }
 
 // msgsSent is the cluster-wide count of fabric messages sent so far.

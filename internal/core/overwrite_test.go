@@ -59,8 +59,8 @@ func TestOverwriteGrantDirectoryStates(t *testing.T) {
 		tcase := tcase
 		t.Run(tcase.name, func(t *testing.T) {
 			c := tc(t, 3, func(cfg *cluster.Config) {
-				cfg.PrefetchAhead = -1     // only the chunks a case names change state
-				cfg.DisableCoalesce = true // a coalesced invalidate carries chunk indices as payload
+				cfg.PrefetchAhead = -1 // only the chunks a case names change state
+				cfg.TxBurst = -1       // a coalesced invalidate carries chunk indices as payload
 				cfg.Model = vtime.Default()
 			})
 			var handle *Array

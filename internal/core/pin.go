@@ -87,7 +87,7 @@ func (a *Array) pinHit(ctx *cluster.Ctx, d *dentry, tc trace.Ctx) {
 }
 
 // acquire takes a pinned reference on the chunk holding element i into
-// caller storage p, so the serial range path allocates nothing. It
+// caller storage p, so a range inside one chunk allocates nothing. It
 // reports false when the cluster has failed (see ctx.Err). tc, when
 // valid, is the causal-trace chain of the enclosing bulk range op
 // (standalone Pin* calls are not root-sampled; ranges thread their root

@@ -13,12 +13,12 @@ import (
 // in-flight acquisition completes through its own cluster.Token,
 // sidestepping the Ctx single-outstanding-request limit.
 //
-// How many acquisitions stay in flight depends on the mode. With
-// congestion control active (the default) a per-(thread, destination)
-// cc.Controller picks the window from observed virtual-time round
-// trips, and the configured PipelineDepth is only its ceiling; under
-// the NoCC ablation the fixed depth itself is the window, reproducing
-// the static-knob issue schedule bit-for-bit.
+// How many acquisitions stay in flight toward one destination is that
+// destination's cc.Controller's decision, with the configured
+// PipelineDepth as its ceiling. Every multi-chunk range runs through
+// this one ring: at PipelineDepth 1 it is a window of one — issue,
+// await, issue, await — and a controller built with cc.Fixed holds the
+// window at the ceiling, which is the static-knob schedule.
 
 // chunkReq is one in-flight chunk acquisition of a bulk pipeline.
 type chunkReq struct {
@@ -35,9 +35,9 @@ type chunkReq struct {
 	filled bool
 
 	// Congestion-control bookkeeping, set by the pipeline when the
-	// acquisition went remote under an active controller: the
-	// destination's controller, and the virtual time the request was
-	// issued (completionVT - issueVT is the RTT sample).
+	// acquisition went remote: the destination's controller, and the
+	// virtual time the request was issued (completionVT - issueVT is the
+	// RTT sample).
 	ctrl    *cc.Controller
 	issueVT int64
 }
@@ -165,17 +165,16 @@ func (a *Array) awaitChunk(ctx *cluster.Ctx, r *chunkReq, want uint8, op OpID, f
 }
 
 // pipeHook, when non-nil, observes every pipeline issue ('i') and await
-// ('a') in program order — test instrumentation locking the NoCC
-// schedule bit-for-bit to the fixed-depth behaviour. Set only from
-// single-threaded tests before any bulk call.
+// ('a') in program order — test instrumentation locking the issue
+// schedule. Set only from single-threaded tests before any bulk call.
 var pipeHook func(op byte, ci int64)
 
-// rangePipeline pins chunks [ciLo, ciHi] in order with up to depth
-// acquisitions outstanding — the adaptive congestion window when
-// control is active, the fixed a.pipeline otherwise — calling process
-// for each pinned chunk and unpinning it. The next acquisitions are
-// issued before the current chunk is processed, so the copy overlaps
-// the fetch. Stops early (without process) once the cluster fails.
+// rangePipeline pins chunks [ciLo, ciHi] in order with up to a.pipeline
+// acquisitions outstanding, and toward each remote home no more than its
+// controller's window, calling process for each pinned chunk and
+// unpinning it. The next acquisitions are issued before the current
+// chunk is processed, so the copy overlaps the fetch. Stops early
+// (without process) once the cluster fails.
 //
 // src, non-nil only for SetRange, holds the words for elements
 // [i, i+len(src)): chunks it covers whole are requested as overwrites,
@@ -199,7 +198,6 @@ func (a *Array) rangePipeline(ctx *cluster.Ctx, ciLo, ciHi int64, want uint8, op
 	// infl[dst] counts this range's slow-path acquisitions in flight
 	// toward dst; the controller's window caps it per destination.
 	infl := br.infl
-	adaptive := !a.ccOff && ctx.CCOn()
 	cw := a.sh.chunkWords
 	self := a.self()
 	next := ciLo
@@ -212,7 +210,7 @@ func (a *Array) rangePipeline(ctx *cluster.Ctx, ciLo, ciHi int64, want uint8, op
 		for next <= ciHi && next-awaited < depth {
 			dst := a.homeOfChunk(next)
 			var ctrl *cc.Controller
-			if adaptive && dst != self {
+			if dst != self {
 				ctrl = ctx.CC(dst)
 				if infl[dst] >= int64(ctrl.Window(a.pipeline)) {
 					if blockedVT < 0 {
@@ -324,17 +322,11 @@ func (a *Array) speculate(ctx *cluster.Ctx, ci int64) {
 
 // spareCredit returns how many speculative issues toward dst the
 // issuing thread's window has room for beyond its in-flight demand
-// requests: window(dst) - demand. Under NoCC the window is the fixed
-// pipeline depth, so prefetch still yields to a saturated pipeline —
-// speculative traffic must never queue ahead of demand fetches.
+// requests: window(dst) - demand. Speculative traffic must never queue
+// ahead of demand fetches, so prefetch yields to a saturated pipeline
+// whatever policy holds the window.
 func (a *Array) spareCredit(ctx *cluster.Ctx, dst int) int64 {
-	win := int64(a.pipeline)
-	if !a.ccOff {
-		if c := ctx.CC(dst); c != nil {
-			win = int64(c.Window(a.pipeline))
-		}
-	}
-	return win - ctx.DemandInflight()
+	return int64(ctx.CC(dst).Window(a.pipeline)) - ctx.DemandInflight()
 }
 
 // notePrefetchHit attributes a fast-path hit to a speculative fill.

@@ -40,7 +40,7 @@ const (
 	shipOn                // every remote Apply ships
 )
 
-// shipModeOf parses a Config.Ship / Options.Ship knob value.
+// shipModeOf parses a Config.Ship value.
 func shipModeOf(s string) uint8 {
 	switch s {
 	case "", "auto":

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sync"
+	"time"
 
 	"darray/internal/cluster"
 )
@@ -289,4 +290,20 @@ func (a *Array) Instances() []*Array {
 	out := make([]*Array, len(a.sh.insts))
 	copy(out, a.sh.insts)
 	return out
+}
+
+// AwaitQuiesced retries ValidateQuiesced until it passes, for up to five
+// seconds, and returns the last violation if it never does. Threads
+// stopped at a barrier are not yet a quiescent cluster: Unlock is
+// asynchronous and a barrier is out of band, so the last releases and
+// acknowledgements may still be on the wire. Call it from one goroutine
+// while no thread is inside an operation.
+func AwaitQuiesced(insts []*Array) error {
+	var err error
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		if err = ValidateQuiesced(insts); err == nil {
+			return nil
+		}
+	}
+	return err
 }

@@ -13,7 +13,7 @@ func validateAll(t *testing.T, c *cluster.Cluster, a *Array, ctx *cluster.Ctx) {
 	t.Helper()
 	c.Barrier(ctx)
 	if a.node.ID() == 0 {
-		if err := ValidateQuiesced(a.Instances()); err != nil {
+		if err := AwaitQuiesced(a.Instances()); err != nil {
 			t.Errorf("coherence invariant violated: %v", err)
 		}
 	}

@@ -8,11 +8,11 @@ import (
 	"darray/internal/fabric"
 )
 
-// Zero-copy data-path plumbing. When the cluster's buffer pool is
-// active (a.pooled), every protocol payload lives in a refcounted
-// buf.Ref leased from the pool, protocol messages and slow-path waiters
-// are recycled through sync.Pools, and a chunk buffer changes owner
-// instead of being copied wherever the protocol transfers ownership:
+// Zero-copy data-path plumbing. Every protocol payload lives in a
+// refcounted buf.Ref leased from the cluster's pool, protocol messages
+// and slow-path waiters are recycled through sync.Pools, and a chunk
+// buffer changes owner instead of being copied wherever the protocol
+// transfers ownership:
 //
 //	lease  — home grants and writebacks fill a pooled buffer (one copy
 //	         out of the memory region, as on real hardware)
@@ -21,20 +21,18 @@ import (
 //	donate — a dying cache line's buffer becomes the outbound
 //	         writeback/flush payload (no copy)
 //
-// Virtual-time charges are identical in both modes: the vtime model
-// prices the DMA out of (or into) the registered region, which happens
-// on real hardware whether or not host memory is recycled. Only real
-// allocator traffic differs, which is what the NoPool ablation isolates.
+// Virtual time does not see any of this: the vtime model prices the DMA
+// out of (or into) the registered region, which happens on real hardware
+// whether or not host memory is recycled. The never-recycling reference
+// is the bufdebug build (make bufdebug), which quarantines every
+// released buffer and panics on a use after release.
 
-// waiterPool recycles slow-path waiters process-wide. Only pooled
-// arrays allocate from it.
+// waiterPool recycles slow-path waiters process-wide.
 var waiterPool sync.Pool
 
 func (a *Array) getWaiter() *waiter {
-	if a.pooled {
-		if v := waiterPool.Get(); v != nil {
-			return v.(*waiter)
-		}
+	if v := waiterPool.Get(); v != nil {
+		return v.(*waiter)
 	}
 	return &waiter{}
 }
@@ -43,9 +41,6 @@ func (a *Array) getWaiter() *waiter {
 // sites are respond and, for lock-table requests, grantWaiter and
 // handleLockLocal.
 func (a *Array) putWaiter(w *waiter) {
-	if !a.pooled {
-		return
-	}
 	*w = waiter{run: w.run}
 	waiterPool.Put(w)
 }
@@ -70,34 +65,27 @@ func (a *Array) submitLocal(d *dentry, w *waiter) {
 // recycleMsg returns a fully handled protocol message — and any payload
 // reference still attached — to the pools. Handlers that adopt the
 // payload clear m.Payload first, so the Release here is a no-op for
-// them. NoPool leaves everything to the GC, exactly as before.
+// them.
 func (a *Array) recycleMsg(m *fabric.Message) {
-	if !a.pooled {
-		return
-	}
 	m.Payload.Release()
 	fabric.FreeMessage(m)
 }
 
-// leasePayload returns an n-word outbound payload buffer: leased from
-// the cluster pool when pooling is on, freshly allocated otherwise. The
-// returned ref (nil under NoPool) must be attached to the outbound
-// fMsg, transferring ownership to the receiver.
+// leasePayload leases an n-word outbound payload buffer from the
+// cluster pool. The returned ref must be attached to the outbound fMsg,
+// transferring ownership to the receiver.
 func (a *Array) leasePayload(n int) ([]uint64, *buf.Ref) {
-	if a.pooled {
-		ref := a.pool.Get(n)
-		a.Metrics.Leases.Add(1)
-		return ref.Words(), ref
-	}
-	return make([]uint64, n), nil
+	ref := a.pool.Get(n)
+	a.Metrics.Leases.Add(1)
+	return ref.Words(), ref
 }
 
 // takeLineData surrenders d's cache-line buffer as an outbound payload.
 // The caller must be about to release the line (recall, op-recall,
 // eviction): ownership of the buffer moves to the message zero-copy.
-// Without a pooled line buffer it falls back to lease-and-copy.
+// A line without a buffer of its own falls back to lease-and-copy.
 func (a *Array) takeLineData(d *dentry) ([]uint64, *buf.Ref) {
-	if a.pooled && d.line != nil && d.line.ref != nil {
+	if d.line != nil && d.line.ref != nil {
 		ref := d.line.ref
 		data := d.line.data
 		d.line.ref = nil
@@ -107,16 +95,13 @@ func (a *Array) takeLineData(d *dentry) ([]uint64, *buf.Ref) {
 	}
 	data, ref := a.leasePayload(len(d.data))
 	copy(data, d.data)
-	if a.pooled {
-		a.Metrics.PayloadCopies.Add(1)
-	}
+	a.Metrics.PayloadCopies.Add(1)
 	return data, ref
 }
 
 // ensureLineData guarantees d's cache line has backing words, leasing
-// them from the pool on first use (pooled lines start empty; they are
-// normally backed by adopting an inbound grant). Pooled mode only;
-// requires d.line != nil.
+// them from the pool on first use (lines start empty; they are normally
+// backed by adopting an inbound grant). Requires d.line != nil.
 func (a *Array) ensureLineData(d *dentry) {
 	ln := d.line
 	if ln.data != nil {
@@ -131,25 +116,23 @@ func (a *Array) ensureLineData(d *dentry) {
 }
 
 // installGrant installs an inbound msgDataResp payload into d's cache
-// line. When the grant arrived in a pooled, chunk-sized buffer the line
+// line. When the grant arrived in a chunk-sized pool buffer the line
 // adopts it outright — the receive path's copy disappears; otherwise
 // the words are copied into (possibly freshly leased) line backing.
 func (a *Array) installGrant(d *dentry, m *fabric.Message) {
-	if a.pooled {
-		if m.Payload != nil && int64(len(m.Data)) == a.sh.chunkWords {
-			ln := d.line
-			if ln.ref != nil {
-				ln.ref.Release() // drop the previously adopted backing
-			}
-			ln.ref = m.Payload
-			ln.data = m.Data
-			d.data = m.Data
-			m.Payload = nil // ownership moved to the line
-			a.Metrics.Adopts.Add(1)
-			return
+	if m.Payload != nil && int64(len(m.Data)) == a.sh.chunkWords {
+		ln := d.line
+		if ln.ref != nil {
+			ln.ref.Release() // drop the previously adopted backing
 		}
-		a.ensureLineData(d)
-		a.Metrics.PayloadCopies.Add(1)
+		ln.ref = m.Payload
+		ln.data = m.Data
+		d.data = m.Data
+		m.Payload = nil // ownership moved to the line
+		a.Metrics.Adopts.Add(1)
+		return
 	}
+	a.ensureLineData(d)
+	a.Metrics.PayloadCopies.Add(1)
 	copy(d.data, m.Data)
 }

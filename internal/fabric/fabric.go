@@ -69,8 +69,8 @@ type Message struct {
 	// owns one reference: posting transfers it to the receiver, which
 	// either releases it after copying or adopts the buffer outright.
 	// Duplicate deliveries on a lossy wire retain an extra reference
-	// instead of copying the words. Nil means Data is GC-managed (NoPool
-	// mode, payload-free messages, and foreign protocol layers).
+	// instead of copying the words. Nil means Data is GC-managed
+	// (payload-free messages and foreign protocol layers).
 	Payload *buf.Ref
 
 	// Coal marks a destination-coalesced command: the Tx thread merged
@@ -118,9 +118,7 @@ const msgHeaderBytes = 64 // wire size of a payload-free protocol message
 func (m *Message) Bytes() int { return msgHeaderBytes + 8*len(m.Data) }
 
 // msgPool recycles Message structs across the whole process. Only
-// pooled fabrics (Config.Pooled) allocate from and free to it, so a
-// NoPool configuration keeps today's allocate-per-message behaviour
-// untouched.
+// pooled fabrics (Config.Pooled, which every cluster sets) free to it.
 var msgPool = sync.Pool{New: func() any { return new(Message) }}
 
 // NewMessage returns a zeroed Message from the process-wide pool. The
@@ -228,8 +226,8 @@ type Config struct {
 	// Pooled arms the zero-copy disciplines: receive queues recycle
 	// their link nodes, duplicate deliveries share the payload buffer by
 	// refcount instead of copying, and discarded duplicates are returned
-	// to the message pool. Off, the fabric behaves exactly as before —
-	// the ablation baseline.
+	// to the message pool. Every cluster sets it; the fabric's own unit
+	// tests, which allocate their messages, leave it off.
 	Pooled bool
 }
 
