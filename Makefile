@@ -18,12 +18,15 @@ race:
 # tests (grant policy, the gate word's transitions, message-free and
 # submit-free hits, both recall paths, a writer waiting out the readers
 # inside a gate, writer progress, back-off, virtual-time chaining, a
-# 3-node mixed RLock/WLock stress guarding plain counters) and the
-# announce/re-check regression of the data fast path, on four cores under
-# the race detector, with a bound so a lost grant or release fails in two
-# minutes instead of hanging CI for ten.
+# 3-node mixed RLock/WLock stress guarding plain counters), the writer
+# grants that carry their chunk (filled, declined, already Dirty, a
+# lessee's, from Dirty and Operated on a third node, and the deadlock a
+# queued fill would cause) and the announce/re-check regression of the
+# data fast path, on four cores under the race detector, with a bound so
+# a lost grant or release fails in two minutes instead of hanging CI for
+# ten.
 locks:
-	GOMAXPROCS=4 $(GO) test -race -timeout 120s -count=1 -run 'TestLease|TestLocks|TestRLock|TestGate|TestAnnounceRecheck' ./internal/core/
+	GOMAXPROCS=4 $(GO) test -race -timeout 120s -count=1 -run 'TestLease|TestLocks|TestRLock|TestGate|TestLockFill|TestAnnounceRecheck' ./internal/core/
 
 # Record-granular KVS gate: the store, the GAM baseline under it and
 # their pairing, which hold pins across whole buckets and records and so

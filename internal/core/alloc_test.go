@@ -142,3 +142,73 @@ func TestPooledAllocsLockSlowPath(t *testing.T) {
 		t.Errorf("remote WLock+Unlock allocates %.2f/pair, want at most the home's table entry, its queue and a lock-waiter slot (3)", perPair)
 	}
 }
+
+// writerFillRounds has node 1 run WLock, Set and Unlock on an element
+// homed on node 0 while node 0 writes another element of the same chunk
+// between rounds, recalling node 1's Dirty copy: every writer grant then
+// finds the chunk absent on node 1. It reports allocations per round and
+// the grants that carried the chunk.
+func writerFillRounds(t *testing.T, rounds int) (perRound float64, fills int64) {
+	t.Helper()
+	c := cluster.New(cluster.Config{Nodes: 2, ChunkWords: 64, CacheChunks: 8})
+	defer c.Close()
+	const warm = 100
+	toHome, toWriter := make(chan struct{}), make(chan struct{})
+	c.Run(func(n *cluster.Node) {
+		a := New(n, 2*64)
+		ctx := n.NewCtx(0)
+		c.Barrier(ctx)
+		switch n.ID() {
+		case 0:
+			for k := 0; k < warm+rounds; k++ {
+				<-toHome
+				a.Set(ctx, 4, uint64(k))
+				toWriter <- struct{}{}
+			}
+		case 1:
+			round := func(k int) {
+				a.WLock(ctx, 3)
+				a.Set(ctx, 3, uint64(k))
+				a.Unlock(ctx, 3)
+				toHome <- struct{}{}
+				<-toWriter
+			}
+			for k := 0; k < warm; k++ {
+				round(k) // warm up the pools
+			}
+			home := &a.Instances()[0].Metrics
+			fills = home.LockFills.Load()
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			for k := 0; k < rounds; k++ {
+				round(k)
+			}
+			runtime.ReadMemStats(&after)
+			perRound = float64(after.Mallocs-before.Mallocs) / float64(rounds)
+			fills = home.LockFills.Load() - fills
+		}
+		c.Barrier(ctx)
+	})
+	return perRound, fills
+}
+
+// TestPooledAllocsWriterFill bounds a writer grant that carries its
+// chunk: a remote WLock+Set+Unlock whose chunk the home wrote in between,
+// so every grant fills. It may cost at most what the lock pair (3.03) and
+// the write miss with the home's recall (4.0) cost separately, before
+// grants carried data: 7.03 a round. It measures 6.03: the table entry,
+// its queue and the lock-waiter slot, and the recall's three
+// continuations; the write transaction itself builds none.
+func TestPooledAllocsWriterFill(t *testing.T) {
+	skipIfNotMeasurable(t)
+	const rounds = 2000
+	got, fills := writerFillRounds(t, rounds)
+	t.Logf("remote WLock+Set+Unlock, filled: %.2f allocs/round, %d fills", got, fills)
+	if fills != rounds {
+		t.Errorf("%d of %d writer grants carried the chunk, want all", fills, rounds)
+	}
+	if got > 7.0 {
+		t.Errorf("filled writer round allocates %.2f, want at most a lock pair and a write miss (7.0)", got)
+	}
+}

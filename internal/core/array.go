@@ -131,6 +131,12 @@ type Metrics struct {
 	LeaseGrants  atomic.Int64
 	LeaseRecalls atomic.Int64
 
+	// Writer fills, counted at the home: remote writer grants that carried
+	// the element's chunk, and fill requests declined because the lock
+	// could not be granted on arrival.
+	LockFills    atomic.Int64
+	FillDeclines atomic.Int64
+
 	// Reader-gate accounting. GateCloses counts open gates the runtime
 	// shut (a writer's request at the home, a recall or a returning writer
 	// on a lessee); GateDrains the shut gates that still had readers

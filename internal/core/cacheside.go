@@ -186,8 +186,10 @@ func (a *Array) stalledInstall(rt *cluster.Runtime, d *dentry, finish func(rt *c
 }
 
 // finishGrant fills d's line from grant m, publishes the granted
-// permission and completes the waiters it satisfies. It owns m (see
-// handleMsg) and recycles it.
+// permission and completes the waiters it satisfies — and, when m is a
+// writer's lock grant carrying the chunk, the thread waiting for that
+// lock, which finds the chunk writable. It owns m (see handleMsg) and
+// recycles it.
 func (a *Array) finishGrant(rt *cluster.Runtime, d *dentry, m *fabric.Message, fill int64) {
 	if m.Flag {
 		// d.pending has kept the request's waiter at the head: only a
@@ -203,11 +205,15 @@ func (a *Array) finishGrant(rt *cluster.Runtime, d *dentry, m *fabric.Message, f
 		a.installGrant(d, m) // adopts the payload when it can
 	}
 	perm, retrans := uint32(m.Val), m.RetransNs
+	locked, idx := m.Val&grantsLock != 0, m.Idx
 	a.recycleMsg(m)
 	d.state.Store(perm)
 	d.pending = false
 	d.tvt = maxi64(d.tvt, fill)
 	a.Metrics.Fills.Add(1)
+	if locked {
+		a.grantWaiter(a.takeLockWaiter(a.rstate(rt), idx), d.tvt)
+	}
 	// Waiters completed by this grant inherit its go-back-N delay: the
 	// congestion controller's loss signal rides the Resp.
 	d.retrans = retrans

@@ -111,7 +111,7 @@ func fuzzOnce(t *testing.T, nodes, runtimes, cache int, seed int64, ship string)
 				// updates, odd elements take locked updates.
 				iApply := i &^ 1
 				iLock := i | 1
-				switch rng.Intn(9) {
+				switch rng.Intn(10) {
 				case 0:
 					_ = a.Get(root, i)
 				case 1:
@@ -176,6 +176,19 @@ func fuzzOnce(t *testing.T, nodes, runtimes, cache int, seed int64, ship string)
 					// path) and recalls Dirty ones.
 					lo := int64(elems + rng.Intn(nodes)*stripe)
 					a.GetRange(root, lo+int64(rng.Intn(32)), make([]uint64, 40))
+				case 9:
+					// A locked update of an element every node locks: the
+					// writer's grant carries the chunk when the lock is free on
+					// arrival and is declined when another node holds it, so
+					// fills, declines and plain grants interleave with the
+					// traffic above.
+					h := int64(rng.Intn(3))*64 + 1
+					a.WLock(root, h)
+					a.Set(root, h, a.Get(root, h)+2)
+					a.Unlock(root, h)
+					mu.Lock()
+					oracle[h] += 2
+					mu.Unlock()
 				}
 			}
 			c.Barrier(root)
@@ -194,6 +207,15 @@ func fuzzOnce(t *testing.T, nodes, runtimes, cache int, seed int64, ship string)
 				settle(t, a) // the phase's last unlocks may still be in flight
 			}
 			c.Barrier(root)
+		}
+		if n.ID() == 0 {
+			var fills int64
+			for _, inst := range a.Instances() {
+				fills += inst.Metrics.LockFills.Load()
+			}
+			if fills == 0 {
+				t.Error("no writer grant carried its chunk")
+			}
 		}
 	})
 }

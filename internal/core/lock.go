@@ -30,6 +30,14 @@ import (
 // behind it, leased node or not, so FIFO order and writer progress are
 // those of the unleased protocol.
 //
+// A remote writer's grant can carry the element's chunk. The lock and
+// the chunk share a home and a runtime goroutine, so a writer whose chunk
+// is idle and not writable on its node asks for it on the lock-req. If
+// the home can grant the lock on arrival it runs an ordinary write
+// transaction on the writer's behalf and the data-resp is the grant;
+// otherwise it declines the fill at once and the later grant is a plain
+// lock-grant. A data miss therefore never waits on a lock.
+//
 // Wherever a node may admit a reader without a message — at the home
 // while no writer holds or waits, on a lessee while the lease is held and
 // not recalled — it does so without its runtime goroutine either: the
@@ -57,6 +65,7 @@ type lockReq struct {
 	from   int
 	writer bool
 	recall bool    // writer whose wait includes collecting leases
+	fill   bool    // remote writer asking for the chunk, not declined: its grant carries it
 	w      *waiter // non-nil for local requests
 	vt     int64
 	tc     trace.Ctx // requester's causal-trace chain (zero when untraced)
@@ -438,9 +447,18 @@ func (a *Array) handleLockLocal(rt *cluster.Runtime, w *waiter) {
 	}
 }
 
-// leaseReturned flags a lock-req's Val as carrying the sender's lease
-// back; the hit count rides in the bits above it.
-const leaseReturned = 1
+// A lock-req's Val: leaseReturned says it carries the sender's lease
+// back, with the lease's hit count in the bits from reqHitShift up;
+// fillWanted says a writer asks for its element's chunk with the grant.
+const (
+	leaseReturned = 1
+	fillWanted    = 2
+	reqHitShift   = 2
+)
+
+// grantsLock, above the permission in a data-resp's Val, makes the grant
+// also the write lock on element Idx.
+const grantsLock = 1 << 32
 
 // lockRemote sends a local thread's request for a lock homed elsewhere to
 // the home. It runs on the runtime goroutine owning the element's chunk.
@@ -448,8 +466,15 @@ const leaseReturned = 1
 // no lease, or a recalled one — and queues at the home like any other,
 // behind the writer that caused the recall if there is one. A writer on a
 // lessee node with no reader inside takes the lease back with it.
+//
+// A writer asks for the chunk when it is idle here and not writable:
+// nothing outstanding (pending), nothing being installed or evicted
+// (busy), not RW. The fill then holds the chunk's pending slot, so it is
+// the one request this node has outstanding for the chunk, until the
+// home answers with the chunk or with a decline.
 func (a *Array) lockRemote(rt *cluster.Runtime, home int, idx int64, r lockReq) {
 	s := a.rstate(rt)
+	ci := idx / a.sh.chunkWords
 	var ret uint64
 	if r.writer && s.leases[idx] != nil {
 		// Shut the gate only if nobody is inside: then the writer's own
@@ -457,14 +482,35 @@ func (a *Array) lockRemote(rt *cluster.Runtime, home int, idx int64, r lockReq) 
 		// to this node. With readers inside the lease stays as it is and
 		// the writer waits for the home to recall them.
 		if g, _, ok := a.shutGate(idx, true); ok {
-			ret = leaseReturned | uint64(a.endGate(g, true))<<1
+			ret = leaseReturned | uint64(a.endGate(g, true))<<reqHitShift
 			r.vt = maxi64(r.vt, g.freeVT.Load())
 			delete(s.leases, idx)
 		}
 	}
+	if d := &a.dents[ci]; r.writer && !d.pending && !d.busy && statePerm(d.state.Load()) != permRW {
+		d.pending = true
+		ret |= fillWanted
+	}
 	s.lockWaiters[idx] = append(s.lockWaiters[idx], r.w)
-	a.send(&fMsg{to: home, kind: msgLockReq, chunk: idx / a.sh.chunkWords, idx: idx,
+	a.send(&fMsg{to: home, kind: msgLockReq, chunk: ci, idx: idx,
 		flag: r.writer, val: ret, vt: r.vt, tc: r.tc})
+}
+
+// takeLockWaiter removes and returns the local thread that a grant of
+// element idx from its home is for: the oldest one waiting, since the
+// home grants each node's requests in the order it sent them.
+func (a *Array) takeLockWaiter(s *rtState, idx int64) *waiter {
+	q := s.lockWaiters[idx]
+	if len(q) == 0 {
+		panic("core: lock grant with no local waiter")
+	}
+	w := q[0]
+	if len(q) == 1 {
+		delete(s.lockWaiters, idx)
+	} else {
+		s.lockWaiters[idx] = popFront(q)
+	}
+	return w
 }
 
 // lockServed is the virtual time a lock-table operation that starts at
@@ -534,21 +580,23 @@ func (a *Array) handleLockMsg(rt *cluster.Runtime, m *fabric.Message) {
 	tc := a.msgSpans(m, start, svt)
 	switch m.Kind {
 	case msgLockReq:
-		a.lockRequest(rt, m.Idx, lockReq{from: m.From, writer: m.Flag, vt: svt, tc: tc}, m.Val)
+		a.lockRequest(rt, m.Idx, lockReq{from: m.From, writer: m.Flag, fill: m.Val&fillWanted != 0,
+			vt: svt, tc: tc}, m.Val)
 	case msgUnlock:
 		a.unlockRequest(rt, m.Idx, svt)
+	case msgFillDecline:
+		// The lock-req queued at the home, so its grant will be a plain
+		// lock-grant: the chunk's pending slot is free again, and the data
+		// misses that queued behind the fill go out on their own.
+		d := &a.dents[m.Chunk]
+		d.pending = false
+		d.tvt = maxi64(d.tvt, svt)
+		if len(d.waiters) > 0 && !d.busy {
+			a.issueRequest(rt, d)
+		}
 	case msgLockGrant:
 		s := a.rstate(rt)
-		q := s.lockWaiters[m.Idx]
-		if len(q) == 0 {
-			panic("core: lock grant with no local waiter")
-		}
-		w := q[0]
-		if len(q) == 1 {
-			delete(s.lockWaiters, m.Idx)
-		} else {
-			s.lockWaiters[m.Idx] = popFront(q)
-		}
+		w := a.takeLockWaiter(s, m.Idx)
 		if m.Val != 0 {
 			// The grant carries a lease: the gate opens with the thread this
 			// grant admits counted inside, as the lease's first reader.
@@ -613,11 +661,14 @@ func (a *Array) returnLease(idx int64, ls *lockState, from int, hits, vt int64) 
 
 // lockRequest queues one request at the home. ret is a remote lock-req's
 // Val: a writer on a lessee node may return its lease with the request.
+// A writer's fill is granted only on arrival; a request that has to queue
+// has it declined at once, so the requester's chunk is not held pending
+// behind another holder of the lock.
 func (a *Array) lockRequest(rt *cluster.Runtime, idx int64, r lockReq, ret uint64) {
 	s := a.rstate(rt)
 	ls := s.locks[idx]
 	if ret&leaseReturned != 0 {
-		a.returnLease(idx, ls, r.from, int64(ret>>1), r.vt)
+		a.returnLease(idx, ls, r.from, int64(ret>>reqHitShift), r.vt)
 	}
 	if ls == nil {
 		ls = &lockState{}
@@ -645,6 +696,11 @@ func (a *Array) lockRequest(rt *cluster.Runtime, idx int64, r lockReq, ret uint6
 		}
 		ls.recalled = ls.lessees
 	}
+	if r.fill && (len(ls.queue) != 0 || ls.blocks(r, a.gateOf(idx))) {
+		r.fill = false
+		a.Metrics.FillDeclines.Add(1)
+		a.send(&fMsg{to: r.from, kind: msgFillDecline, chunk: idx / a.sh.chunkWords, idx: idx, vt: r.vt})
+	}
 	ls.queue = append(ls.queue, r)
 	a.tryGrant(rt, idx, ls)
 }
@@ -670,12 +726,21 @@ func (a *Array) unlockRequest(rt *cluster.Runtime, idx int64, vt int64) {
 	a.tryGrant(rt, idx, ls)
 }
 
+// blocks reports whether the lock's state keeps request h from being
+// granted now: a writer holds it, or h is a writer and readers are in —
+// through the table, under a lease, or inside the home's gate g.
+func (ls *lockState) blocks(h lockReq, g *gate) bool {
+	return ls.writerHeld || (h.writer && (ls.readers > 0 || ls.lessees != 0 ||
+		(g != nil && gateCount(g.word.Load()) > 0)))
+}
+
 // tryGrant grants from the head of the queue while the lock's state
 // allows, and drops the entry once nothing holds, waits for or leases
 // the lock (the table stays sparse; history lives in the chunk's obs).
 // A writer also waits for the readers inside the home's own gate, which
 // its request shut; a local reader granted with nothing left behind it
-// opens that gate for the readers after it.
+// opens that gate for the readers after it. A writer's fill starts the
+// chunk's write transaction on its behalf: the data-resp is its grant.
 func (a *Array) tryGrant(rt *cluster.Runtime, idx int64, ls *lockState) {
 	ci := idx / a.sh.chunkWords
 	obs := &a.dents[ci].obs.lock
@@ -683,8 +748,7 @@ func (a *Array) tryGrant(rt *cluster.Runtime, idx int64, ls *lockState) {
 	openVT := int64(-1) // grant time of the last local reader admitted in this pass
 	for len(ls.queue) > 0 {
 		h := ls.queue[0]
-		if ls.writerHeld || (h.writer && (ls.readers > 0 || ls.lessees != 0 ||
-			(g != nil && gateCount(g.word.Load()) > 0))) {
+		if ls.blocks(h, g) {
 			return
 		}
 		ls.queue = popFront(ls.queue)
@@ -728,12 +792,17 @@ func (a *Array) tryGrant(rt *cluster.Runtime, idx int64, ls *lockState) {
 			}
 			tc = a.child(tc, a.self(), trace.StageService, "lock-grant", idx, base, gvt)
 		}
-		if h.w != nil {
+		switch {
+		case h.w != nil:
 			if !h.writer {
 				openVT = gvt
 			}
 			a.grantWaiter(h.w, gvt)
-		} else {
+		case h.fill:
+			a.Metrics.LockFills.Add(1)
+			a.serveHome(rt, &a.dents[ci], homeReq{from: h.from, want: wantWrite, vt: gvt, tc: tc,
+				lock: true, idx: idx})
+		default:
 			a.send(&fMsg{to: h.from, kind: msgLockGrant, chunk: ci, idx: idx, val: leased, vt: gvt, tc: tc})
 		}
 		if h.writer {

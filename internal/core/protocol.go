@@ -19,11 +19,13 @@ import (
 //
 // Flag on a write-req announces a whole-chunk overwrite; the data-resp
 // answering it is flagged too and carries no payload (see grantData).
+// A data-resp with grantsLock set in Val is a writer's lock grant that
+// carries its chunk (see lock.go).
 const (
 	msgReadReq uint8 = iota
 	msgWriteReq
 	msgOperateReq
-	msgDataResp // Val carries the granted permission
+	msgDataResp // Val carries the granted permission (and grantsLock; Idx names the element)
 	msgOpGrant
 	msgInvalidate
 	msgInvAck
@@ -32,13 +34,14 @@ const (
 	msgOpRecall  // operating node: flush combined operands, invalidate
 	msgWBData    // chunk data to home (recall response or voluntary evict)
 	msgOpFlush   // combined operands to home
-	msgLockReq   // Idx = element, Flag = writer, Val = piggybacked lease return (see lock.go)
+	msgLockReq   // Idx = element, Flag = writer, Val = piggybacked lease return and fill request (see lock.go)
 	msgLockGrant // Val = 1 when the grant carries a reader lease
 	msgUnlock
 	msgShipOp       // shipped Operate: Idx = offset, Val = operand (Flag: Data = batch)
 	msgShipReply    // shipped Operate done; Val carries the home's mode hint
 	msgLeaseRecall  // home → lessee: a writer is queued on element Idx
 	msgLeaseRelease // lessee → home: lease on Idx returned, Val = local hits it served
+	msgFillDecline  // home → writer: the lock-req on Idx queues; its fill is declined
 	numKinds
 )
 
@@ -62,6 +65,7 @@ var kindNames = [numKinds]string{
 	msgShipReply:    "ship-reply",
 	msgLeaseRecall:  "lease-recall",
 	msgLeaseRelease: "lease-release",
+	msgFillDecline:  "fill-decline",
 }
 
 // kindName maps a protocol message kind to its stable name.
@@ -134,7 +138,7 @@ func (a *Array) self() int { return a.node.ID() }
 // those handlers own m and recycle it once the install completes.
 func (a *Array) handleMsg(rt *cluster.Runtime, m *fabric.Message) {
 	switch m.Kind {
-	case msgLockReq, msgLockGrant, msgUnlock, msgLeaseRecall, msgLeaseRelease:
+	case msgLockReq, msgLockGrant, msgUnlock, msgLeaseRecall, msgLeaseRelease, msgFillDecline:
 		a.handleLockMsg(rt, m)
 		a.recycleMsg(m)
 		return
@@ -278,6 +282,11 @@ type homeReq struct {
 	// every word of the chunk, so the RW grant carries no payload.
 	nodata bool
 
+	// lock (want == wantWrite, remote): the grant also carries the write
+	// lock on element idx, which the lock table granted the requester
+	// when its request arrived (lock.go).
+	lock bool
+
 	// Shipped-Operate operands (want == wantShip): the element offset
 	// within the chunk, a single operand (val) or a batch (data, with
 	// pay owning its pooled backing).
@@ -361,12 +370,7 @@ func (a *Array) homeFromUnshared(rt *cluster.Runtime, d *dentry, r homeReq, loca
 			a.grantData(rt, d, r, permRead)
 		})
 	case wantWrite:
-		a.demoteLocal(rt, d, permInvalid, func(rt *cluster.Runtime) {
-			a.transition(TransUnsharedToDirty)
-			d.dstate = dirDirty
-			d.owner = int32(r.from)
-			a.grantData(rt, d, r, permRW)
-		})
+		a.homeToDirty(rt, d, r, TransUnsharedToDirty)
 	case wantOperate:
 		a.noteShip(d, r.from, 1)
 		a.demoteLocal(rt, d, packState(permOperated, r.op), func(rt *cluster.Runtime) {
@@ -392,25 +396,23 @@ func (a *Array) homeFromShared(rt *cluster.Runtime, d *dentry, r homeReq, local 
 		d.sharers |= 1 << uint(r.from)
 		a.grantData(rt, d, r, permRead)
 	case wantWrite:
-		except := -1
 		if !local {
-			except = r.from
-		}
-		a.invalidateSharers(rt, d, except, func(rt *cluster.Runtime) {
-			if local {
-				// Permission promotion Read→RW needs no drain (Fig. 6).
-				a.transition(TransSharedToUnshared)
-				d.dstate = dirUnshared
-				d.state.Store(permRW)
-				a.homeFinish(rt, d, r)
+			if d.sharers&^(1<<uint(r.from)) == 0 {
+				d.sharers = 0 // nothing to invalidate: no continuation to park
+				a.homeToDirty(rt, d, r, TransSharedToDirty)
 				return
 			}
-			a.demoteLocal(rt, d, permInvalid, func(rt *cluster.Runtime) {
-				a.transition(TransSharedToDirty)
-				d.dstate = dirDirty
-				d.owner = int32(r.from)
-				a.grantData(rt, d, r, permRW)
+			a.invalidateSharers(rt, d, r.from, func(rt *cluster.Runtime) {
+				a.homeToDirty(rt, d, r, TransSharedToDirty)
 			})
+			return
+		}
+		a.invalidateSharers(rt, d, -1, func(rt *cluster.Runtime) {
+			// Permission promotion Read→RW needs no drain (Fig. 6).
+			a.transition(TransSharedToUnshared)
+			d.dstate = dirUnshared
+			d.state.Store(permRW)
+			a.homeFinish(rt, d, r)
 		})
 	case wantOperate:
 		except := -1
@@ -435,6 +437,25 @@ func (a *Array) homeFromShared(rt *cluster.Runtime, d *dentry, r homeReq, local 
 			})
 		})
 	}
+}
+
+// homeToDirty ends a remote write transaction once no other sharer is
+// left: the home's own permission is revoked (draining its references)
+// and the requester becomes the Dirty owner with the chunk. Only a drain
+// that has to wait builds a continuation.
+func (a *Array) homeToDirty(rt *cluster.Runtime, d *dentry, r homeReq, t Transition) {
+	if a.tryDemote(d, permInvalid) {
+		a.grantDirty(rt, d, r, t)
+		return
+	}
+	a.demoteLocal(rt, d, permInvalid, func(rt *cluster.Runtime) { a.grantDirty(rt, d, r, t) })
+}
+
+func (a *Array) grantDirty(rt *cluster.Runtime, d *dentry, r homeReq, t Transition) {
+	a.transition(t)
+	d.dstate = dirDirty
+	d.owner = int32(r.from)
+	a.grantData(rt, d, r, permRW)
 }
 
 func (a *Array) homeFromDirty(rt *cluster.Runtime, d *dentry, r homeReq, local bool) {
@@ -475,7 +496,9 @@ func (a *Array) homeFinish(rt *cluster.Runtime, d *dentry, r homeReq) {
 // stays (and is charged) in both modes; pooling only recycles the
 // buffer the copy lands in. A requester that announced a whole-chunk
 // overwrite (r.nodata) would read none of those words: its RW grant
-// goes out flagged and payload-free, like the dataless op-grant.
+// goes out flagged and payload-free, like the dataless op-grant. A grant
+// made on behalf of the lock table (r.lock) names the element whose write
+// lock rides it.
 func (a *Array) grantData(rt *cluster.Runtime, d *dentry, r homeReq, perm uint32) {
 	if r.nodata {
 		a.send(&fMsg{to: r.from, kind: msgDataResp, chunk: d.ci, val: uint64(perm),
@@ -483,11 +506,15 @@ func (a *Array) grantData(rt *cluster.Runtime, d *dentry, r homeReq, perm uint32
 		a.homeDone(rt, d)
 		return
 	}
+	val := uint64(perm)
+	if r.lock {
+		val |= grantsLock
+	}
 	data, pay := a.leasePayload(len(d.data))
 	copy(data, d.data)
 	cc := a.copyCost(len(data))
 	tc := a.child(d.tctx, a.self(), trace.StageService, "copy-out", d.ci, d.tvt, d.tvt+cc)
-	a.send(&fMsg{to: r.from, kind: msgDataResp, chunk: d.ci, val: uint64(perm),
+	a.send(&fMsg{to: r.from, kind: msgDataResp, chunk: d.ci, idx: r.idx, val: val,
 		data: data, pay: pay, vt: d.tvt + cc, tc: tc})
 	a.homeDone(rt, d)
 }

@@ -116,6 +116,8 @@ func (a *Array) collectMetrics(emit telemetry.Emit) {
 		{"core/ship/bytes_saved", &m.ShipBytesSaved},
 		{"core/lock/lease_grants", &m.LeaseGrants},
 		{"core/lock/lease_recalls", &m.LeaseRecalls},
+		{"core/lock/fills", &m.LockFills},
+		{"core/lock/fill_declines", &m.FillDeclines},
 		{"core/lock/gate_closes", &m.GateCloses},
 		{"core/lock/gate_drains", &m.GateDrains},
 		{"core/coherence/invalidations", &m.Invals},

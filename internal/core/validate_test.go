@@ -60,7 +60,7 @@ func TestInvariantsUnderStress(t *testing.T) {
 		for round := 0; round < 4; round++ {
 			for k := 0; k < 400; k++ {
 				i := int64(ctx.Rng.Intn(int(a.Len())))
-				switch ctx.Rng.Intn(4) {
+				switch ctx.Rng.Intn(5) {
 				case 0:
 					a.Get(ctx, i)
 				case 1:
@@ -73,9 +73,26 @@ func TestInvariantsUnderStress(t *testing.T) {
 					p := a.PinRead(ctx, i)
 					p.Get(ctx, i)
 					p.Unpin(ctx)
+				case 4:
+					// One element per home that every node locks: filled,
+					// declined and plain writer grants.
+					h := int64(ctx.Rng.Intn(3))*64*4 + 1
+					a.WLock(ctx, h)
+					a.Set(ctx, h, a.Get(ctx, h)+1)
+					a.Unlock(ctx, h)
 				}
 			}
 			validateAll(t, c, a, ctx)
+		}
+		if n.ID() == 0 {
+			var fills, declines int64
+			for _, inst := range a.Instances() {
+				fills += inst.Metrics.LockFills.Load()
+				declines += inst.Metrics.FillDeclines.Load()
+			}
+			if fills == 0 {
+				t.Errorf("stress made no filled writer grant (%d declines)", declines)
+			}
 		}
 	})
 }

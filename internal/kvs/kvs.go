@@ -73,8 +73,12 @@ type Store struct {
 
 	// scratch recycles the per-operation buffers (*scratch). They are
 	// handed to interface methods, so on the stack they would escape and
-	// cost every Get two allocations beyond the value it returns.
-	scratch sync.Pool
+	// cost every Get two allocations beyond the value it returns. It is
+	// allocated apart from the Store: the runtime lists every pool in use
+	// process-wide until two collections after its last Put, and a pool
+	// embedded here kept the Store, its arrays and the whole cluster
+	// reachable that long after the store was dropped.
+	scratch *sync.Pool
 }
 
 // scratch is one operation's private copy of what it reads and writes:
@@ -121,7 +125,7 @@ func New(node *cluster.Node, entries, bytes WordStore, cfg Config) *Store {
 		node:      node,
 		nBuckets:  nb,
 		oflowBase: nb,
-		scratch:   sync.Pool{New: func() any { return new(scratch) }},
+		scratch:   &sync.Pool{New: func() any { return new(scratch) }},
 	}
 	s.oflowLimit = nb + overflowCount(nb, node.Cluster().Nodes())
 	// Slab manages this node's local partition of the byte array.

@@ -2,8 +2,10 @@ package kvs
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"darray/internal/cluster"
 	"darray/internal/ycsb"
@@ -257,5 +259,29 @@ func TestSlabNoOverlapQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A store that is dropped is garbage at the next collection. Its scratch
+// pool once sat inside the Store, and the runtime's process-wide list of
+// pools in use then kept the store — and through its arrays the whole
+// cluster — reachable for two collections.
+func TestDroppedStoreFreedByOneCollection(t *testing.T) {
+	c := cluster.New(cluster.Config{Nodes: 1, ChunkWords: 64, CacheChunks: 8})
+	freed := make(chan struct{})
+	c.Run(func(n *cluster.Node) {
+		s := NewDArray(n, smallCfg())
+		ctx := n.NewCtx(0)
+		if err := s.Put(ctx, []byte("k"), []byte("v")); err != nil {
+			t.Error(err)
+		}
+		runtime.SetFinalizer(s, func(*Store) { close(freed) })
+	})
+	c.Close()
+	runtime.GC()
+	select {
+	case <-freed:
+	case <-time.After(2 * time.Second):
+		t.Error("a dropped store survived a collection")
 	}
 }
