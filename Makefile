@@ -98,11 +98,15 @@ contention:
 # Tracing smoke: a small traced KVS workload exports a Perfetto-loadable
 # trace, the analyzer reloads it, and the acceptance tests verify that
 # the exported JSON parses, every non-root span links to a live parent,
-# and the critical path covers >= 95% of the slowest root op.
+# and the critical path covers >= 95% of the slowest root op. Then the
+# protocol event recorder — ring wrap, lock traffic, merged reads racing
+# the runtimes that write, and the stalled-grant reproducers that order
+# themselves by it — on four cores under the race detector.
 trace:
 	$(GO) run ./cmd/darray-kv -nodes 3 -threads 1 -records 2048 -ops 500 -trace-out $(or $(TMPDIR),/tmp)/darray-trace-smoke.json
 	$(GO) run ./cmd/darray-trace $(or $(TMPDIR),/tmp)/darray-trace-smoke.json
 	$(GO) test -run 'TestAcceptance' -count=1 ./internal/trace/
+	GOMAXPROCS=4 $(GO) test -race -timeout 120s -count=1 -run 'TestTrace|TestMergedTrace|TestStalled' ./internal/core/
 
 # Re-measure the cost model's CPU path costs on this host and print them
 # beside the recorded profile (vtime.Default). Not part of check: the

@@ -21,7 +21,8 @@ func main() {
 	bins := flag.Int64("bins", 64, "histogram bins")
 	flag.Parse()
 
-	c := darray.NewCluster(darray.Config{Nodes: *nodes})
+	// Metrics turns on the node-wide combine counter printed below.
+	c := darray.NewCluster(darray.Config{Nodes: *nodes, Metrics: true})
 	defer c.Close()
 
 	final := make([]uint64, *bins)
@@ -52,7 +53,7 @@ func main() {
 				final[b] = hist.Get(ctx, b)
 			}
 			fmt.Printf("combines on node 0: %d (misses: %d)\n",
-				ctx.Stats.Combines, ctx.Stats.Misses)
+				hist.Metrics.Combines.Load(), ctx.Stats.Misses)
 		}
 		c.Barrier(ctx)
 	})

@@ -102,15 +102,12 @@ func (a *Array) chargeLocal(ctx *cluster.Ctx) {
 
 // Get reads element i: a direct load locally, a one-sided READ remotely.
 func (a *Array) Get(ctx *cluster.Ctx, i int64) uint64 {
-	ctx.Stats.Ops++
 	home := a.HomeOf(i)
 	off := i - a.sh.starts[home]
 	if home == a.node.ID() {
-		ctx.Stats.Hits++
 		a.chargeLocal(ctx)
 		return atomic.LoadUint64(&a.local[off])
 	}
-	ctx.Stats.Remote++
 	v, err := a.ep.ReadWord(&ctx.Clock, home, a.sh.id, off)
 	if err != nil {
 		ctx.Fail(err)
@@ -122,16 +119,13 @@ func (a *Array) Get(ctx *cluster.Ctx, i int64) uint64 {
 // Set writes element i: a direct store locally, a one-sided WRITE
 // remotely.
 func (a *Array) Set(ctx *cluster.Ctx, i int64, v uint64) {
-	ctx.Stats.Ops++
 	home := a.HomeOf(i)
 	off := i - a.sh.starts[home]
 	if home == a.node.ID() {
-		ctx.Stats.Hits++
 		a.chargeLocal(ctx)
 		atomic.StoreUint64(&a.local[off], v)
 		return
 	}
-	ctx.Stats.Remote++
 	if err := a.ep.WriteWord(&ctx.Clock, home, a.sh.id, off, v); err != nil {
 		ctx.Fail(err)
 	}
@@ -140,11 +134,9 @@ func (a *Array) Set(ctx *cluster.Ctx, i int64, v uint64) {
 // FetchAdd atomically adds v to element i using remote atomics (one CAS
 // round trip per retry), the way BCL maps read-modify-write to RMA.
 func (a *Array) FetchAdd(ctx *cluster.Ctx, i int64, v uint64) uint64 {
-	ctx.Stats.Ops++
 	home := a.HomeOf(i)
 	off := i - a.sh.starts[home]
 	if home == a.node.ID() {
-		ctx.Stats.Hits++
 		a.chargeLocal(ctx)
 		return atomic.AddUint64(&a.local[off], v) - v
 	}
@@ -160,7 +152,6 @@ func (a *Array) FetchAdd(ctx *cluster.Ctx, i int64, v uint64) uint64 {
 			return 0
 		}
 		if ok {
-			ctx.Stats.Remote++
 			return old
 		}
 	}
@@ -187,9 +178,7 @@ func (a *Array) GetBulk(ctx *cluster.Ctx, i int64, dst []uint64) {
 				ctx.Fail(err)
 				return
 			}
-			ctx.Stats.Remote++
 		}
-		ctx.Stats.Ops++
 		dst = dst[n:]
 		i += n
 	}

@@ -41,7 +41,7 @@ func TestNoCacheEveryRemoteAccessIsARoundTrip(t *testing.T) {
 		ctx := n.NewCtx(0)
 		c.Barrier(ctx)
 		if n.ID() == 0 {
-			before := ctx.Clock.Now()
+			before, reads := ctx.Clock.Now(), n.Endpoint().Stats().Reads.Load()
 			const reps = 10
 			for k := 0; k < reps; k++ {
 				a.Get(ctx, 150) // same remote element, no caching
@@ -50,8 +50,8 @@ func TestNoCacheEveryRemoteAccessIsARoundTrip(t *testing.T) {
 			if got := ctx.Clock.Now() - before; got < reps*rtt {
 				t.Errorf("10 repeated remote reads cost %d ns, want >= %d", got, reps*rtt)
 			}
-			if ctx.Stats.Remote != reps {
-				t.Errorf("remote ops = %d, want %d", ctx.Stats.Remote, reps)
+			if got := n.Endpoint().Stats().Reads.Load() - reads; got != reps {
+				t.Errorf("one-sided reads = %d, want %d", got, reps)
 			}
 		}
 		c.Barrier(ctx)

@@ -3,7 +3,7 @@
 // per-node runtime goroutines (the paper's runtime layer), dedicated
 // Tx/Rx comm goroutines (the paper's communication layer, §4.5), cyclic
 // barriers, collectives, and per-application-thread contexts carrying a
-// virtual clock and event statistics.
+// virtual clock and slow-path miss count.
 //
 // On the paper's testbed each node is a separate machine; here nodes are
 // goroutine groups inside one process, connected by internal/fabric. The
@@ -36,11 +36,9 @@ type Config struct {
 	Faults         *fault.Plan  // nil means a perfect fabric (chaos testing injects one)
 
 	// Cache geometry defaults used by systems built on the cluster.
-	ChunkWords    int     // elements (8-byte words) per chunk; default 512
-	CacheChunks   int     // cache capacity per runtime thread, in chunks; default 1024
-	LowWatermark  float64 // eviction trigger, fraction of free lines; default 0.30
-	HighWatermark float64 // eviction target, fraction of free lines; default 0.50
-	PrefetchAhead int     // chunks prefetched on a sequential miss; default 2, -1 disables
+	ChunkWords    int // elements (8-byte words) per chunk; default 512
+	CacheChunks   int // cache capacity per runtime thread, in chunks; default 1024
+	PrefetchAhead int // chunks prefetched on a sequential miss; default 2, -1 disables
 
 	// Transmit-path batching (paper §4.5, BCL-style aggregation). The Tx
 	// thread drains up to TxBurst queued work requests per doorbell; the
@@ -98,12 +96,6 @@ func (c *Config) fill() {
 	}
 	if c.CacheChunks <= 0 {
 		c.CacheChunks = 1024
-	}
-	if c.LowWatermark <= 0 {
-		c.LowWatermark = 0.30
-	}
-	if c.HighWatermark <= 0 {
-		c.HighWatermark = 0.50
 	}
 	if c.PrefetchAhead < 0 {
 		c.PrefetchAhead = 0
@@ -524,7 +516,7 @@ func (c *Cluster) AllReduceSum(ctx *Ctx, v float64) float64 {
 
 // Ctx is an application-thread context: the unit the interface layer is
 // called from. It carries the thread's virtual clock, its deterministic
-// RNG, and thread-local event statistics.
+// RNG, and its slow-path miss count.
 type Ctx struct {
 	Node  *Node
 	TID   int
@@ -680,14 +672,10 @@ func (ctx *Ctx) Err() error {
 	return ctx.Node.c.Err()
 }
 
-// Stats counts the events a thread generated; the benchmark harness
-// aggregates these per figure.
+// Stats counts a thread's slow-path requests. Hits, combines and what
+// the runtimes do are node-wide telemetry (core.Metrics).
 type Stats struct {
-	Hits     int64 // fast-path accesses
-	Misses   int64 // slow-path requests to the runtime
-	Remote   int64 // protocol round trips initiated on this thread's behalf
-	Combines int64 // Operate combines into a local buffer
-	Ops      int64 // total API operations
+	Misses int64 // slow-path requests to the runtime
 }
 
 // NewCtx creates a thread context on node n.

@@ -29,9 +29,6 @@ func TestConfigDefaults(t *testing.T) {
 		cfg.CacheChunks != 1024 || cfg.PrefetchAhead != 2 {
 		t.Fatalf("defaults not applied: %+v", cfg)
 	}
-	if cfg.LowWatermark != 0.30 || cfg.HighWatermark != 0.50 {
-		t.Fatalf("watermark defaults wrong: %+v", cfg)
-	}
 }
 
 func TestPrefetchDisable(t *testing.T) {

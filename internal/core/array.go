@@ -63,8 +63,6 @@ type Array struct {
 	// seq is the detector state, packed chunk<<8 | streak (see noteSeq).
 	seq atomic.Int64
 
-	tr tracer // optional protocol event recorder (see EnableTrace)
-
 	// trc is the cluster's causal span tracer (nil when the cluster was
 	// built without one); see tracespan.go for the cost discipline.
 	trc *trace.Tracer
@@ -109,8 +107,9 @@ type Metrics struct {
 	// Congestion-control accounting (see internal/cc).
 	CCBackoffs atomic.Int64 // multiplicative backoffs + timeout-grade resets observed by bulk pipelines
 
-	// Fast-path counters, gated on cluster telemetry (see telOn).
-	Hits        atomic.Int64 // fast-path accesses served from a resident chunk
+	// Fast-path counters, gated on cluster telemetry (see telOn): the one
+	// count of hits and combines (cluster.Ctx.Stats keeps only misses).
+	Hits        atomic.Int64 // fast-path accesses and pin acquisitions served from a resident chunk
 	Misses      atomic.Int64 // slow-path requests submitted to the runtime
 	DelayStalls atomic.Int64 // fast-path encounters with a raised delay flag
 	PinFast     atomic.Int64 // pins granted on the lock-free path

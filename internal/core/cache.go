@@ -15,10 +15,19 @@ type cacheLine struct {
 	owner *dentry  // nil when free
 }
 
+// Reclamation watermarks (paper §4.2), as fractions of a runtime's cache
+// lines: an allocation that finds lowWatermark of them free or fewer
+// starts a clock-hand sweep, which evicts until highWatermark are free.
+const (
+	lowWatermark  = 0.30
+	highWatermark = 0.50
+)
+
 // rtState is the per-(runtime goroutine, array) state: the runtime's
-// independent cache region with its scanning pointer (paper Figure 7)
-// and the lock tables of this runtime's chunks: locks homed on this
-// node, and waiters and leases for locks homed elsewhere.
+// independent cache region with its scanning pointer (paper Figure 7),
+// the lock tables of this runtime's chunks — locks homed on this node,
+// and waiters and leases for locks homed elsewhere — and the event ring
+// of what the runtime served (trace.go).
 type rtState struct {
 	arr           *Array
 	rt            *cluster.Runtime
@@ -31,18 +40,20 @@ type rtState struct {
 	locks       map[int64]*lockState // element locks homed here (this runtime)
 	lockWaiters map[int64][]*waiter  // local threads awaiting remote grants
 	leases      map[int64]*lease     // reader leases held on elements homed elsewhere
+
+	events [traceDepth]event // the recorder's ring (trace.go)
+	seq    uint64            // events recorded so far
 }
 
 func newRTState(a *Array, rt *cluster.Runtime) *rtState {
-	cfg := a.node.Cluster().Config()
-	capacity := cfg.CacheChunks
+	capacity := a.node.Cluster().Config().CacheChunks
 	s := &rtState{
 		arr:    a,
 		rt:     rt,
 		lines:  make([]*cacheLine, capacity),
 		free:   make([]*cacheLine, 0, capacity),
-		lowWM:  int(float64(capacity) * cfg.LowWatermark),
-		highWM: int(float64(capacity) * cfg.HighWatermark),
+		lowWM:  int(float64(capacity) * lowWatermark),
+		highWM: int(float64(capacity) * highWatermark),
 		locks:  make(map[int64]*lockState),
 
 		lockWaiters: make(map[int64][]*waiter),
@@ -137,7 +148,7 @@ func (s *rtState) startReclaim() {
 // between the scan's refcnt check and here; the final steps then run as
 // a stalled continuation, and d.busy stays set until done.
 func (a *Array) evictLine(rt *cluster.Runtime, d *dentry) {
-	a.trace("evict", d.ci, -1, d.tvt, trace.Ctx{})
+	a.rstate(rt).record(evEvict, d.ci, -1, d.tvt, trace.Ctx{})
 	d.busy = true
 	st := d.state.Load()
 	if a.tryDemote(d, permInvalid) {

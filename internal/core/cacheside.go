@@ -196,7 +196,7 @@ func (a *Array) finishGrant(rt *cluster.Runtime, d *dentry, m *fabric.Message, f
 		// grant removes waiters, and this is the one grant outstanding.
 		w := d.waiters[0]
 		if w.src == nil {
-			panic("core: payload-free grant without an overwrite waiter")
+			a.rstate(rt).panicChunk(d.ci, "core: payload-free grant without an overwrite waiter")
 		}
 		a.ensureLineData(d) // no inbound payload to adopt
 		copy(d.data, w.src)
@@ -285,16 +285,16 @@ func (a *Array) completeWaiters(rt *cluster.Runtime, d *dentry) {
 // already gone (a silent eviction the home never heard of) just acks.
 // That is only true of a copy that is really gone — one whose grant has
 // arrived and is still being installed is busy, and the invalidation
-// waits for it (see stalledInstall).
-func (a *Array) handleInvalidate(rt *cluster.Runtime, d *dentry, m *fabric.Message, svt int64, tc trace.Ctx) {
-	a.Metrics.Invals.Add(1)
+// waits for it (see stalledInstall), and is counted when it runs.
+func (a *Array) handleInvalidate(rt *cluster.Runtime, d *dentry, from int, svt int64, tc trace.Ctx) {
 	home := a.homeOfChunk(d.ci)
 	if d.busy {
 		// Evicting (the line dies anyway: ack once it has) or installing
 		// (the copy must exist before it can be dropped).
-		d.defrd = append(d.defrd, homeReq{from: m.From, want: defInvalidate, vt: svt, tc: tc})
+		d.defrd = append(d.defrd, homeReq{from: from, want: defInvalidate, vt: svt, tc: tc})
 		return
 	}
+	a.Metrics.Invals.Add(1)
 	if d.line == nil || statePerm(d.state.Load()) != permRead {
 		a.send(&fMsg{to: home, kind: msgInvAck, chunk: d.ci, vt: svt, tc: tc})
 		return

@@ -262,26 +262,28 @@ func TestLockOnRemoteElementUnderEvictionPressure(t *testing.T) {
 	})
 }
 
+// Every Get ends in exactly one fast-path hit, after however many misses
+// it took; the thread's miss count and the node's agree.
 func TestStatsAccounting(t *testing.T) {
-	c := tc(t, 2)
+	c := tc(t, 2, withMetrics)
 	c.Run(func(n *cluster.Node) {
 		a := New(n, 2*64)
 		ctx := n.NewCtx(0)
 		c.Barrier(ctx)
 		if n.ID() == 0 {
-			before := ctx.Stats
+			hits, misses, ctxMisses := a.Metrics.Hits.Load(), a.Metrics.Misses.Load(), ctx.Stats.Misses
 			for i := int64(64); i < 128; i++ {
-				a.Get(ctx, i) // remote chunk: 1 miss + 63 hits (at least)
+				a.Get(ctx, i) // remote chunk: 1 miss, then hits
 			}
-			d := ctx.Stats
-			if d.Ops-before.Ops != 64 {
-				t.Errorf("ops delta = %d, want 64", d.Ops-before.Ops)
+			if got := a.Metrics.Hits.Load() - hits; got != 64 {
+				t.Errorf("hits delta = %d, want 64", got)
 			}
-			if d.Misses-before.Misses == 0 {
+			m := a.Metrics.Misses.Load() - misses
+			if m == 0 {
 				t.Error("expected at least one miss")
 			}
-			if d.Hits-before.Hits < 60 {
-				t.Errorf("hits delta = %d, want >= 60", d.Hits-before.Hits)
+			if got := ctx.Stats.Misses - ctxMisses; got != m {
+				t.Errorf("ctx.Stats.Misses delta = %d, node misses delta = %d", got, m)
 			}
 		}
 		c.Barrier(ctx)

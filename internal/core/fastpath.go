@@ -15,7 +15,6 @@ import (
 func (a *Array) Get(ctx *cluster.Ctx, i int64) uint64 {
 	ci, off := a.locate(i)
 	d := &a.dents[ci]
-	ctx.Stats.Ops++
 	if m := a.model; m != nil {
 		ctx.Clock.Advance(m.GetHit)
 	}
@@ -41,7 +40,6 @@ func (a *Array) Get(ctx *cluster.Ctx, i int64) uint64 {
 			// concurrently with readers.
 			v := atomic.LoadUint64(&d.data[off])
 			d.refcnt.Add(-1) // release the reference
-			ctx.Stats.Hits++
 			if a.telOn() {
 				a.Metrics.Hits.Add(1)
 				a.notePrefetchHit(d)
@@ -67,7 +65,6 @@ func (a *Array) Get(ctx *cluster.Ctx, i int64) uint64 {
 func (a *Array) Set(ctx *cluster.Ctx, i int64, v uint64) {
 	ci, off := a.locate(i)
 	d := &a.dents[ci]
-	ctx.Stats.Ops++
 	if m := a.model; m != nil {
 		ctx.Clock.Advance(m.SetHit)
 	}
@@ -85,7 +82,6 @@ func (a *Array) Set(ctx *cluster.Ctx, i int64, v uint64) {
 		if statePerm(st) == permRW {
 			d.data[off] = v
 			d.refcnt.Add(-1)
-			ctx.Stats.Hits++
 			if a.telOn() {
 				a.Metrics.Hits.Add(1)
 			}
@@ -114,7 +110,6 @@ func (a *Array) Apply(ctx *cluster.Ctx, op OpID, i int64, operand uint64) {
 	ci, off := a.locate(i)
 	d := &a.dents[ci]
 	fn := a.op(op).Fn
-	ctx.Stats.Ops++
 	if m := a.model; m != nil {
 		ctx.Clock.Advance(m.ApplyHit)
 	}
@@ -138,8 +133,6 @@ func (a *Array) Apply(ctx *cluster.Ctx, op OpID, i int64, operand uint64) {
 				}
 			}
 			d.refcnt.Add(-1)
-			ctx.Stats.Hits++
-			ctx.Stats.Combines++
 			if a.telOn() {
 				a.Metrics.Hits.Add(1)
 				a.Metrics.Combines.Add(1)

@@ -333,7 +333,6 @@ func popFront[T any](q []T) []T {
 func (a *Array) RLock(ctx *cluster.Ctx, i int64) {
 	ci, off := a.locate(i)
 	if g := gateAt(&a.dents[ci], off); g != nil && g.admit() {
-		ctx.Stats.Ops++
 		if m := a.model; m != nil {
 			ctx.Clock.Advance(m.GetHit)
 		}
@@ -377,7 +376,6 @@ func (a *Array) lock(ctx *cluster.Ctx, ci, i int64, want uint8) {
 	if ctx.Err() != nil {
 		return // degraded: the lock is not acquired
 	}
-	ctx.Stats.Ops++
 	var tc trace.Ctx
 	var t0 int64
 	if a.trc != nil {
@@ -502,7 +500,7 @@ func (a *Array) lockRemote(rt *cluster.Runtime, home int, idx int64, r lockReq) 
 func (a *Array) takeLockWaiter(s *rtState, idx int64) *waiter {
 	q := s.lockWaiters[idx]
 	if len(q) == 0 {
-		panic("core: lock grant with no local waiter")
+		s.panicChunk(idx/a.sh.chunkWords, "core: lock grant with no local waiter")
 	}
 	w := q[0]
 	if len(q) == 1 {
@@ -535,7 +533,6 @@ func (a *Array) grantWaiter(w *waiter, vt int64) {
 // word.
 func (a *Array) Unlock(ctx *cluster.Ctx, i int64) {
 	ci, off := a.locate(i)
-	ctx.Stats.Ops++
 	d := &a.dents[ci]
 	vt := ctx.Clock.Now()
 	m := a.model
@@ -574,10 +571,10 @@ func (a *Array) submitLock(d *dentry, want uint8, idx, vt int64) {
 }
 
 // handleLockMsg processes lock traffic on the home (or requester, for
-// grants and recalls) runtime goroutine.
-func (a *Array) handleLockMsg(rt *cluster.Runtime, m *fabric.Message) {
-	start, svt := a.charge2(rt, m.VT)
-	tc := a.msgSpans(m, start, svt)
+// grants and recalls) runtime goroutine: handleMsg's lock kinds, served
+// at svt with the causal chain tc.
+func (a *Array) handleLockMsg(rt *cluster.Runtime, m *fabric.Message, svt int64, tc trace.Ctx) {
+	s := a.rstate(rt)
 	switch m.Kind {
 	case msgLockReq:
 		a.lockRequest(rt, m.Idx, lockReq{from: m.From, writer: m.Flag, fill: m.Val&fillWanted != 0,
@@ -595,20 +592,18 @@ func (a *Array) handleLockMsg(rt *cluster.Runtime, m *fabric.Message) {
 			a.issueRequest(rt, d)
 		}
 	case msgLockGrant:
-		s := a.rstate(rt)
 		w := a.takeLockWaiter(s, m.Idx)
 		if m.Val != 0 {
 			// The grant carries a lease: the gate opens with the thread this
 			// grant admits counted inside, as the lease's first reader.
 			if s.leases[m.Idx] != nil {
-				panic("core: lease granted to a node that holds it")
+				s.panicChunk(m.Chunk, "core: lease granted to a node that holds it")
 			}
 			s.leases[m.Idx] = &lease{}
 			a.openGate(m.Idx, svt, 1)
 		}
 		a.grantWaiter(w, svt)
 	case msgLeaseRecall:
-		s := a.rstate(rt)
 		le := s.leases[m.Idx]
 		if le == nil {
 			// Already returned on a local writer's lock-req, which the home
@@ -620,8 +615,7 @@ func (a *Array) handleLockMsg(rt *cluster.Runtime, m *fabric.Message) {
 			a.releaseLease(s, m.From, m.Idx, le)
 		}
 	case msgLeaseRelease:
-		s := a.rstate(rt)
-		if ls := s.locks[m.Idx]; a.returnLease(m.Idx, ls, m.From, int64(m.Val), svt) {
+		if ls := s.locks[m.Idx]; a.returnLease(s, m.Idx, ls, m.From, int64(m.Val), svt) {
 			a.tryGrant(rt, m.Idx, ls)
 		}
 	}
@@ -644,13 +638,13 @@ func (a *Array) releaseLease(s *rtState, home int, idx int64, le *lease) {
 // time vt and scores the hits it served for the chunk's policy. It
 // reports false, changing nothing, when the node holds no lease — which
 // only a failed cluster's stray messages may cause.
-func (a *Array) returnLease(idx int64, ls *lockState, from int, hits, vt int64) bool {
+func (a *Array) returnLease(s *rtState, idx int64, ls *lockState, from int, hits, vt int64) bool {
 	bit := uint64(1) << uint(from)
 	if ls == nil || ls.lessees&bit == 0 {
 		if a.node.Cluster().Failed() {
 			return false
 		}
-		panic("core: lease returned by a node that holds none")
+		s.panicChunk(idx/a.sh.chunkWords, "core: lease returned by a node that holds none")
 	}
 	ls.lessees &^= bit
 	ls.recalled &^= bit
@@ -668,7 +662,7 @@ func (a *Array) lockRequest(rt *cluster.Runtime, idx int64, r lockReq, ret uint6
 	s := a.rstate(rt)
 	ls := s.locks[idx]
 	if ret&leaseReturned != 0 {
-		a.returnLease(idx, ls, r.from, int64(ret>>reqHitShift), r.vt)
+		a.returnLease(s, idx, ls, r.from, int64(ret>>reqHitShift), r.vt)
 	}
 	if ls == nil {
 		ls = &lockState{}
@@ -715,7 +709,7 @@ func (a *Array) unlockRequest(rt *cluster.Runtime, idx int64, vt int64) {
 			// out. Tolerate the mismatch instead of crashing the report.
 			return
 		}
-		panic("core: unlock of a lock not held")
+		s.panicChunk(idx/a.sh.chunkWords, "core: unlock of a lock not held")
 	}
 	if ls.writerHeld {
 		ls.writerHeld = false

@@ -71,7 +71,6 @@ func (a *Array) mkPin(d *dentry, ci int64, fn func(acc, operand uint64) uint64, 
 // op: the charge gets a span of its own, or the op's critical path would
 // start with a hole.
 func (a *Array) pinHit(ctx *cluster.Ctx, d *dentry, tc trace.Ctx) {
-	ctx.Stats.Hits++
 	if m := a.model; m != nil {
 		if tc.Trace != 0 {
 			now := ctx.Clock.Now()
@@ -95,7 +94,6 @@ func (a *Array) pinHit(ctx *cluster.Ctx, d *dentry, tc trace.Ctx) {
 func (a *Array) acquire(ctx *cluster.Ctx, p *Pin, i int64, want uint8, op OpID, tc trace.Ctx) bool {
 	ci, _ := a.locate(i)
 	d := &a.dents[ci]
-	ctx.Stats.Ops++
 	var fn func(uint64, uint64) uint64
 	if want == wantPinOperate {
 		fn = a.op(op).Fn
@@ -177,7 +175,6 @@ func (p *Pin) Get(ctx *cluster.Ctx, i int64) uint64 {
 	if m := p.a.model; m != nil {
 		ctx.Clock.Advance(m.PinAccess)
 	}
-	ctx.Stats.Hits++
 	return atomic.LoadUint64(&p.d.data[i-p.base])
 }
 
@@ -190,7 +187,6 @@ func (p *Pin) Set(ctx *cluster.Ctx, i int64, v uint64) {
 	if m := p.a.model; m != nil {
 		ctx.Clock.Advance(m.PinAccess)
 	}
-	ctx.Stats.Hits++
 	p.d.data[i-p.base] = v
 }
 
@@ -204,8 +200,6 @@ func (p *Pin) Apply(ctx *cluster.Ctx, i int64, operand uint64) {
 	if m := p.a.model; m != nil {
 		ctx.Clock.Advance(m.PinAccess)
 	}
-	ctx.Stats.Hits++
-	ctx.Stats.Combines++
 	addr := &p.d.data[i-p.base]
 	for {
 		old := atomic.LoadUint64(addr)

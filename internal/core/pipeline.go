@@ -82,7 +82,6 @@ func ringOf(ctx *cluster.Ctx, slots, nodes int) *bulkRing {
 func (a *Array) issueChunkInto(ctx *cluster.Ctx, r *chunkReq, ci int64, want uint8, op OpID, fn func(acc, operand uint64) uint64, src []uint64, tc trace.Ctx) {
 	d := &a.dents[ci]
 	*r = chunkReq{ci: ci, d: d}
-	ctx.Stats.Ops++
 	if d.enter() {
 		if satisfies(d.state.Load(), want, op) {
 			a.pinHit(ctx, d, tc)

@@ -14,8 +14,9 @@ import (
 // Protocol message kinds. Requests flow cache→home, grants and
 // coherence commands flow home→cache; the fabric guarantees per-pair
 // FIFO and chunk→runtime placement guarantees per-chunk ordering.
-// kindNames below is the one table naming every kind for traces,
-// spans and the fabric's per-kind reports.
+// kindNames below is the one table naming every kind for the event
+// recorder, spans and the fabric's per-kind reports; the local events
+// the recorder logs beside the messages follow the wire kinds in it.
 //
 // Flag on a write-req announces a whole-chunk overwrite; the data-resp
 // answering it is flagged too and carries no payload (see grantData).
@@ -42,6 +43,9 @@ const (
 	msgLeaseRecall  // home → lessee: a writer is queued on element Idx
 	msgLeaseRelease // lessee → home: lease on Idx returned, Val = local hits it served
 	msgFillDecline  // home → writer: the lock-req on Idx queues; its fill is declined
+	evLocalReq      // local: an application thread's slow-path request reached the runtime
+	evEvict         // local: reclamation evicts the chunk's line
+	evShipReq       // local: an Apply ships to the home
 	numKinds
 )
 
@@ -66,6 +70,9 @@ var kindNames = [numKinds]string{
 	msgLeaseRecall:  "lease-recall",
 	msgLeaseRelease: "lease-release",
 	msgFillDecline:  "fill-decline",
+	evLocalReq:      "local-req",
+	evEvict:         "evict",
+	evShipReq:       "ship-req",
 }
 
 // kindName maps a protocol message kind to its stable name.
@@ -136,18 +143,17 @@ func (a *Array) self() int { return a.node.ID() }
 // recycled here on return. msgDataResp/msgOpGrant may stall (line
 // allocation, reference drain) with m captured by the continuation;
 // those handlers own m and recycle it once the install completes.
+//
+// Every message served is recorded in the runtime's event ring first.
 func (a *Array) handleMsg(rt *cluster.Runtime, m *fabric.Message) {
-	switch m.Kind {
-	case msgLockReq, msgLockGrant, msgUnlock, msgLeaseRecall, msgLeaseRelease, msgFillDecline:
-		a.handleLockMsg(rt, m)
-		a.recycleMsg(m)
-		return
-	}
 	d := &a.dents[m.Chunk]
 	start, svt := a.charge2(rt, m.VT)
 	tc := a.msgSpans(m, start, svt)
-	a.trace(kindName(m.Kind), m.Chunk, m.From, m.VT, tc)
+	s := a.rstate(rt)
+	s.record(m.Kind, m.Chunk, m.From, m.VT, tc)
 	switch m.Kind {
+	case msgLockReq, msgLockGrant, msgUnlock, msgLeaseRecall, msgLeaseRelease, msgFillDecline:
+		a.handleLockMsg(rt, m, svt, tc)
 	case msgReadReq:
 		a.serveHome(rt, d, homeReq{from: m.From, want: wantRead, vt: svt, tc: tc})
 	case msgWriteReq:
@@ -161,7 +167,7 @@ func (a *Array) handleMsg(rt *cluster.Runtime, m *fabric.Message) {
 		a.handleOpGrant(rt, d, m, svt)
 		return // the install continuation recycles m
 	case msgInvalidate:
-		a.handleInvalidate(rt, d, m, svt, tc)
+		a.handleInvalidate(rt, d, m.From, svt, tc)
 	case msgInvAck:
 		a.handleInvAck(rt, d, svt)
 	case msgDowngrade:
@@ -188,7 +194,7 @@ func (a *Array) handleMsg(rt *cluster.Runtime, m *fabric.Message) {
 	case msgShipReply:
 		a.handleShipReply(rt, d, m, svt, tc)
 	default:
-		panic(fmt.Sprintf("core: unknown message kind %d", m.Kind))
+		s.panicChunk(m.Chunk, fmt.Sprintf("core: unknown message kind %d", m.Kind))
 	}
 	a.recycleMsg(m)
 }
@@ -200,7 +206,7 @@ func (a *Array) handleLocal(rt *cluster.Runtime, d *dentry, ci int64, w *waiter)
 		tc := a.child(w.tc, a.self(), trace.StageQueue, "rt-queue", ci, w.vt, start)
 		w.tc = a.child(tc, a.self(), trace.StageService, "local-req", ci, start, svt)
 	}
-	a.trace("local-req", ci, -1, w.vt, w.tc)
+	a.rstate(rt).record(evLocalReq, ci, -1, w.vt, w.tc)
 	if satisfies(d.state.Load(), w.want, w.op) {
 		w.vt = svt
 		a.respond(rt, d, w, maxi64(svt, d.tvt))
@@ -351,7 +357,7 @@ func (a *Array) homeStep(rt *cluster.Runtime, d *dentry, r homeReq) {
 			a.homeStep(rt, d, r)
 		})
 	default:
-		panic("core: bad directory state")
+		a.rstate(rt).panicChunk(d.ci, "core: bad directory state")
 	}
 }
 
@@ -461,11 +467,11 @@ func (a *Array) grantDirty(rt *cluster.Runtime, d *dentry, r homeReq, t Transiti
 func (a *Array) homeFromDirty(rt *cluster.Runtime, d *dentry, r homeReq, local bool) {
 	owner := int(d.owner)
 	if !local && owner == r.from {
-		panic("core: dirty owner re-requested ownership")
+		a.rstate(rt).panicChunk(d.ci, "core: dirty owner re-requested ownership")
 	}
 	if !local && r.want == wantRead {
 		// Dirty --Remote R--> Shared: the owner keeps a Shared copy.
-		a.downgradeDirty(rt, d, func(rt *cluster.Runtime) {
+		a.demandWriteback(d, msgDowngrade, func(rt *cluster.Runtime) {
 			a.transition(TransDirtyToShared)
 			d.dstate = dirShared
 			d.sharers = (1 << uint(owner)) | (1 << uint(r.from))
@@ -474,7 +480,7 @@ func (a *Array) homeFromDirty(rt *cluster.Runtime, d *dentry, r homeReq, local b
 		})
 		return
 	}
-	a.recallDirty(rt, d, func(rt *cluster.Runtime) {
+	a.demandWriteback(d, msgRecall, func(rt *cluster.Runtime) {
 		a.transition(TransDirtyToUnshared)
 		d.dstate = dirUnshared
 		d.owner = -1
@@ -553,7 +559,7 @@ func (a *Array) drainDeferred(rt *cluster.Runtime, d *dentry, ci int64) {
 		// Cache side: deferred coherence commands.
 		switch r.want {
 		case defInvalidate:
-			a.handleInvalidate(rt, d, &fabric.Message{From: r.from, Chunk: ci}, r.vt, r.tc)
+			a.handleInvalidate(rt, d, r.from, r.vt, r.tc)
 		case defDowngrade:
 			a.handleDowngrade(rt, d, r.vt, r.tc)
 		case defRecall:
@@ -651,7 +657,7 @@ func (a *Array) invalidateSharers(rt *cluster.Runtime, d *dentry, except int, co
 func (a *Array) handleInvAck(rt *cluster.Runtime, d *dentry, svt int64) {
 	d.tvt = maxi64(d.tvt, svt)
 	if d.acks == 0 || d.onAcks == nil {
-		panic("core: unexpected invalidation ack")
+		a.rstate(rt).panicChunk(d.ci, "core: unexpected invalidation ack")
 	}
 	d.acks--
 	if d.acks == 0 {
@@ -664,28 +670,22 @@ func (a *Array) handleInvAck(rt *cluster.Runtime, d *dentry, svt int64) {
 	}
 }
 
-// recallDirty demands the chunk back from its Dirty owner. The response
-// (or a voluntary writeback that crossed on the wire) lands in
-// handleWBData, which copies the data home before running cont.
-func (a *Array) recallDirty(rt *cluster.Runtime, d *dentry, cont func(rt *cluster.Runtime)) {
-	a.Metrics.Recalls.Add(1)
+// demandWriteback asks the chunk's Dirty owner to write it back: kind is
+// msgRecall (and invalidate) or msgDowngrade (and keep a Shared copy).
+// The response (or a voluntary writeback that crossed on the wire) lands
+// in handleWBData, which copies the data home before running cont.
+func (a *Array) demandWriteback(d *dentry, kind uint8, cont func(rt *cluster.Runtime)) {
+	if kind == msgRecall {
+		a.Metrics.Recalls.Add(1)
+	} else {
+		a.Metrics.Downgrades.Add(1)
+	}
 	d.onWB = func(rt *cluster.Runtime, data []uint64, vt int64) {
 		copy(d.data, data)
 		d.tvt = maxi64(d.tvt, vt)
 		cont(rt)
 	}
-	a.send(&fMsg{to: int(d.owner), kind: msgRecall, chunk: d.ci, vt: d.tvt, tc: d.tctx})
-}
-
-// downgradeDirty asks the Dirty owner to write back but keep reading.
-func (a *Array) downgradeDirty(rt *cluster.Runtime, d *dentry, cont func(rt *cluster.Runtime)) {
-	a.Metrics.Downgrades.Add(1)
-	d.onWB = func(rt *cluster.Runtime, data []uint64, vt int64) {
-		copy(d.data, data)
-		d.tvt = maxi64(d.tvt, vt)
-		cont(rt)
-	}
-	a.send(&fMsg{to: int(d.owner), kind: msgDowngrade, chunk: d.ci, vt: d.tvt, tc: d.tctx})
+	a.send(&fMsg{to: int(d.owner), kind: kind, chunk: d.ci, vt: d.tvt, tc: d.tctx})
 }
 
 func (a *Array) handleWBData(rt *cluster.Runtime, d *dentry, m *fabric.Message, svt int64, tc trace.Ctx) {
@@ -702,10 +702,10 @@ func (a *Array) handleWBData(rt *cluster.Runtime, d *dentry, m *fabric.Message, 
 		return
 	}
 	if d.busy {
-		panic("core: voluntary writeback during unrelated transaction")
+		a.rstate(rt).panicChunk(d.ci, "core: voluntary writeback during unrelated transaction")
 	}
 	if d.dstate != dirDirty || int(d.owner) != m.From {
-		panic("core: writeback from non-owner")
+		a.rstate(rt).panicChunk(d.ci, "core: writeback from non-owner")
 	}
 	copy(d.data, m.Data)
 	a.transition(TransDirtyToUnshared)

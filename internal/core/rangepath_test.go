@@ -11,7 +11,7 @@ import (
 // The single-chunk range path is what a record-granular caller pays
 // twice per operation, so its cost is pinned from every side: the heap
 // (nothing), the virtual clock (one fast-path acquisition at a Get hit's
-// price plus the copy), the op and hit counters, and the trace (no
+// price plus the copy), the hit and miss counters, and the trace (no
 // unattributed time under the root).
 
 func TestSingleChunkRangeAllocatesNothing(t *testing.T) {
@@ -46,20 +46,20 @@ func TestSingleChunkRangeAllocatesNothing(t *testing.T) {
 
 func TestPinAcquisitionIsChargedAsAGetHit(t *testing.T) {
 	m := vtime.Default()
-	c := tc(t, 1, func(cfg *cluster.Config) { cfg.Model = m })
+	c := tc(t, 1, func(cfg *cluster.Config) { cfg.Model, cfg.Metrics = m, true })
 	c.Run(func(n *cluster.Node) {
 		a := New(n, 4*64)
 		ctx := n.NewCtx(0)
 		buf := make([]uint64, 17)
 		step := func(what string, want int64, fn func()) {
 			t.Helper()
-			ops, hits, vt := ctx.Stats.Ops, ctx.Stats.Hits, ctx.Clock.Now()
+			hits, misses, vt := a.Metrics.Hits.Load(), a.Metrics.Misses.Load(), ctx.Clock.Now()
 			fn()
 			if got := ctx.Clock.Now() - vt; got != want {
 				t.Errorf("%s advanced the clock by %d, want %d", what, got, want)
 			}
-			if ctx.Stats.Ops-ops != 1 || ctx.Stats.Hits-hits != 1 {
-				t.Errorf("%s counted %d ops and %d hits, want 1 and 1", what, ctx.Stats.Ops-ops, ctx.Stats.Hits-hits)
+			if h, m := a.Metrics.Hits.Load()-hits, a.Metrics.Misses.Load()-misses; h != 1 || m != 0 {
+				t.Errorf("%s counted %d hits and %d misses, want 1 and 0", what, h, m)
 			}
 		}
 		hitCopy := m.GetHit + m.CopyCost(8*len(buf))
@@ -73,13 +73,13 @@ func TestPinAcquisitionIsChargedAsAGetHit(t *testing.T) {
 
 		// Two chunk pieces are two acquisitions, on the serial path as in
 		// the pipeline (this cluster's default depth pipelines the range).
-		vt, ops := ctx.Clock.Now(), ctx.Stats.Ops
+		vt, hits := ctx.Clock.Now(), a.Metrics.Hits.Load()
 		a.GetRange(ctx, 64-8, buf)
 		if got, want := ctx.Clock.Now()-vt, 2*m.GetHit+m.CopyCost(8*8)+m.CopyCost(8*9); got != want {
 			t.Errorf("GetRange over a chunk boundary advanced the clock by %d, want %d", got, want)
 		}
-		if got := ctx.Stats.Ops - ops; got != 2 {
-			t.Errorf("GetRange over a chunk boundary counted %d ops, want 2", got)
+		if got := a.Metrics.Hits.Load() - hits; got != 2 {
+			t.Errorf("GetRange over a chunk boundary counted %d hits, want 2", got)
 		}
 	})
 }

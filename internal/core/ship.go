@@ -202,7 +202,7 @@ func (a *Array) homeShip(rt *cluster.Runtime, d *dentry, r homeReq) {
 			a.shipApply(rt, d, r)
 		})
 	case dirDirty:
-		a.recallDirty(rt, d, func(rt *cluster.Runtime) {
+		a.demandWriteback(d, msgRecall, func(rt *cluster.Runtime) {
 			a.transition(TransDirtyToUnshared)
 			d.dstate = dirUnshared
 			d.owner = -1
@@ -210,7 +210,7 @@ func (a *Array) homeShip(rt *cluster.Runtime, d *dentry, r homeReq) {
 			a.shipApply(rt, d, r)
 		})
 	default:
-		panic("core: bad directory state")
+		a.rstate(rt).panicChunk(d.ci, "core: bad directory state")
 	}
 }
 
@@ -321,7 +321,7 @@ func (a *Array) shipRequest(rt *cluster.Runtime, d *dentry, w *waiter, off int64
 		tc := a.child(w.tc, a.self(), trace.StageQueue, "rt-queue", d.ci, w.vt, start)
 		w.tc = a.child(tc, a.self(), trace.StageService, "ship-req", d.ci, start, svt)
 	}
-	a.trace("ship-req", d.ci, -1, w.vt, w.tc)
+	a.rstate(rt).record(evShipReq, d.ci, -1, w.vt, w.tc)
 	w.vt = svt
 	d.shipQ = append(d.shipQ, w)
 	a.send(&fMsg{to: a.homeOfChunk(d.ci), kind: msgShipOp, chunk: d.ci, op: w.op,
@@ -335,7 +335,7 @@ func (a *Array) handleShipReply(rt *cluster.Runtime, d *dentry, m *fabric.Messag
 		d.ship.Store(m.Val != 0)
 	}
 	if len(d.shipQ) == 0 {
-		panic("core: ship reply with no outstanding shipped op")
+		a.rstate(rt).panicChunk(d.ci, "core: ship reply with no outstanding shipped op")
 	}
 	w := d.shipQ[0]
 	copy(d.shipQ, d.shipQ[1:])
@@ -413,7 +413,6 @@ func (a *Array) applyRangeShipped(ctx *cluster.Ctx, op OpID, i int64, src []uint
 		if ctx.Err() != nil {
 			return
 		}
-		ctx.Stats.Ops++
 		ctx.Stats.Misses++
 		if a.telOn() {
 			a.Metrics.Misses.Add(1)

@@ -47,8 +47,8 @@ func await(cond func() bool) {
 	}
 }
 
-// sawEvent reports whether a's protocol event ring holds kind for chunk ci.
-func sawEvent(a *Array, kind string, ci int64) bool {
+// sawEvent reports whether a's protocol event rings hold kind for chunk ci.
+func sawEvent(a *Array, kind uint8, ci int64) bool {
 	for _, e := range a.TraceEvents() {
 		if e.Kind == kind && e.Chunk == ci {
 			return true
@@ -63,7 +63,7 @@ func sawEvent(a *Array, kind string, ci int64) bool {
 // trigger, on node `from`, makes the home send node 1 the command named
 // cmd; the pin is dropped only once that command has arrived. Everything
 // must then complete, and the final contents must be want at element 0.
-func stalledOnPin(t *testing.T, nodes, from int, cmd string, want uint64,
+func stalledOnPin(t *testing.T, nodes, from int, cmd uint8, want uint64,
 	setup func(a *Array) OpID,
 	upgrade func(a *Array, ctx *cluster.Ctx, op OpID),
 	trigger func(a *Array, ctx *cluster.Ctx)) {
@@ -73,7 +73,6 @@ func stalledOnPin(t *testing.T, nodes, from int, cmd string, want uint64,
 	runBounded(t, c, func(n *cluster.Node) {
 		a := New(n, int64(nodes)*64)
 		op := setup(a)
-		a.EnableTrace(256)
 		root := n.NewCtx(0)
 		c.Barrier(root)
 		switch n.ID() {
@@ -113,18 +112,18 @@ func getZero(a *Array, ctx *cluster.Ctx) { a.Get(ctx, 0) }
 // owner: its recall must wait for the installation, not be taken for one
 // that crossed a voluntary writeback.
 func TestStalledGrantDefersRecall(t *testing.T) {
-	stalledOnPin(t, 2, 0, "recall", 7, noOp, setSeven, getZero)
+	stalledOnPin(t, 2, 0, msgRecall, 7, noOp, setSeven, getZero)
 }
 
 // The same with a third node reading: the home downgrades the owner.
 func TestStalledGrantDefersDowngrade(t *testing.T) {
-	stalledOnPin(t, 3, 2, "downgrade", 7, noOp, setSeven, getZero)
+	stalledOnPin(t, 3, 2, msgDowngrade, 7, noOp, setSeven, getZero)
 }
 
 // An Operated grant draining a pin, then the home reads: the op-recall
 // must find the combine buffer it is about.
 func TestStalledOpGrantDefersOpRecall(t *testing.T) {
-	stalledOnPin(t, 2, 0, "op-recall", 1,
+	stalledOnPin(t, 2, 0, msgOpRecall, 1,
 		func(a *Array) OpID { return a.RegisterOp(OpAddU64) },
 		func(a *Array, ctx *cluster.Ctx, op OpID) { a.Apply(ctx, op, 0, 1) },
 		getZero)
@@ -142,7 +141,6 @@ func TestStalledGrantDefersInvalidate(t *testing.T) {
 	const third = 2 * 64 // first element of chunk 2, homed on node 0
 	runBounded(t, c, func(n *cluster.Node) {
 		a := New(n, 2*4*64)
-		a.EnableTrace(256)
 		root := n.NewCtx(0)
 		c.Barrier(root)
 		if n.ID() == 1 {
@@ -150,9 +148,9 @@ func TestStalledGrantDefersInvalidate(t *testing.T) {
 				if ctx.TID == 0 {
 					p0, p1 := a.PinRead(ctx, 0), a.PinRead(ctx, 64)
 					close(pinned)
-					await(func() bool { return sawEvent(a, "data-resp", 2) })
+					await(func() bool { return sawEvent(a, msgDataResp, 2) })
 					close(stalled)
-					await(func() bool { return sawEvent(a, "invalidate", 2) })
+					await(func() bool { return sawEvent(a, msgInvalidate, 2) })
 					p0.Unpin(ctx)
 					p1.Unpin(ctx)
 					return
@@ -165,6 +163,19 @@ func TestStalledGrantDefersInvalidate(t *testing.T) {
 			a.Set(root, third, 9)
 		}
 		validateAll(t, c, a, root)
+		if n.ID() == 1 {
+			// Every invalidation node 1 served is counted once, the one
+			// deferred behind the installation included.
+			served := int64(0)
+			for _, e := range a.TraceEvents() {
+				if e.Kind == msgInvalidate {
+					served++
+				}
+			}
+			if got := a.Metrics.Invals.Load(); got != served {
+				t.Errorf("node 1 counted %d invalidations for the %d it served", got, served)
+			}
+		}
 		if got := a.Get(root, third); got != 9 {
 			t.Errorf("node %d reads %d after the home's write, want 9", n.ID(), got)
 		}

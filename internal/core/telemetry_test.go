@@ -69,8 +69,8 @@ func TestTransitionCounts(t *testing.T) {
 }
 
 // TestFastPathGating checks the disabled-by-default contract: with
-// telemetry off, the fast-path counters stay zero (the per-thread
-// ctx.Stats still count) — the access paths only pay the enable check.
+// telemetry off, the fast-path counters stay zero — the access paths only
+// pay the enable check.
 func TestFastPathGating(t *testing.T) {
 	c := tc(t, 1)
 	var arr *Array
@@ -79,9 +79,6 @@ func TestFastPathGating(t *testing.T) {
 		ctx := n.NewCtx(0)
 		for i := int64(0); i < 128; i++ {
 			arr.Set(ctx, i, uint64(i))
-		}
-		if ctx.Stats.Hits == 0 {
-			t.Error("ctx.Stats.Hits should count regardless of telemetry")
 		}
 	})
 	if got := arr.Metrics.Hits.Load(); got != 0 {
@@ -197,7 +194,6 @@ func TestMergedTrace(t *testing.T) {
 	c.Run(func(n *cluster.Node) {
 		a := New(n, 64)
 		handles[n.ID()] = a
-		a.EnableTrace(256)
 		ctx := n.NewCtx(0)
 		c.Barrier(ctx)
 		if n.ID() == 1 {
@@ -219,11 +215,7 @@ func TestMergedTrace(t *testing.T) {
 	if !nodes[0] || !nodes[1] {
 		t.Errorf("merged trace should contain events from both nodes: %v", evs)
 	}
-	var kinds []string
-	for _, e := range evs {
-		kinds = append(kinds, e.Kind)
-	}
-	joined := strings.Join(kinds, " ")
+	joined := strings.Join(kindsOf(evs), " ")
 	if !strings.Contains(joined, "read-req") || !strings.Contains(joined, "data-resp") {
 		t.Errorf("merged trace missing protocol round trip: %s", joined)
 	}

@@ -2,21 +2,36 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
-	"sync/atomic"
 
+	"darray/internal/cluster"
 	"darray/internal/trace"
 )
 
+// The protocol event recorder. A chunk is served by one runtime goroutine
+// on each node (paper §4, Fig. 7), so its history already lives on one
+// goroutine: each runtime keeps the last traceDepth events it served for
+// an array in a ring of values that only it writes — no lock, no atomic,
+// no allocation, and always on. Every message handleMsg serves is an
+// event, and so are the local ones (evLocalReq, evEvict, evShipReq).
+// Readers go through the writer: TraceEvents submits to each runtime, and
+// a protocol panic (panicChunk) already runs on the ring's goroutine.
+
+// traceDepth is how many events each runtime keeps per array.
+const traceDepth = 256
+
 // TraceEvent is one recorded protocol step on a node.
 type TraceEvent struct {
-	Seq   uint64
-	Node  int
-	Chunk int64
-	Kind  string // message kind or local event name
-	From  int    // requesting/sending node (-1 for local events)
-	VT    int64  // virtual time the event was serviced at
+	Seq     uint64 // per (node, runtime), from 1
+	Node    int
+	Runtime int
+	Chunk   int64
+	Kind    uint8 // a message kind or local event; String names it
+	From    int   // sending node (-1 for local events)
+	VT      int64 // virtual time the event arrived at
 
 	// Trace/Span link the event into the causal span tracer's id space
 	// when the op that caused it was sampled (zero otherwise), so a flat
@@ -27,83 +42,77 @@ type TraceEvent struct {
 
 // String renders the event for logs.
 func (e TraceEvent) String() string {
-	s := fmt.Sprintf("#%d n%d chunk %d %s from=%d vt=%d", e.Seq, e.Node, e.Chunk, e.Kind, e.From, e.VT)
+	s := fmt.Sprintf("#%d n%d/rt%d chunk %d %s from=%d vt=%d", e.Seq, e.Node, e.Runtime, e.Chunk,
+		kindName(e.Kind), e.From, e.VT)
 	if e.Trace != 0 {
 		s += fmt.Sprintf(" trace=%x span=%x", e.Trace, e.Span)
 	}
 	return s
 }
 
-// tracer is a bounded ring of protocol events, disabled by default. It
-// exists for debugging coherence issues: enable it on the handles you
-// suspect, reproduce, then dump.
-type tracer struct {
-	on   atomic.Bool
-	mu   sync.Mutex
-	seq  uint64
-	ring []TraceEvent
-	pos  int
-	full bool
+// event is a ring slot: a TraceEvent less what the slot's position and
+// the ring's owner say — event seq sits at seq % traceDepth.
+type event struct {
+	vt, chunk   int64
+	trace, span uint64
+	from        int32
+	kind        uint8
 }
 
-// EnableTrace starts recording up to depth protocol events on this
-// node's handle (older events are overwritten).
-func (a *Array) EnableTrace(depth int) {
-	if depth <= 0 {
-		depth = 1024
-	}
-	a.tr.mu.Lock()
-	a.tr.ring = make([]TraceEvent, depth)
-	a.tr.pos, a.tr.full = 0, false
-	a.tr.seq = 0 // fresh recording: sequence numbers restart at 1
-	a.tr.mu.Unlock()
-	a.tr.on.Store(true)
+// record appends one event to s's ring. Runtime only: it is the one writer.
+func (s *rtState) record(kind uint8, ci int64, from int, vt int64, tc trace.Ctx) {
+	s.seq++
+	s.events[s.seq%traceDepth] = event{vt: vt, chunk: ci, trace: tc.Trace, span: tc.Span,
+		from: int32(from), kind: kind}
 }
 
-// DisableTrace stops recording.
-func (a *Array) DisableTrace() { a.tr.on.Store(false) }
-
-// TraceEvents returns the recorded events, oldest first.
-func (a *Array) TraceEvents() []TraceEvent {
-	a.tr.mu.Lock()
-	defer a.tr.mu.Unlock()
-	if !a.tr.full {
-		out := make([]TraceEvent, a.tr.pos)
-		copy(out, a.tr.ring[:a.tr.pos])
-		return out
+// recent returns the events in s's ring, oldest first. Runtime only.
+func (s *rtState) recent() []TraceEvent {
+	n := min(s.seq, traceDepth)
+	out := make([]TraceEvent, 0, n)
+	for q := s.seq - n + 1; q <= s.seq; q++ {
+		e := &s.events[q%traceDepth]
+		out = append(out, TraceEvent{Seq: q, Node: s.arr.self(), Runtime: s.rt.Index(), Chunk: e.chunk,
+			Kind: e.kind, From: int(e.from), VT: e.vt, Trace: e.trace, Span: e.span})
 	}
-	out := make([]TraceEvent, len(a.tr.ring))
-	n := copy(out, a.tr.ring[a.tr.pos:])
-	copy(out[n:], a.tr.ring[:a.tr.pos])
 	return out
 }
 
-// trace records one event when tracing is on (a single atomic load when
-// off, so the protocol handlers can call it unconditionally).
-func (a *Array) trace(kind string, ci int64, from int, vt int64, tc trace.Ctx) {
-	if !a.tr.on.Load() {
-		return
+// panicChunk reports a broken protocol invariant on chunk ci with the
+// chunk's recent events on this runtime. It runs on the runtime goroutine
+// that writes the ring, so the read needs no synchronization.
+func (s *rtState) panicChunk(ci int64, what string) {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%s\nrecent events of chunk %d on node %d runtime %d:", what, ci, s.arr.self(), s.rt.Index())
+	for _, e := range s.recent() {
+		if e.Chunk == ci {
+			b.WriteString("\n  " + e.String())
+		}
 	}
-	a.tr.mu.Lock()
-	a.tr.seq++
-	ev := TraceEvent{Seq: a.tr.seq, Node: a.node.ID(), Chunk: ci, Kind: kind, From: from, VT: vt,
-		Trace: tc.Trace, Span: tc.Span}
-	if len(a.tr.ring) == 0 {
-		a.tr.mu.Unlock()
-		return
+	panic(b.String())
+}
+
+// TraceEvents returns the events this node's runtimes recorded for the
+// array — the last traceDepth of each, oldest first per runtime. Each
+// ring is read on the runtime goroutine that writes it, so the cluster
+// must be running and the caller must not be a runtime goroutine.
+func (a *Array) TraceEvents() []TraceEvent {
+	parts := make([][]TraceEvent, a.node.Runtimes())
+	var wg sync.WaitGroup
+	for r := range parts {
+		wg.Add(1)
+		a.node.Runtime(r).Submit(func(rt *cluster.Runtime) {
+			defer wg.Done()
+			parts[r] = a.rstate(rt).recent()
+		})
 	}
-	a.tr.ring[a.tr.pos] = ev
-	a.tr.pos++
-	if a.tr.pos == len(a.tr.ring) {
-		a.tr.pos = 0
-		a.tr.full = true
-	}
-	a.tr.mu.Unlock()
+	wg.Wait()
+	return slices.Concat(parts...)
 }
 
 // MergedTrace interleaves the recorded events of several node handles
 // into one cluster-wide timeline ordered by virtual time (ties broken by
-// node, then per-node sequence). Because virtual time is the simulated
+// node, runtime, then sequence). Because virtual time is the simulated
 // causal order, the merged view reads as "what the cluster did", not
 // "what each node separately remembers" — the usual first step when
 // debugging a cross-node coherence interaction.
@@ -116,13 +125,17 @@ func MergedTrace(arrays ...*Array) []TraceEvent {
 		out = append(out, a.TraceEvents()...)
 	}
 	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].VT != out[j].VT {
-			return out[i].VT < out[j].VT
+		x, y := out[i], out[j]
+		if x.VT != y.VT {
+			return x.VT < y.VT
 		}
-		if out[i].Node != out[j].Node {
-			return out[i].Node < out[j].Node
+		if x.Node != y.Node {
+			return x.Node < y.Node
 		}
-		return out[i].Seq < out[j].Seq
+		if x.Runtime != y.Runtime {
+			return x.Runtime < y.Runtime
+		}
+		return x.Seq < y.Seq
 	})
 	return out
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"darray/internal/cluster"
+	"darray/internal/core"
 )
 
 // Buckets and records are read and written whole. These tests hold the
@@ -169,30 +170,56 @@ func TestSameBucketSameTagBothResolve(t *testing.T) {
 	})
 }
 
-// The cost of a Get in calls to the array underneath (ctx.Stats.Ops
-// counts one per lock call and one per chunk piece of a range): the lock
-// pair, one range per bucket walked, one per record whose tag matched.
-// On an unchained bucket with no tag collision that is exactly 4.
+// counted is a WordStore that counts the calls made to it in *calls.
+type counted struct {
+	WordStore
+	calls *int64
+}
+
+func (s counted) GetRange(ctx *cluster.Ctx, i int64, dst []uint64) {
+	*s.calls++
+	s.WordStore.GetRange(ctx, i, dst)
+}
+
+func (s counted) SetRange(ctx *cluster.Ctx, i int64, src []uint64) {
+	*s.calls++
+	s.WordStore.SetRange(ctx, i, src)
+}
+
+func (s counted) RLock(ctx *cluster.Ctx, i int64)  { *s.calls++; s.WordStore.RLock(ctx, i) }
+func (s counted) WLock(ctx *cluster.Ctx, i int64)  { *s.calls++; s.WordStore.WLock(ctx, i) }
+func (s counted) Unlock(ctx *cluster.Ctx, i int64) { *s.calls++; s.WordStore.Unlock(ctx, i) }
+
+// The cost of a Get in calls to the arrays underneath: the lock pair, one
+// range per bucket walked, one per record whose tag matched. On an
+// unchained bucket with no tag collision that is exactly 4. Buckets and
+// the records below lie inside one chunk each, so every range call is a
+// single chunk acquisition.
 func TestGetIsOneAccessPerBucketAndPerTagMatch(t *testing.T) {
 	c := tc(t, 1)
 	c.Run(func(n *cluster.Node) {
 		ctx := n.NewCtx(0)
-		getOps := func(s *Store, key []byte) int64 {
+		newCounted := func(cfg Config) (*Store, *int64) {
+			calls := new(int64)
+			ew, bw := Sizes(cfg, 1)
+			return New(n, counted{core.New(n, ew), calls}, counted{core.New(n, bw), calls}, cfg), calls
+		}
+		getOps := func(s *Store, calls *int64, key []byte) int64 {
 			t.Helper()
-			before := ctx.Stats.Ops
+			before := *calls
 			if _, err := s.Get(ctx, key); err != nil {
 				t.Errorf("get %q: %v", key, err)
 			}
-			return ctx.Stats.Ops - before
+			return *calls - before
 		}
 
 		// Both stores first: arrays are created before traffic starts.
-		wide := NewDArray(n, Config{Buckets: 64, ByteWords: 1 << 17})
-		chain := NewDArray(n, Config{Buckets: 1, ByteWords: 1 << 17})
+		wide, wideCalls := newCounted(Config{Buckets: 64, ByteWords: 1 << 17})
+		chain, chainCalls := newCounted(Config{Buckets: 1, ByteWords: 1 << 17})
 		if err := wide.Put(ctx, []byte("only"), []byte("value")); err != nil {
 			t.Error(err)
 		}
-		if got := getOps(wide, []byte("only")); got != 4 {
+		if got := getOps(wide, wideCalls, []byte("only")); got != 4 {
 			t.Errorf("hit Get on an unchained bucket made %d core calls, want 4 (RLock, bucket, record, Unlock)", got)
 		}
 
@@ -216,7 +243,7 @@ func TestGetIsOneAccessPerBucketAndPerTagMatch(t *testing.T) {
 				}
 			}
 			buckets := int64(i/entriesPerBkt + 1)
-			if got, want := getOps(chain, key(i)), 2+buckets+matches; got != want {
+			if got, want := getOps(chain, chainCalls, key(i)), 2+buckets+matches; got != want {
 				t.Errorf("Get of key %d (bucket %d of its chain, %d tag matches) made %d core calls, want %d",
 					i, buckets, matches, got, want)
 			}
