@@ -34,9 +34,12 @@ locks:
 # — plus the four reproducers of a coherence command arriving during such
 # a stall. Four cores, race detector, ten rounds: the count is what
 # catches a hang that shows one run in three, the bound what reports it.
+# Last, ten seconds of FuzzSlab against its model of the slab region;
+# minimizing a long new input would otherwise eat most of them.
 kvs:
 	GOMAXPROCS=4 $(GO) test -race -count=10 -timeout 120s ./internal/kvs/ ./internal/gam/ ./internal/gamkvs/
 	GOMAXPROCS=4 $(GO) test -race -count=10 -timeout 120s -run 'TestStalled' ./internal/core/
+	$(GO) test -run '^$$' -fuzz=FuzzSlab -fuzztime=10s -fuzzminimizetime=1s ./internal/kvs/
 
 vet:
 	$(GO) vet ./...

@@ -38,7 +38,7 @@ type Config struct {
 	// Cache geometry defaults used by systems built on the cluster.
 	ChunkWords    int // elements (8-byte words) per chunk; default 512
 	CacheChunks   int // cache capacity per runtime thread, in chunks; default 1024
-	PrefetchAhead int // chunks prefetched on a sequential miss; default 2, -1 disables
+	PrefetchAhead int // chunks prefetched after every read miss, sequential or not; default 2, -1 disables (and the Get detector too)
 
 	// Transmit-path batching (paper §4.5, BCL-style aggregation). The Tx
 	// thread drains up to TxBurst queued work requests per doorbell; the

@@ -25,8 +25,10 @@ func (a *Array) cacheRequest(rt *cluster.Runtime, d *dentry, w *waiter) {
 }
 
 // issueRequest sends the protocol request matching the first waiter's
-// need and, for sequential read misses, issues prefetches (paper §4.2:
-// prefetch lives in the slow path so it never taxes the fast path).
+// need and, after every read request, prefetches the chunks that follow
+// (paper §4.2: prefetch lives in the slow path so it never taxes the fast
+// path). It does not check that the miss continued a run: a random read
+// miss prefetches too, and those fills are mostly wasted.
 func (a *Array) issueRequest(rt *cluster.Runtime, d *dentry) {
 	w := d.waiters[0]
 	home := a.homeOfChunk(d.ci)
@@ -65,7 +67,8 @@ func (a *Array) issueRequest(rt *cluster.Runtime, d *dentry) {
 }
 
 // prefetch requests the next few chunks after ci if they are remote and
-// absent. The submissions go to the runtimes owning those chunks.
+// absent, whatever access pattern the read miss on ci came from. The
+// submissions go to the runtimes owning those chunks.
 // Speculative issue spends the requesting thread's spare window credit
 // (window minus in-flight demand): a busy pipeline gets no prefetch at
 // all, so speculation can never queue ahead of demand fetches.

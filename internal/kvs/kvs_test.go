@@ -181,87 +181,6 @@ func TestEntryPackingRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSlabAllocFree(t *testing.T) {
-	s := NewSlab(0, 1<<20)
-	a, err := s.Alloc(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := s.Alloc(10)
-	if err != nil || a == b {
-		t.Fatalf("second alloc = (%d, %v)", b, err)
-	}
-	s.Free(a, 10)
-	c2, err := s.Alloc(10)
-	if err != nil || c2 != a {
-		t.Fatalf("free list not reused: got %d, want %d", c2, a)
-	}
-}
-
-func TestSlabSizeClasses(t *testing.T) {
-	s := NewSlab(0, 1<<20)
-	if s.ChunkWords(1) != minChunkWords {
-		t.Errorf("min class = %d, want %d", s.ChunkWords(1), minChunkWords)
-	}
-	last := int64(0)
-	for n := int64(1); n <= defaultPageWords; n *= 2 {
-		c := s.ChunkWords(n)
-		if c < n {
-			t.Errorf("class for %d words is %d (< requested)", n, c)
-		}
-		if c < last {
-			t.Errorf("class sizes not monotone")
-		}
-		last = c
-	}
-	if s.ChunkWords(defaultPageWords+1) != -1 {
-		t.Error("oversize request should have no class")
-	}
-}
-
-func TestSlabExhaustion(t *testing.T) {
-	s := NewSlab(0, defaultPageWords) // exactly one page
-	if _, err := s.Alloc(minChunkWords); err != nil {
-		t.Fatal(err)
-	}
-	// Allocating a different class needs a second page → must fail.
-	if _, err := s.Alloc(defaultPageWords / 2); err == nil {
-		t.Fatal("expected exhaustion error")
-	}
-}
-
-// Property: distinct live allocations never overlap.
-func TestSlabNoOverlapQuick(t *testing.T) {
-	f := func(sizes []uint8) bool {
-		s := NewSlab(0, 1<<22)
-		type alloc struct{ off, cap, n int64 }
-		var live []alloc
-		for _, raw := range sizes {
-			n := int64(raw%200) + 1
-			off, err := s.Alloc(n)
-			if err != nil {
-				return true // exhaustion is fine
-			}
-			capW := s.ChunkWords(n)
-			for _, l := range live {
-				if off < l.off+l.cap && l.off < off+capW {
-					return false // overlap
-				}
-			}
-			live = append(live, alloc{off, capW, n})
-			if len(live) > 4 && raw%3 == 0 {
-				l := live[0]
-				live = live[1:]
-				s.Free(l.off, l.n)
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // A store that is dropped is garbage at the next collection. Its scratch
 // pool once sat inside the Store, and the runtime's process-wide list of
 // pools in use then kept the store — and through its arrays the whole

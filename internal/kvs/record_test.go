@@ -265,7 +265,7 @@ func TestWarmGetAllocatesOnlyItsValue(t *testing.T) {
 		c.Barrier(ctx)
 		if n.ID() == 0 {
 			key, val := []byte("user00000000000000000042"), make([]byte, 100)
-			for i := 0; i < 50; i++ { // warm the pools, the slab's free list, the gate
+			for i := 0; i < 50; i++ { // warm the pools, the slab's page reuse, the gate
 				s.Put(ctx, key, val)
 				s.Get(ctx, key)
 			}
