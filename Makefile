@@ -10,9 +10,11 @@ test:
 
 # The concurrency-heavy packages under the race detector: the coherence
 # protocol, the telemetry registry, the fault-injected fabric, the
-# lock-free queues, the streaming bench, and the layers between them.
+# lock-free queues, the streaming bench, the graph engine (whose
+# multithreaded passes range-write disjoint words of one chunk), and the
+# layers between them.
 race:
-	$(GO) test -race ./internal/core/... ./internal/telemetry/... ./internal/cluster/... ./internal/fabric/... ./internal/fault/... ./internal/chaos/... ./internal/queue/... ./internal/bench/... ./internal/cc/... ./internal/kvs/... ./internal/gam/... ./internal/gamkvs/...
+	$(GO) test -race ./internal/core/... ./internal/telemetry/... ./internal/cluster/... ./internal/fabric/... ./internal/fault/... ./internal/chaos/... ./internal/queue/... ./internal/bench/... ./internal/cc/... ./internal/kvs/... ./internal/gam/... ./internal/gamkvs/... ./internal/engine/...
 
 # Lock-protocol gate: the element-lock, reader-lease and reader-gate
 # tests (grant policy, the gate word's transitions, message-free and
@@ -84,7 +86,8 @@ chaos:
 
 # Function-shipping smoke: the RMW-heavy hotspot crossover tables
 # (skew x ship mode) at CI scale, plus the crossover acceptance gate
-# (auto >= 1.5x off at theta=0.99, auto within 5% of off at theta=0).
+# (auto >= 1.5x off at theta=0.99, auto within 5% of off at theta=0)
+# and the estimator's unit tests, the amortized-flush veto among them.
 hotspot:
 	$(GO) run ./cmd/darray-bench -fig hotspot -max-nodes 6
 	$(GO) test -run 'TestHotspot|TestShip' -count=1 ./internal/bench/ ./internal/core/

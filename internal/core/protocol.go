@@ -755,12 +755,13 @@ func (a *Array) collapseOperated(rt *cluster.Runtime, d *dentry, cont func(rt *c
 // arrive while the chunk is still Operated).
 func (a *Array) handleOpFlush(rt *cluster.Runtime, d *dentry, m *fabric.Message, svt int64) {
 	op := a.op(OpID(m.OpID))
-	a.mergeOperands(d, m.Data, op)
+	merged := a.mergeOperands(d, m.Data, op)
 	a.Metrics.OpMerges.Add(1)
 	if m.Flag {
 		a.Metrics.OpMergesVoluntary.Add(1)
 	} else {
 		a.Metrics.OpMergesRecalled.Add(1)
+		a.noteFlush(d, merged)
 	}
 	d.opNodes &^= 1 << uint(m.From)
 	d.tvt = maxi64(d.tvt, svt+a.copyCost(len(m.Data)))
@@ -775,13 +776,17 @@ func (a *Array) handleOpFlush(rt *cluster.Runtime, d *dentry, m *fabric.Message,
 	}
 }
 
-func (a *Array) mergeOperands(d *dentry, buf []uint64, op *Op) {
+// mergeOperands folds buf into the home chunk and returns how many
+// non-identity operands it merged.
+func (a *Array) mergeOperands(d *dentry, buf []uint64, op *Op) int {
 	id := op.Identity
 	fn := op.Fn
+	merged := 0
 	for i, v := range buf {
 		if v == id {
 			continue
 		}
+		merged++
 		addr := &d.data[i]
 		for {
 			old := atomic.LoadUint64(addr)
@@ -790,4 +795,5 @@ func (a *Array) mergeOperands(d *dentry, buf []uint64, op *Op) {
 			}
 		}
 	}
+	return merged
 }

@@ -30,6 +30,10 @@ func TestSingleChunkRangeAllocatesNothing(t *testing.T) {
 			if got := testing.AllocsPerRun(200, func() { a.SetRange(ctx, 64+5, buf) }); got != 0 {
 				t.Errorf("single-chunk SetRange allocates %.2f per call, want 0", got)
 			}
+			// Fill walks the node's four chunks the same way.
+			if got := testing.AllocsPerRun(200, func() { a.Fill(ctx, 7) }); got != 0 {
+				t.Errorf("Fill allocates %.2f per call, want 0", got)
+			}
 			// A cached remote chunk is no different once resident.
 			const remote = 4*64 + 9
 			a.SetRange(ctx, remote, buf)

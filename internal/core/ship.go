@@ -27,7 +27,9 @@ import (
 // operate-family signals serveHome already sees (distinct requesters,
 // Operated add-node/collapse churn, and the virtual-time rate at which
 // they arrive) and flips the chunk between cached and shipped with
-// hysteresis. Caches learn the home's decision from the mode hint
+// hysteresis. A collapse whose recalled flushes carry many operands is
+// the cached path amortizing, not thrashing, so it vetoes the flip to
+// shipped for its window (shipAmortized). Caches learn the home's decision from the mode hint
 // piggybacked on every msgShipReply and msgOpGrant; a stale hint is
 // only ever suboptimal, never incorrect, because the home applies
 // shipped ops in every directory state.
@@ -78,6 +80,17 @@ const (
 	// chunk has cooled well past the hot threshold.
 	shipDownNodes = 1*16 + 8
 	shipColdSpan  = 1_600_000 * 16
+
+	// shipAmortized is the operand count at which a recalled flush shows
+	// the cached path paying off. A combiner's cached cycle costs it
+	// about two round trips (the Operated grant, then the recall and its
+	// flush) however many operands it combined; shipping the same operands
+	// costs one round trip each. So a flush of two or more already beats
+	// shipping, and eight leaves a 4x margin. Hot RMW chunks flush 0-1
+	// operands per recall (each node re-reads between updates); a
+	// bulk-synchronous scatter (PageRank, CC) flushes dozens, and its
+	// collapse churn is the barrier's, not contention.
+	shipAmortized = 8
 )
 
 // shipEstimator is the per-chunk contention estimator, owned by the
@@ -93,7 +106,8 @@ type shipEstimator struct {
 	churnX16 int32 // EWMA: churn events per window, ×16
 	spanX16  int64 // EWMA: window duration in virtual ns, ×16
 
-	shipped bool // current mode: true = shipped, false = cached
+	amortized bool // this window merged a recalled flush of >= shipAmortized operands
+	shipped   bool // current mode: true = shipped, false = cached
 }
 
 // note feeds one operate-family event (a remote Operate request or a
@@ -119,9 +133,10 @@ func (e *shipEstimator) note(from int, churn int32, nowVT int64) bool {
 	e.nodesX16 += (nodes - e.nodesX16) >> shipAlpha
 	e.churnX16 += (ch - e.churnX16) >> shipAlpha
 	e.spanX16 += (span - e.spanX16) >> shipAlpha
-	e.reqMask, e.events, e.churn = 0, 0, 0
+	amortized := e.amortized
+	e.reqMask, e.events, e.churn, e.amortized = 0, 0, 0, false
 	if !e.shipped {
-		if e.nodesX16 >= shipUpNodes && e.churnX16 >= shipUpChurn && e.spanX16 <= shipHotSpan {
+		if !amortized && e.nodesX16 >= shipUpNodes && e.churnX16 >= shipUpChurn && e.spanX16 <= shipHotSpan {
 			e.shipped = true
 			return true
 		}
@@ -137,6 +152,15 @@ func (e *shipEstimator) note(from int, churn int32, nowVT int64) bool {
 // bump records one churn event (an Operated collapse) outside a request
 // arrival; it is folded into the current window.
 func (e *shipEstimator) bump() { e.churn++ }
+
+// flushed records a recalled flush that merged n non-identity operands:
+// one of at least shipAmortized keeps the current window from flipping
+// the chunk to shipped.
+func (e *shipEstimator) flushed(n int) {
+	if n >= shipAmortized {
+		e.amortized = true
+	}
+}
 
 // noteShip feeds the home-side estimator from a directory event. Only
 // auto mode estimates, and only with a vtime model attached — the rate
@@ -155,6 +179,14 @@ func (a *Array) noteShip(d *dentry, from int, churn int32) {
 func (a *Array) bumpShip(d *dentry) {
 	if a.shipMode == shipAuto && a.model != nil {
 		d.obs.ship.bump()
+	}
+}
+
+// noteFlush feeds the estimator a recalled flush of n merged operands
+// (same gating as noteShip).
+func (a *Array) noteFlush(d *dentry, n int) {
+	if a.shipMode == shipAuto && a.model != nil {
+		d.obs.ship.flushed(n)
 	}
 }
 

@@ -127,6 +127,36 @@ func TestShipEstimatorNoFlapping(t *testing.T) {
 	}
 }
 
+// TestShipAmortizedFlushVetoesFlip: the hot, churny, 3-requester
+// traffic of TestShipEstimatorFlipsUp, with one recalled flush per
+// window. Flushes of 0-1 operands (a hot RMW chunk's) still flip it to
+// shipped, once; a flush of shipAmortized operands (bulk-synchronous
+// combining's) marks every window amortized and the chunk stays cached.
+func TestShipAmortizedFlushVetoesFlip(t *testing.T) {
+	run := func(operands int) (flips int, shipped bool) {
+		var e shipEstimator
+		vt := int64(0)
+		for k := 0; k < 6*shipWindow; k++ {
+			vt += 1_000
+			if k%shipWindow == 0 {
+				e.flushed(operands)
+			}
+			if e.note(1+k%3, 1, vt) {
+				flips++
+			}
+		}
+		return flips, e.shipped
+	}
+	for _, n := range []int{0, 1} {
+		if flips, shipped := run(n); flips != 1 || !shipped {
+			t.Errorf("%d-operand flushes: flips=%d shipped=%v, want one flip to shipped", n, flips, shipped)
+		}
+	}
+	if flips, shipped := run(shipAmortized); flips != 0 || shipped {
+		t.Errorf("%d-operand flushes: flips=%d shipped=%v, want the chunk to stay cached", shipAmortized, flips, shipped)
+	}
+}
+
 // ---------------------------------------------------------------------------
 // Whole-array parity and crossover behaviour.
 

@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"darray/internal/cluster"
+	"darray/internal/trace"
 )
 
 // F64 is a float64-typed view of an Array: the same distributed storage
@@ -47,11 +48,23 @@ func (v I64) Set(ctx *cluster.Ctx, i int64, x int64) {
 
 // Fill sets every element this node homes to x (a common collective
 // initialization idiom: each node fills its own partition, then the
-// cluster barriers).
+// cluster barriers). It writes a chunk per acquisition, charged like a
+// single-chunk SetRange, and needs no source buffer.
 func (a *Array) Fill(ctx *cluster.Ctx, x uint64) {
 	lo, hi := a.LocalRange()
-	for i := lo; i < hi; i++ {
-		a.Set(ctx, i, x)
+	for i := lo; i < hi; {
+		var p Pin
+		if !a.acquire(ctx, &p, i, wantPinWrite, 0, trace.Ctx{}) {
+			return // cluster failed; see ctx.Err
+		}
+		end := mini64(hi, p.limit)
+		w := p.d.data[i-p.base : end-p.base]
+		for k := range w {
+			w[k] = x
+		}
+		a.chargeCopy(ctx, trace.Ctx{}, p.d.ci, end-i)
+		p.Unpin(ctx)
+		i = end
 	}
 }
 

@@ -86,9 +86,11 @@ const (
 )
 
 // PageRank runs iters rounds of synchronous PageRank and returns this
-// node's local slice of the final ranks. usePin selects the DArray-Pin
-// variant (paper Figure 16's DArray-Pin series): local sequential reads
-// and remote combining both run through pinned chunks.
+// node's local slice of the final ranks. Init, gather and read-back walk
+// the local vertex range a chunk at a time; scatter combines per edge
+// through Apply. usePin selects the DArray-Pin variant (paper Figure 16's
+// DArray-Pin series): scatter reads curr through a pinned chunk instead
+// of one Get per vertex; its remote combining is the same unpinned Apply.
 func (eg *Graph) PageRank(ctx *cluster.Ctx, iters int, usePin bool) []float64 {
 	c := eg.node.Cluster()
 	curr := eg.newStateArray().AsF64()
@@ -97,33 +99,76 @@ func (eg *Graph) PageRank(ctx *cluster.Ctx, iters int, usePin bool) []float64 {
 	_ = next.RegisterOp(core.OpAddF64) // same id on the other array
 	n := eg.csr.N
 
-	init := 1.0 / float64(n)
-	curr.FillF64(ctx, init)
+	curr.FillF64(ctx, 1.0/float64(n))
 	next.FillF64(ctx, 0)
 	c.Barrier(ctx)
 
+	cw := curr.ChunkWords()
+	buf, zeros := make([]uint64, cw), make([]uint64, cw)
 	for it := 0; it < iters; it++ {
 		eg.scatterAdd(ctx, curr, next, add, usePin)
 		c.Barrier(ctx)
-		// Gather: fold damping; reuse curr as the next iteration's input.
-		base := (1 - prDamping) / float64(n)
-		for u := eg.lo; u < eg.hi; u++ {
-			r := base + prDamping*next.Get(ctx, u)
-			curr.Set(ctx, u, r)
-			next.Array.Set(ctx, u, 0)
-		}
+		eg.gatherRanks(ctx, curr.Array, next.Array, eg.lo, eg.hi, buf, zeros)
 		c.Barrier(ctx)
 	}
-	out := make([]float64, eg.hi-eg.lo)
-	for u := eg.lo; u < eg.hi; u++ {
-		out[u-eg.lo] = curr.Get(ctx, u)
-	}
+	out := eg.readF64(ctx, curr.Array, buf)
 	c.Barrier(ctx)
 	return out
 }
 
+// gatherRanks folds damping into the ranks of [lo, hi) a chunk at a
+// time: curr = base + d·next, and next is zeroed for the next scatter.
+// buf and zeros are chunk-sized scratch; zeros stays all zero.
+func (eg *Graph) gatherRanks(ctx *cluster.Ctx, curr, next *core.Array, lo, hi int64, buf, zeros []uint64) {
+	base := (1 - prDamping) / float64(eg.csr.N)
+	eachChunk(lo, hi, curr.ChunkWords(), func(lo, hi int64) {
+		b := buf[:hi-lo]
+		next.GetRange(ctx, lo, b)
+		for k, v := range b {
+			b[k] = math.Float64bits(base + prDamping*math.Float64frombits(v))
+		}
+		curr.SetRange(ctx, lo, b)
+		next.SetRange(ctx, lo, zeros[:hi-lo])
+	})
+}
+
+// readF64 returns this node's slice of a as float64s, read a chunk at a
+// time through the chunk-sized buf.
+func (eg *Graph) readF64(ctx *cluster.Ctx, a *core.Array, buf []uint64) []float64 {
+	out := make([]float64, eg.hi-eg.lo)
+	eachChunk(eg.lo, eg.hi, a.ChunkWords(), func(lo, hi int64) {
+		b := buf[:hi-lo]
+		a.GetRange(ctx, lo, b)
+		for k, v := range b {
+			out[lo-eg.lo+int64(k)] = math.Float64frombits(v)
+		}
+	})
+	return out
+}
+
+// readU64 returns this node's slice of a, read a chunk at a time.
+func (eg *Graph) readU64(ctx *cluster.Ctx, a *core.Array) []uint64 {
+	out := make([]uint64, eg.hi-eg.lo)
+	eachChunk(eg.lo, eg.hi, a.ChunkWords(), func(lo, hi int64) {
+		a.GetRange(ctx, lo, out[lo-eg.lo:hi-eg.lo])
+	})
+	return out
+}
+
+// eachChunk calls fn on the pieces of [lo, hi) that each lie inside one
+// chunk of cw words, in order: the unit a GetRange or SetRange serves
+// with one acquisition and no allocation.
+func eachChunk(lo, hi, cw int64, fn func(lo, hi int64)) {
+	for lo < hi {
+		end := min(hi, (lo/cw+1)*cw)
+		fn(lo, end)
+		lo = end
+	}
+}
+
 // scatterAdd pushes curr[u]/deg(u) to every out-neighbor through the
-// Operate interface. With usePin, the reads of curr walk pinned chunks.
+// Operate interface. With usePin, the reads of curr walk pinned chunks;
+// the Apply calls are unpinned either way.
 func (eg *Graph) scatterAdd(ctx *cluster.Ctx, curr, next core.F64, add core.OpID, usePin bool) {
 	if !usePin {
 		for u := eg.lo; u < eg.hi; u++ {
@@ -138,14 +183,9 @@ func (eg *Graph) scatterAdd(ctx *cluster.Ctx, curr, next core.F64, add core.OpID
 		}
 		return
 	}
-	cw := curr.ChunkWords()
-	for base := eg.lo; base < eg.hi; {
-		p := curr.PinRead(ctx, base)
-		limit := p.Limit()
-		if limit > eg.hi {
-			limit = eg.hi
-		}
-		for u := base; u < limit; u++ {
+	eachChunk(eg.lo, eg.hi, curr.ChunkWords(), func(lo, hi int64) {
+		p := curr.PinRead(ctx, lo)
+		for u := lo; u < hi; u++ {
 			deg := eg.csr.OutDegree(u)
 			if deg == 0 {
 				continue
@@ -156,8 +196,7 @@ func (eg *Graph) scatterAdd(ctx *cluster.Ctx, curr, next core.F64, add core.OpID
 			}
 		}
 		p.Unpin(ctx)
-		base = (base/cw + 1) * cw
-	}
+	})
 }
 
 // reverse returns the transpose graph, built once per cluster and
@@ -171,7 +210,9 @@ func (eg *Graph) reverse() *graph.CSR {
 
 // ConnectedComponents runs min-label propagation over the undirected
 // view of the graph until a fixed point, returning this node's labels
-// and the number of iterations.
+// and the number of iterations. Like PageRank it initializes, gathers and
+// reads back a chunk at a time; usePin reads curr through a pinned chunk
+// in scatter, whose Apply calls are the same either way.
 func (eg *Graph) ConnectedComponents(ctx *cluster.Ctx, usePin bool) ([]uint64, int) {
 	c := eg.node.Cluster()
 	eg.reverse() // materialize before timing-sensitive loops
@@ -180,10 +221,9 @@ func (eg *Graph) ConnectedComponents(ctx *cluster.Ctx, usePin bool) ([]uint64, i
 	min := curr.RegisterOp(core.OpMinU64)
 	_ = next.RegisterOp(core.OpMinU64)
 
-	for u := eg.lo; u < eg.hi; u++ {
-		curr.Set(ctx, u, uint64(u))
-		next.Set(ctx, u, ^uint64(0))
-	}
+	cw := curr.ChunkWords()
+	cb, nb, infs := make([]uint64, cw), make([]uint64, cw), make([]uint64, cw)
+	eg.initLabels(ctx, curr, next, cb, infs)
 	c.Barrier(ctx)
 
 	iters := 0
@@ -192,25 +232,55 @@ func (eg *Graph) ConnectedComponents(ctx *cluster.Ctx, usePin bool) ([]uint64, i
 		eg.scatterMin(ctx, curr, next, min, usePin)
 		c.Barrier(ctx)
 		changed := 0.0
-		for u := eg.lo; u < eg.hi; u++ {
-			cl := curr.Get(ctx, u)
-			if nl := next.Get(ctx, u); nl < cl {
-				curr.Set(ctx, u, nl)
-				changed = 1
-			}
-			next.Set(ctx, u, ^uint64(0))
+		if eg.gatherLabels(ctx, curr, next, eg.lo, eg.hi, cb, nb, infs) {
+			changed = 1
 		}
 		if c.AllReduceSum(ctx, changed) == 0 {
 			break
 		}
 		c.Barrier(ctx)
 	}
-	out := make([]uint64, eg.hi-eg.lo)
-	for u := eg.lo; u < eg.hi; u++ {
-		out[u-eg.lo] = curr.Get(ctx, u)
-	}
+	out := eg.readU64(ctx, curr)
 	c.Barrier(ctx)
 	return out, iters
+}
+
+// initLabels labels every local vertex with its own id in curr and sets
+// next to the min identity, through chunk-sized scratch buf and infs; it
+// leaves infs all ones for gatherLabels.
+func (eg *Graph) initLabels(ctx *cluster.Ctx, curr, next *core.Array, buf, infs []uint64) {
+	for k := range infs {
+		infs[k] = ^uint64(0)
+	}
+	eachChunk(eg.lo, eg.hi, curr.ChunkWords(), func(lo, hi int64) {
+		b := buf[:hi-lo]
+		for k := range b {
+			b[k] = uint64(lo) + uint64(k)
+		}
+		curr.SetRange(ctx, lo, b)
+	})
+	next.Fill(ctx, ^uint64(0))
+}
+
+// gatherLabels lowers curr to next's combined minimum over [lo, hi) a
+// chunk at a time and resets next to the identity (infs, all ones). It
+// reports whether any label fell.
+func (eg *Graph) gatherLabels(ctx *cluster.Ctx, curr, next *core.Array, lo, hi int64, cb, nb, infs []uint64) bool {
+	changed := false
+	eachChunk(lo, hi, curr.ChunkWords(), func(lo, hi int64) {
+		cl, nl := cb[:hi-lo], nb[:hi-lo]
+		curr.GetRange(ctx, lo, cl)
+		next.GetRange(ctx, lo, nl)
+		for k, v := range nl {
+			if v < cl[k] {
+				cl[k] = v
+				changed = true
+			}
+		}
+		curr.SetRange(ctx, lo, cl)
+		next.SetRange(ctx, lo, infs[:hi-lo])
+	})
+	return changed
 }
 
 func (eg *Graph) scatterMin(ctx *cluster.Ctx, curr, next *core.Array, min core.OpID, usePin bool) {
@@ -230,56 +300,51 @@ func (eg *Graph) scatterMin(ctx *cluster.Ctx, curr, next *core.Array, min core.O
 		}
 		return
 	}
-	cw := curr.ChunkWords()
-	for base := eg.lo; base < eg.hi; {
-		p := curr.PinRead(ctx, base)
-		limit := p.Limit()
-		if limit > eg.hi {
-			limit = eg.hi
-		}
-		for u := base; u < limit; u++ {
+	eachChunk(eg.lo, eg.hi, curr.ChunkWords(), func(lo, hi int64) {
+		p := curr.PinRead(ctx, lo)
+		for u := lo; u < hi; u++ {
 			push(u, p.Get(ctx, u))
 		}
 		p.Unpin(ctx)
-		base = (base/cw + 1) * cw
-	}
+	})
 }
 
 // BFS computes hop distances from root with level-synchronous
 // min-propagation (an extension beyond the paper's two applications).
-// Unreachable vertices get ^uint64(0).
+// Unreachable vertices get ^uint64(0). Each level scans the local range
+// a chunk at a time: an Apply only ever writes level+1, so a chunk read
+// before this level's Applies land picks out the same frontier.
 func (eg *Graph) BFS(ctx *cluster.Ctx, root int64) []uint64 {
 	c := eg.node.Cluster()
 	dist := eg.newStateArray()
 	min := dist.RegisterOp(core.OpMinU64)
-	inf := ^uint64(0)
-	for u := eg.lo; u < eg.hi; u++ {
-		dist.Set(ctx, u, inf)
-	}
+	dist.Fill(ctx, ^uint64(0))
 	c.Barrier(ctx)
 	if root >= eg.lo && root < eg.hi {
 		dist.Set(ctx, root, 0)
 	}
 	c.Barrier(ctx)
+	buf := make([]uint64, dist.ChunkWords())
 	for level := uint64(0); ; level++ {
 		advanced := 0.0
-		for u := eg.lo; u < eg.hi; u++ {
-			if dist.Get(ctx, u) != level {
-				continue
+		eachChunk(eg.lo, eg.hi, dist.ChunkWords(), func(lo, hi int64) {
+			b := buf[:hi-lo]
+			dist.GetRange(ctx, lo, b)
+			for k, d := range b {
+				if d != level {
+					continue
+				}
+				for _, v := range eg.csr.Neighbors(lo + int64(k)) {
+					dist.Apply(ctx, min, v, level+1)
+					advanced = 1
+				}
 			}
-			for _, v := range eg.csr.Neighbors(u) {
-				dist.Apply(ctx, min, v, level+1)
-				advanced = 1
-			}
-		}
+		})
 		if c.AllReduceSum(ctx, advanced) == 0 {
 			break
 		}
 	}
-	out := make([]uint64, eg.hi-eg.lo)
-	for u := eg.lo; u < eg.hi; u++ {
-		out[u-eg.lo] = dist.Get(ctx, u)
-	}
+	out := eg.readU64(ctx, dist)
 	c.Barrier(ctx)
 	return out
 }

@@ -49,16 +49,21 @@ func (eg *GamGraph) reverse() *graph.CSR {
 }
 
 // PageRank runs iters rounds of synchronous PageRank over GAM arrays.
+// Init, gather and read-back move the local range with GAM's ranged
+// Read/Write (one lock-path access per chunk piece), as DArray's engine
+// does with its range calls; scatter is one exclusive Atomic per edge.
 func (eg *GamGraph) PageRank(ctx *cluster.Ctx, iters int) []float64 {
 	c := eg.node.Cluster()
 	curr := gam.New(eg.node, eg.csr.N)
 	next := gam.New(eg.node, eg.csr.N)
 	n := eg.csr.N
+	buf, zeros := make([]uint64, eg.hi-eg.lo), make([]uint64, eg.hi-eg.lo)
 	init := math.Float64bits(1.0 / float64(n))
-	for u := eg.lo; u < eg.hi; u++ {
-		curr.Set(ctx, u, init)
-		next.Set(ctx, u, 0)
+	for k := range buf {
+		buf[k] = init
 	}
+	curr.SetRange(ctx, eg.lo, buf)
+	next.SetRange(ctx, eg.lo, zeros)
 	c.Barrier(ctx)
 	for it := 0; it < iters; it++ {
 		for u := eg.lo; u < eg.hi; u++ {
@@ -77,32 +82,37 @@ func (eg *GamGraph) PageRank(ctx *cluster.Ctx, iters int) []float64 {
 		}
 		c.Barrier(ctx)
 		base := (1 - prDamping) / float64(n)
-		for u := eg.lo; u < eg.hi; u++ {
-			r := base + prDamping*math.Float64frombits(next.Get(ctx, u))
-			curr.Set(ctx, u, math.Float64bits(r))
-			next.Set(ctx, u, 0)
+		next.GetRange(ctx, eg.lo, buf)
+		for k, v := range buf {
+			buf[k] = math.Float64bits(base + prDamping*math.Float64frombits(v))
 		}
+		curr.SetRange(ctx, eg.lo, buf)
+		next.SetRange(ctx, eg.lo, zeros)
 		c.Barrier(ctx)
 	}
+	curr.GetRange(ctx, eg.lo, buf)
 	out := make([]float64, eg.hi-eg.lo)
-	for u := eg.lo; u < eg.hi; u++ {
-		out[u-eg.lo] = math.Float64frombits(curr.Get(ctx, u))
+	for k, v := range buf {
+		out[k] = math.Float64frombits(v)
 	}
 	c.Barrier(ctx)
 	return out
 }
 
-// ConnectedComponents runs min-label propagation over GAM arrays.
+// ConnectedComponents runs min-label propagation over GAM arrays, with
+// PageRank's ranged init, gather and read-back.
 func (eg *GamGraph) ConnectedComponents(ctx *cluster.Ctx) ([]uint64, int) {
 	c := eg.node.Cluster()
 	rev := eg.reverse()
 	curr := gam.New(eg.node, eg.csr.N)
 	next := gam.New(eg.node, eg.csr.N)
-	inf := ^uint64(0)
-	for u := eg.lo; u < eg.hi; u++ {
-		curr.Set(ctx, u, uint64(u))
-		next.Set(ctx, u, inf)
+	cb, nb, infs := make([]uint64, eg.hi-eg.lo), make([]uint64, eg.hi-eg.lo), make([]uint64, eg.hi-eg.lo)
+	for k := range cb {
+		cb[k] = uint64(eg.lo) + uint64(k)
+		infs[k] = ^uint64(0)
 	}
+	curr.SetRange(ctx, eg.lo, cb)
+	next.SetRange(ctx, eg.lo, infs)
 	c.Barrier(ctx)
 	minOp := func(label uint64) func(uint64) uint64 {
 		return func(old uint64) uint64 {
@@ -126,23 +136,22 @@ func (eg *GamGraph) ConnectedComponents(ctx *cluster.Ctx) ([]uint64, int) {
 		}
 		c.Barrier(ctx)
 		changed := 0.0
-		for u := eg.lo; u < eg.hi; u++ {
-			cl := curr.Get(ctx, u)
-			if nl := next.Get(ctx, u); nl < cl {
-				curr.Set(ctx, u, nl)
+		curr.GetRange(ctx, eg.lo, cb)
+		next.GetRange(ctx, eg.lo, nb)
+		for k, nl := range nb {
+			if nl < cb[k] {
+				cb[k] = nl
 				changed = 1
 			}
-			next.Set(ctx, u, inf)
 		}
+		curr.SetRange(ctx, eg.lo, cb)
+		next.SetRange(ctx, eg.lo, infs)
 		if c.AllReduceSum(ctx, changed) == 0 {
 			break
 		}
 		c.Barrier(ctx)
 	}
-	out := make([]uint64, eg.hi-eg.lo)
-	for u := eg.lo; u < eg.hi; u++ {
-		out[u-eg.lo] = curr.Get(ctx, u)
-	}
+	curr.GetRange(ctx, eg.lo, cb)
 	c.Barrier(ctx)
-	return out, iters
+	return cb, iters
 }

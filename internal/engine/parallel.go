@@ -27,6 +27,8 @@ func (eg *Graph) PageRankMT(node *cluster.Node, iters, t int, usePin bool) []flo
 	next.FillF64(root, 0)
 	c.Barrier(root)
 
+	cw := curr.ChunkWords()
+	zeros := make([]uint64, cw) // read-only, shared by the gather threads
 	for it := 0; it < iters; it++ {
 		eg.parallelRange(node, t, func(ctx *cluster.Ctx, lo, hi int64) {
 			for u := lo; u < hi; u++ {
@@ -41,19 +43,12 @@ func (eg *Graph) PageRankMT(node *cluster.Node, iters, t int, usePin bool) []flo
 			}
 		})
 		c.Barrier(root)
-		base := (1 - prDamping) / float64(n)
 		eg.parallelRange(node, t, func(ctx *cluster.Ctx, lo, hi int64) {
-			for u := lo; u < hi; u++ {
-				curr.Set(ctx, u, base+prDamping*next.Get(ctx, u))
-				next.Array.Set(ctx, u, 0)
-			}
+			eg.gatherRanks(ctx, curr.Array, next.Array, lo, hi, make([]uint64, cw), zeros)
 		})
 		c.Barrier(root)
 	}
-	out := make([]float64, eg.hi-eg.lo)
-	for u := eg.lo; u < eg.hi; u++ {
-		out[u-eg.lo] = curr.Get(root, u)
-	}
+	out := eg.readF64(root, curr.Array, make([]uint64, cw))
 	c.Barrier(root)
 	return out
 }
@@ -68,10 +63,9 @@ func (eg *Graph) ConnectedComponentsMT(node *cluster.Node, t int) ([]uint64, int
 	_ = next.RegisterOp(core.OpMinU64)
 
 	root := node.NewCtx(0)
-	for u := eg.lo; u < eg.hi; u++ {
-		curr.Set(root, u, uint64(u))
-		next.Set(root, u, ^uint64(0))
-	}
+	cw := curr.ChunkWords()
+	infs := make([]uint64, cw)
+	eg.initLabels(root, curr, next, make([]uint64, cw), infs)
 	c.Barrier(root)
 	iters := 0
 	for {
@@ -90,13 +84,8 @@ func (eg *Graph) ConnectedComponentsMT(node *cluster.Node, t int) ([]uint64, int
 		c.Barrier(root)
 		var changed atomicFloat
 		eg.parallelRange(node, t, func(ctx *cluster.Ctx, lo, hi int64) {
-			for u := lo; u < hi; u++ {
-				cl := curr.Get(ctx, u)
-				if nl := next.Get(ctx, u); nl < cl {
-					curr.Set(ctx, u, nl)
-					changed.set()
-				}
-				next.Set(ctx, u, ^uint64(0))
+			if eg.gatherLabels(ctx, curr, next, lo, hi, make([]uint64, cw), make([]uint64, cw), infs) {
+				changed.set()
 			}
 		})
 		if c.AllReduceSum(root, changed.get()) == 0 {
@@ -104,10 +93,7 @@ func (eg *Graph) ConnectedComponentsMT(node *cluster.Node, t int) ([]uint64, int
 		}
 		c.Barrier(root)
 	}
-	out := make([]uint64, eg.hi-eg.lo)
-	for u := eg.lo; u < eg.hi; u++ {
-		out[u-eg.lo] = curr.Get(root, u)
-	}
+	out := eg.readU64(root, curr)
 	c.Barrier(root)
 	return out, iters
 }

@@ -12,7 +12,8 @@ import (
 // Bellman-Ford-style rounds of min-combining (an extension beyond the
 // paper's two applications, exercising OpMinF64 through the Operated
 // state). Unreachable vertices get +Inf. All nodes must pass the same
-// weighted view of the engine's topology.
+// weighted view of the engine's topology. Init, gather and read-back go
+// a chunk at a time, as in PageRank.
 func (eg *Graph) SSSP(ctx *cluster.Ctx, w *graph.WCSR, root int64) []float64 {
 	if w.N != eg.csr.N {
 		panic("engine: weighted view does not match the engine's graph")
@@ -24,16 +25,16 @@ func (eg *Graph) SSSP(ctx *cluster.Ctx, w *graph.WCSR, root int64) []float64 {
 	_ = next.RegisterOp(core.OpMinF64)
 
 	inf := math.Inf(1)
-	for u := eg.lo; u < eg.hi; u++ {
-		dist.Set(ctx, u, inf)
-		next.Set(ctx, u, inf)
-	}
+	dist.FillF64(ctx, inf)
+	next.FillF64(ctx, inf)
 	c.Barrier(ctx)
 	if root >= eg.lo && root < eg.hi {
 		dist.Set(ctx, root, 0)
 	}
 	c.Barrier(ctx)
 
+	cw := dist.ChunkWords()
+	dbuf, nbuf := make([]uint64, cw), make([]uint64, cw)
 	for {
 		// Relax every local vertex's out-edges into next.
 		for u := eg.lo; u < eg.hi; u++ {
@@ -48,23 +49,26 @@ func (eg *Graph) SSSP(ctx *cluster.Ctx, w *graph.WCSR, root int64) []float64 {
 		}
 		c.Barrier(ctx)
 		changed := 0.0
-		for u := eg.lo; u < eg.hi; u++ {
-			du := dist.Get(ctx, u)
-			if nu := next.Get(ctx, u); nu < du {
-				dist.Set(ctx, u, nu)
-				changed = 1
+		eachChunk(eg.lo, eg.hi, cw, func(lo, hi int64) {
+			db, nb := dbuf[:hi-lo], nbuf[:hi-lo]
+			dist.GetRange(ctx, lo, db)
+			next.GetRange(ctx, lo, nb)
+			for k, nu := range nb {
+				if math.Float64frombits(nu) < math.Float64frombits(db[k]) {
+					db[k] = nu
+					changed = 1
+				}
+				nb[k] = math.Float64bits(inf)
 			}
-			next.Set(ctx, u, inf)
-		}
+			dist.SetRange(ctx, lo, db)
+			next.SetRange(ctx, lo, nb)
+		})
 		if c.AllReduceSum(ctx, changed) == 0 {
 			break
 		}
 		c.Barrier(ctx)
 	}
-	out := make([]float64, eg.hi-eg.lo)
-	for u := eg.lo; u < eg.hi; u++ {
-		out[u-eg.lo] = dist.Get(ctx, u)
-	}
+	out := eg.readF64(ctx, dist.Array, dbuf)
 	c.Barrier(ctx)
 	return out
 }
