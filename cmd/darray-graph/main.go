@@ -99,7 +99,7 @@ func runDArray(c *cluster.Cluster, n *cluster.Node, g *graph.CSR, app string, pi
 	case "pagerank":
 		var local []float64
 		if threads > 1 {
-			local = eg.PageRankMT(n, iters, threads, pin)
+			local = eg.PageRankMT(ctx, iters, threads, pin)
 		} else {
 			local = eg.PageRank(ctx, iters, pin)
 		}
@@ -115,7 +115,7 @@ func runDArray(c *cluster.Cluster, n *cluster.Node, g *graph.CSR, app string, pi
 		var labels []uint64
 		var rounds int
 		if threads > 1 {
-			labels, rounds = eg.ConnectedComponentsMT(n, threads)
+			labels, rounds = eg.ConnectedComponentsMT(ctx, threads, pin)
 		} else {
 			labels, rounds = eg.ConnectedComponents(ctx, pin)
 		}

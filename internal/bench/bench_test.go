@@ -215,6 +215,27 @@ func TestCalibrateProducesSaneCosts(t *testing.T) {
 		t.Errorf("pinned access (%d) should not exceed the plain fast path (%d)",
 			m.PinAccess, m.GetHit)
 	}
+	// A pinned Apply has no field of its own: it is charged PinAccess plus
+	// the CAS premium of an Apply hit over a Get hit.
+	t.Logf("%-13s %9d %9d  (PinAccess+ApplyHit-GetHit; %d from the measured fields)",
+		"pinned Apply", measurePinnedApply(), rec.PinAccess+rec.ApplyHit-rec.GetHit,
+		m.PinAccess+m.ApplyHit-m.GetHit)
+}
+
+// measurePinnedApply times one Apply through a PinOperate on this host.
+func measurePinnedApply() int64 {
+	c := cluster.New(cluster.Config{Nodes: 1, CacheChunks: 256})
+	defer c.Close()
+	var ns int64
+	c.Run(func(node *cluster.Node) {
+		ctx := node.NewCtx(0)
+		arr := core.New(node, 1<<15)
+		p := arr.PinOperate(ctx, 0, arr.RegisterOp(core.OpAddU64))
+		lim := p.Limit()
+		ns = measure(func(i int64) { p.Apply(ctx, i%lim, 1) })
+		p.Unpin(ctx)
+	})
+	return ns
 }
 
 func TestFindAndRegistry(t *testing.T) {

@@ -20,7 +20,7 @@ func TestSingleNodeSweepsAreExact(t *testing.T) {
 		"darray-pin": {
 			"read":    chunks*m.GetHit + words*m.PinAccess,
 			"write":   chunks*m.GetHit + words*m.PinAccess,
-			"operate": chunks*m.GetHit + words*m.PinAccess,
+			"operate": chunks*m.GetHit + words*(m.PinAccess+m.ApplyHit-m.GetHit),
 		},
 		"gam": {
 			"read":    words * (m.GetHit + m.GamAccess),

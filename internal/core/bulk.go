@@ -129,9 +129,11 @@ func (a *Array) ApplyRange(ctx *cluster.Ctx, op OpID, i int64, src []uint64) {
 		end := i + int64(len(src))
 		a.rangePipeline(ctx, ciLo, ciHi, wantPinOperate, op, i, nil, func(p *Pin, _ bool) {
 			lo, hi := maxi64(i, p.base), mini64(end, p.limit)
+			t1 := ctx.Clock.Now()
 			for k := lo; k < hi; k++ {
 				p.Apply(ctx, k, src[k-i])
 			}
+			a.noteRun(ctx, tc, p.d.ci, hi-lo, t1)
 		}, tc)
 		return
 	}
@@ -139,10 +141,82 @@ func (a *Array) ApplyRange(ctx *cluster.Ctx, op OpID, i int64, src []uint64) {
 	if !a.acquire(ctx, &p, i, wantPinOperate, op, tc) {
 		return // cluster failed; see ctx.Err
 	}
+	t1 := ctx.Clock.Now()
 	for k, v := range src {
 		p.Apply(ctx, i+int64(k), v)
 	}
+	a.noteRun(ctx, tc, p.d.ci, int64(len(src)), t1)
 	p.Unpin(ctx)
+}
+
+// ApplyAt combines src[k] into element idx[k] for every k under the
+// registered operator: ApplyRange's sibling for scattered indices. Each
+// maximal run of consecutive entries of idx inside one chunk takes one
+// Operate acquisition and combines through the pin, so the run pays the
+// delay-flag/refcnt control path once instead of per element; a run on a
+// chunk in shipped mode goes through Apply per element, which ships it.
+// Entries need not be sorted, but a caller that groups them by chunk
+// (propagation blocking) gets one acquisition per chunk. A call
+// allocates nothing.
+func (a *Array) ApplyAt(ctx *cluster.Ctx, op OpID, idx []int64, src []uint64) {
+	if len(idx) != len(src) {
+		panic(fmt.Sprintf("core: ApplyAt with %d indices and %d operands", len(idx), len(src)))
+	}
+	if len(idx) == 0 {
+		return
+	}
+	var tc trace.Ctx
+	var t0 int64
+	if a.trc != nil {
+		tc, t0 = a.rootSpan(ctx)
+		if tc.Trace != 0 {
+			defer a.endRoot(ctx, tc, "ApplyAt", idx[0]/a.sh.chunkWords, t0)
+		}
+	}
+	for k := 0; k < len(idx); {
+		ci, _ := a.locate(idx[k])
+		end := k + 1
+		for end < len(idx) {
+			if c, _ := a.locate(idx[end]); c != ci {
+				break
+			}
+			end++
+		}
+		if a.shipMode != shipOff && a.shipWanted(&a.dents[ci], ci, op) {
+			for ; k < end; k++ {
+				a.Apply(ctx, op, idx[k], src[k])
+			}
+			continue
+		}
+		var p Pin
+		if !a.acquire(ctx, &p, idx[k], wantPinOperate, op, tc) {
+			return // cluster failed; see ctx.Err
+		}
+		n, t1 := int64(end-k), ctx.Clock.Now()
+		for ; k < end; k++ {
+			p.Apply(ctx, idx[k], src[k])
+		}
+		a.noteRun(ctx, tc, p.d.ci, n, t1)
+		p.Unpin(ctx)
+	}
+}
+
+// noteCombines counts n combines a pinned run made: Pin.Apply counts
+// nothing itself, so the bulk Operate calls add a run's length at once.
+func (a *Array) noteCombines(n int64) {
+	if a.telOn() {
+		a.Metrics.Combines.Add(n)
+	}
+}
+
+// noteRun accounts a pinned run of n combines on chunk ci that started at
+// virtual time t1: it counts them and, when the range op tc is sampled,
+// gives the run's CAS time a span of its own.
+func (a *Array) noteRun(ctx *cluster.Ctx, tc trace.Ctx, ci, n, t1 int64) {
+	a.noteCombines(n)
+	if tc.Trace != 0 {
+		a.child(tc, a.self(), trace.StageService, "pinned-apply", ci, t1, ctx.Clock.Now())
+	}
 }
 
 // Reduce folds the whole array through the registered operator on the

@@ -41,8 +41,9 @@ func TestProtocolFuzzSeeds(t *testing.T) {
 // TestProtocolFuzzShipModes reruns the mixed-workload fuzz with function
 // shipping forced on and in adaptive mode (with a cost model attached so
 // the estimator is live and mode flips interleave with in-flight locks,
-// pins, and ApplyRange batches). The oracle and invariant checks are
-// identical to the baseline matrix — shipping must be invisible.
+// pins, ApplyRange batches and ApplyAt runs). The oracle and invariant
+// checks are identical to the baseline matrix — shipping must be
+// invisible.
 func TestProtocolFuzzShipModes(t *testing.T) {
 	type shape struct {
 		nodes, runtimes, cache int
@@ -111,7 +112,7 @@ func fuzzOnce(t *testing.T, nodes, runtimes, cache int, seed int64, ship string)
 				// updates, odd elements take locked updates.
 				iApply := i &^ 1
 				iLock := i | 1
-				switch rng.Intn(10) {
+				switch rng.Intn(11) {
 				case 0:
 					_ = a.Get(root, i)
 				case 1:
@@ -189,6 +190,19 @@ func fuzzOnce(t *testing.T, nodes, runtimes, cache int, seed int64, ship string)
 					mu.Lock()
 					oracle[h] += 2
 					mu.Unlock()
+				case 10:
+					// Scattered combining: even elements anywhere in the mixed
+					// region, in runs that revisit chunks (ApplyAt).
+					idx := make([]int64, 1+rng.Intn(24))
+					vals := make([]uint64, len(idx))
+					mu.Lock()
+					for j := range idx {
+						idx[j] = int64(rng.Intn(elems)) &^ 1
+						vals[j] = 1
+						oracle[idx[j]]++
+					}
+					mu.Unlock()
+					a.ApplyAt(root, add, idx, vals)
 				}
 			}
 			c.Barrier(root)

@@ -191,14 +191,16 @@ func (p *Pin) Set(ctx *cluster.Ctx, i int64, v uint64) {
 }
 
 // Apply combines operand into element i through the pin. Requires a
-// PinOperate (or PinWrite on the home node, where RW implies Operate).
+// PinOperate. The pin skips the control path but not the element CAS, so
+// it is charged PinAccess plus the CAS premium an Apply hit pays over a
+// Get hit (ApplyHit - GetHit).
 func (p *Pin) Apply(ctx *cluster.Ctx, i int64, operand uint64) {
 	p.check(i)
 	if p.apFn == nil {
 		panic("core: Apply through a pin that was not PinOperate")
 	}
 	if m := p.a.model; m != nil {
-		ctx.Clock.Advance(m.PinAccess)
+		ctx.Clock.Advance(m.PinAccess + m.ApplyHit - m.GetHit)
 	}
 	addr := &p.d.data[i-p.base]
 	for {

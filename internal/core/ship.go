@@ -440,6 +440,7 @@ func (a *Array) applyRangeShipped(ctx *cluster.Ctx, op OpID, i int64, src []uint
 				p.Apply(ctx, k, src[k-i])
 			}
 			p.Unpin(ctx)
+			a.noteCombines(hi - lo)
 			continue
 		}
 		if ctx.Err() != nil {

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math"
+	"sort"
 	"sync"
 	"testing"
 
@@ -20,11 +21,12 @@ func passCost(m *vtime.Model, n, cw int64) int64 {
 	return vt
 }
 
-// TestChunkPassesAreExact pins the local passes' virtual cost. On one
-// node every access is a home hit and no message is sent, so PageRank
-// and CC advance the clock by closed forms in the model's CPU fields:
-// scatter pays per edge (ApplyHit) and per vertex read (GetHit), and
-// init, gather and read-back pay per chunk. The chunk size leaves the
+// TestChunkPassesAreExact pins the engine's virtual cost. On one node
+// every access is a home hit and no message is sent, so PageRank and CC
+// advance the clock by closed forms in the model's CPU fields: scatter
+// pays per vertex read (GetHit), per destination block (one acquisition,
+// GetHit) and per edge (a pinned Apply, PinAccess + ApplyHit - GetHit),
+// and init, gather and read-back pay per chunk. The chunk size leaves the
 // last chunk partial.
 func TestChunkPassesAreExact(t *testing.T) {
 	const (
@@ -42,14 +44,16 @@ func TestChunkPassesAreExact(t *testing.T) {
 		}
 	}
 	pass := passCost(m, g.N, cw)
+	pinnedApply := m.PinAccess + m.ApplyHit - m.GetHit
 	c.Run(func(n *cluster.Node) {
 		eg := NewGraph(n, g)
-		eg.reverse()
+		blocks := func(pl *pushList) int64 { return int64(len(pl.blocks) - 1) }
 		ctx := n.NewCtx(0)
 
 		t0 := ctx.Clock.Now()
 		eg.PageRank(ctx, iters, false)
-		want := 2*pass + iters*(g.Edges()*m.ApplyHit+nonDangling*m.GetHit+3*pass) + pass
+		scatter := nonDangling*m.GetHit + blocks(eg.outList())*m.GetHit + g.Edges()*pinnedApply
+		want := 2*pass + iters*(scatter+3*pass) + pass
 		if got := ctx.Clock.Now() - t0; got != want {
 			t.Errorf("PageRank advanced the clock %d vns, want %d", got, want)
 		}
@@ -58,12 +62,49 @@ func TestChunkPassesAreExact(t *testing.T) {
 		_, ccIters := eg.ConnectedComponents(ctx, false)
 		// Scatter reads every label and pushes along out- and in-edges;
 		// gather reads curr and next and writes both back.
-		perIter := g.N*m.GetHit + 2*g.Edges()*m.ApplyHit + 4*pass
-		want = 2*pass + int64(ccIters)*perIter + pass
+		scatter = g.N*m.GetHit + blocks(eg.undirectedList())*m.GetHit + 2*g.Edges()*pinnedApply
+		want = 2*pass + int64(ccIters)*(scatter+4*pass) + pass
 		if got := ctx.Clock.Now() - t0; got != want {
 			t.Errorf("ConnectedComponents (%d iterations) advanced the clock %d vns, want %d", ccIters, got, want)
 		}
 	})
+}
+
+// TestPushListGroupsByChunk: the push list holds every local edge once,
+// grouped into one block per non-empty destination chunk in chunk
+// order, and inside a block in the order of a per-vertex walk, so each
+// destination receives its operands in source order.
+func TestPushListGroupsByChunk(t *testing.T) {
+	const cw = 64
+	g := testGraph()
+	lo, hi := int64(37), g.N-101
+	pl := newPushList(lo, hi, g.N, cw, g, g.Reverse())
+	var want [][2]int64 // (dst, src) in walk order, later grouped stably
+	for u := lo; u < hi; u++ {
+		for _, adj := range []*graph.CSR{g, g.Reverse()} {
+			for _, v := range adj.Neighbors(u) {
+				want = append(want, [2]int64{v, u})
+			}
+		}
+	}
+	sort.SliceStable(want, func(i, j int) bool { return want[i][0]/cw < want[j][0]/cw })
+	if len(pl.dst) != len(want) {
+		t.Fatalf("push list holds %d edges, want %d", len(pl.dst), len(want))
+	}
+	for k, e := range want {
+		if pl.dst[k] != e[0] || lo+int64(pl.src[k]) != e[1] {
+			t.Fatalf("edge %d is %d->%d, want %d->%d", k, lo+int64(pl.src[k]), pl.dst[k], e[1], e[0])
+		}
+	}
+	for b := 0; b+1 < len(pl.blocks); b++ {
+		s, e := pl.blocks[b], pl.blocks[b+1]
+		if s >= e || pl.dst[s]/cw != pl.dst[e-1]/cw || (b > 0 && pl.dst[s-1]/cw >= pl.dst[s]/cw) {
+			t.Fatalf("block %d [%d, %d) is not one whole destination chunk", b, s, e)
+		}
+	}
+	if pl.blocks[0] != 0 || pl.blocks[len(pl.blocks)-1] != len(pl.dst) {
+		t.Fatalf("blocks %v do not span the list", pl.blocks)
+	}
 }
 
 // TestPageRankAutoShipNeverFlips: bulk-synchronous combining is the

@@ -29,6 +29,12 @@ type Graph struct {
 	lo, hi int64 // local vertex range
 
 	arrays []*core.Array // state arrays created by this handle
+
+	// Scatter state, built on first use and reused by every later call
+	// (push.go): the push lists, each local vertex's value to push, and
+	// the operands of one scatter.
+	out, undirected *pushList
+	vals, ops       []uint64
 }
 
 // NewGraph collectively wraps csr for the cluster.
@@ -69,6 +75,8 @@ func (eg *Graph) LocalRange() (int64, int64) { return eg.lo, eg.hi }
 // CSR returns the topology.
 func (eg *Graph) CSR() *graph.CSR { return eg.csr }
 
+func (eg *Graph) chunkWords() int64 { return int64(eg.node.Cluster().Config().ChunkWords) }
+
 func (eg *Graph) newStateArray() *core.Array {
 	starts := eg.bounds[:len(eg.bounds)-1] // per-node start offsets
 	a := core.New(eg.node, eg.csr.N, core.Options{PartitionOffset: starts})
@@ -87,32 +95,40 @@ const (
 
 // PageRank runs iters rounds of synchronous PageRank and returns this
 // node's local slice of the final ranks. Init, gather and read-back walk
-// the local vertex range a chunk at a time; scatter combines per edge
-// through Apply. usePin selects the DArray-Pin variant (paper Figure 16's
-// DArray-Pin series): scatter reads curr through a pinned chunk instead
-// of one Get per vertex; its remote combining is the same unpinned Apply.
+// the local vertex range a chunk at a time; scatter pushes each vertex's
+// share a destination chunk at a time (push.go). usePin selects the
+// DArray-Pin variant (paper Figure 16's DArray-Pin series): scatter reads
+// curr through one pinned chunk at a time instead of one Get per vertex;
+// the combining is the same ApplyAt either way.
 func (eg *Graph) PageRank(ctx *cluster.Ctx, iters int, usePin bool) []float64 {
+	return eg.pageRank(eg.soloTeam(ctx), iters, usePin)
+}
+
+func (eg *Graph) pageRank(tm *team, iters int, usePin bool) []float64 {
+	root := tm.root
 	c := eg.node.Cluster()
-	curr := eg.newStateArray().AsF64()
-	next := eg.newStateArray().AsF64()
+	pl := eg.outList()
+	curr := eg.newStateArray()
+	next := eg.newStateArray()
 	add := curr.RegisterOp(core.OpAddF64)
 	_ = next.RegisterOp(core.OpAddF64) // same id on the other array
-	n := eg.csr.N
 
-	curr.FillF64(ctx, 1.0/float64(n))
-	next.FillF64(ctx, 0)
-	c.Barrier(ctx)
+	curr.Fill(root, math.Float64bits(1.0/float64(eg.csr.N)))
+	next.Fill(root, 0)
+	c.Barrier(root)
 
-	cw := curr.ChunkWords()
-	buf, zeros := make([]uint64, cw), make([]uint64, cw)
 	for it := 0; it < iters; it++ {
-		eg.scatterAdd(ctx, curr, next, add, usePin)
-		c.Barrier(ctx)
-		eg.gatherRanks(ctx, curr.Array, next.Array, eg.lo, eg.hi, buf, zeros)
-		c.Barrier(ctx)
+		eg.scatter(tm, curr, next, add, pl, usePin, true)
+		c.Barrier(root)
+		tm.vertices(eg.lo, eg.hi, func(ctx *cluster.Ctx, k int, lo, hi int64) {
+			buf, zeros := tm.scratch(k)
+			eg.gatherRanks(ctx, curr, next, lo, hi, buf, zeros)
+		})
+		c.Barrier(root)
 	}
-	out := eg.readF64(ctx, curr.Array, buf)
-	c.Barrier(ctx)
+	buf, _ := tm.scratch(0)
+	out := eg.readF64(root, curr, buf)
+	c.Barrier(root)
 	return out
 }
 
@@ -166,39 +182,6 @@ func eachChunk(lo, hi, cw int64, fn func(lo, hi int64)) {
 	}
 }
 
-// scatterAdd pushes curr[u]/deg(u) to every out-neighbor through the
-// Operate interface. With usePin, the reads of curr walk pinned chunks;
-// the Apply calls are unpinned either way.
-func (eg *Graph) scatterAdd(ctx *cluster.Ctx, curr, next core.F64, add core.OpID, usePin bool) {
-	if !usePin {
-		for u := eg.lo; u < eg.hi; u++ {
-			deg := eg.csr.OutDegree(u)
-			if deg == 0 {
-				continue
-			}
-			contrib := curr.Get(ctx, u) / float64(deg)
-			for _, v := range eg.csr.Neighbors(u) {
-				next.Apply(ctx, add, v, contrib)
-			}
-		}
-		return
-	}
-	eachChunk(eg.lo, eg.hi, curr.ChunkWords(), func(lo, hi int64) {
-		p := curr.PinRead(ctx, lo)
-		for u := lo; u < hi; u++ {
-			deg := eg.csr.OutDegree(u)
-			if deg == 0 {
-				continue
-			}
-			contrib := math.Float64frombits(p.Get(ctx, u)) / float64(deg)
-			for _, v := range eg.csr.Neighbors(u) {
-				next.Apply(ctx, add, v, contrib)
-			}
-		}
-		p.Unpin(ctx)
-	})
-}
-
 // reverse returns the transpose graph, built once per cluster and
 // shared read-only by every node.
 func (eg *Graph) reverse() *graph.CSR {
@@ -211,38 +194,55 @@ func (eg *Graph) reverse() *graph.CSR {
 // ConnectedComponents runs min-label propagation over the undirected
 // view of the graph until a fixed point, returning this node's labels
 // and the number of iterations. Like PageRank it initializes, gathers and
-// reads back a chunk at a time; usePin reads curr through a pinned chunk
-// in scatter, whose Apply calls are the same either way.
+// reads back a chunk at a time and scatters a destination chunk at a
+// time, over out- and in-edges; usePin reads curr through a pinned chunk
+// in scatter.
 func (eg *Graph) ConnectedComponents(ctx *cluster.Ctx, usePin bool) ([]uint64, int) {
+	return eg.connectedComponents(eg.soloTeam(ctx), usePin)
+}
+
+func (eg *Graph) connectedComponents(tm *team, usePin bool) ([]uint64, int) {
+	root := tm.root
 	c := eg.node.Cluster()
-	eg.reverse() // materialize before timing-sensitive loops
+	pl := eg.undirectedList() // collective on first use: before any timing
 	curr := eg.newStateArray()
 	next := eg.newStateArray()
 	min := curr.RegisterOp(core.OpMinU64)
 	_ = next.RegisterOp(core.OpMinU64)
 
-	cw := curr.ChunkWords()
-	cb, nb, infs := make([]uint64, cw), make([]uint64, cw), make([]uint64, cw)
-	eg.initLabels(ctx, curr, next, cb, infs)
-	c.Barrier(ctx)
+	infs := make([]uint64, curr.ChunkWords())
+	buf, _ := tm.scratch(0)
+	eg.initLabels(root, curr, next, buf, infs)
+	c.Barrier(root)
 
+	changed := make([]bool, len(tm.ctxs))
 	iters := 0
 	for {
 		iters++
-		eg.scatterMin(ctx, curr, next, min, usePin)
-		c.Barrier(ctx)
-		changed := 0.0
-		if eg.gatherLabels(ctx, curr, next, eg.lo, eg.hi, cb, nb, infs) {
-			changed = 1
-		}
-		if c.AllReduceSum(ctx, changed) == 0 {
+		eg.scatter(tm, curr, next, min, pl, usePin, false)
+		c.Barrier(root)
+		tm.vertices(eg.lo, eg.hi, func(ctx *cluster.Ctx, k int, lo, hi int64) {
+			cb, nb := tm.scratch(k)
+			changed[k] = eg.gatherLabels(ctx, curr, next, lo, hi, cb, nb, infs)
+		})
+		if c.AllReduceSum(root, anyChanged(changed)) == 0 {
 			break
 		}
-		c.Barrier(ctx)
+		c.Barrier(root)
 	}
-	out := eg.readU64(ctx, curr)
-	c.Barrier(ctx)
+	out := eg.readU64(root, curr)
+	c.Barrier(root)
 	return out, iters
+}
+
+// anyChanged is 1 when any thread's gather lowered a label, else 0.
+func anyChanged(changed []bool) float64 {
+	for _, ch := range changed {
+		if ch {
+			return 1
+		}
+	}
+	return 0
 }
 
 // initLabels labels every local vertex with its own id in curr and sets
@@ -281,32 +281,6 @@ func (eg *Graph) gatherLabels(ctx *cluster.Ctx, curr, next *core.Array, lo, hi i
 		next.SetRange(ctx, lo, infs[:hi-lo])
 	})
 	return changed
-}
-
-func (eg *Graph) scatterMin(ctx *cluster.Ctx, curr, next *core.Array, min core.OpID, usePin bool) {
-	rev := eg.reverse()
-	// Undirected view: push the label along out-edges and in-edges.
-	push := func(u int64, label uint64) {
-		for _, v := range eg.csr.Neighbors(u) {
-			next.Apply(ctx, min, v, label)
-		}
-		for _, v := range rev.Neighbors(u) {
-			next.Apply(ctx, min, v, label)
-		}
-	}
-	if !usePin {
-		for u := eg.lo; u < eg.hi; u++ {
-			push(u, curr.Get(ctx, u))
-		}
-		return
-	}
-	eachChunk(eg.lo, eg.hi, curr.ChunkWords(), func(lo, hi int64) {
-		p := curr.PinRead(ctx, lo)
-		for u := lo; u < hi; u++ {
-			push(u, p.Get(ctx, u))
-		}
-		p.Unpin(ctx)
-	})
 }
 
 // BFS computes hop distances from root with level-synchronous

@@ -4,134 +4,94 @@ import (
 	"sync"
 
 	"darray/internal/cluster"
-	"darray/internal/core"
 )
 
 // Multithreaded variants: the paper's Figure 16 runs the engines with
-// all available cores per node. Each node's local vertex range is split
-// across t application threads; DArray's lock-free access path and the
-// Operated state's CAS combining are what let them share chunks without
-// engine-level locking.
+// all available cores per node. Each node's local vertex range, and its
+// push list's blocks, are split across t application threads; DArray's
+// lock-free access path and the Operated state's CAS combining are what
+// let them share chunks without engine-level locking. The single-threaded
+// calls run the same code on a team of one: the caller's own context.
 
-// PageRankMT runs PageRank with t application threads per node.
-func (eg *Graph) PageRankMT(node *cluster.Node, iters, t int, usePin bool) []float64 {
-	c := node.Cluster()
-	curr := eg.newStateArray().AsF64()
-	next := eg.newStateArray().AsF64()
-	add := curr.RegisterOp(core.OpAddF64)
-	_ = next.RegisterOp(core.OpAddF64)
-	n := eg.csr.N
-
-	root := node.NewCtx(0)
-	curr.FillF64(root, 1.0/float64(n))
-	next.FillF64(root, 0)
-	c.Barrier(root)
-
-	cw := curr.ChunkWords()
-	zeros := make([]uint64, cw) // read-only, shared by the gather threads
-	for it := 0; it < iters; it++ {
-		eg.parallelRange(node, t, func(ctx *cluster.Ctx, lo, hi int64) {
-			for u := lo; u < hi; u++ {
-				deg := eg.csr.OutDegree(u)
-				if deg == 0 {
-					continue
-				}
-				contrib := curr.Get(ctx, u) / float64(deg)
-				for _, v := range eg.csr.Neighbors(u) {
-					next.Apply(ctx, add, v, contrib)
-				}
-			}
-		})
-		c.Barrier(root)
-		eg.parallelRange(node, t, func(ctx *cluster.Ctx, lo, hi int64) {
-			eg.gatherRanks(ctx, curr.Array, next.Array, lo, hi, make([]uint64, cw), zeros)
-		})
-		c.Barrier(root)
-	}
-	out := eg.readF64(root, curr.Array, make([]uint64, cw))
-	c.Barrier(root)
-	return out
+// PageRankMT runs PageRank with t application threads per node; ctx is
+// the calling thread, which waits for the others and carries their
+// virtual time into the barriers.
+func (eg *Graph) PageRankMT(ctx *cluster.Ctx, iters, t int, usePin bool) []float64 {
+	return eg.pageRank(eg.newTeam(ctx, t), iters, usePin)
 }
 
 // ConnectedComponentsMT runs CC with t application threads per node.
-func (eg *Graph) ConnectedComponentsMT(node *cluster.Node, t int) ([]uint64, int) {
-	c := node.Cluster()
-	rev := eg.reverse()
-	curr := eg.newStateArray()
-	next := eg.newStateArray()
-	min := curr.RegisterOp(core.OpMinU64)
-	_ = next.RegisterOp(core.OpMinU64)
+func (eg *Graph) ConnectedComponentsMT(ctx *cluster.Ctx, t int, usePin bool) ([]uint64, int) {
+	return eg.connectedComponents(eg.newTeam(ctx, t), usePin)
+}
 
-	root := node.NewCtx(0)
-	cw := curr.ChunkWords()
-	infs := make([]uint64, cw)
-	eg.initLabels(root, curr, next, make([]uint64, cw), infs)
-	c.Barrier(root)
-	iters := 0
-	for {
-		iters++
-		eg.parallelRange(node, t, func(ctx *cluster.Ctx, lo, hi int64) {
-			for u := lo; u < hi; u++ {
-				label := curr.Get(ctx, u)
-				for _, v := range eg.csr.Neighbors(u) {
-					next.Apply(ctx, min, v, label)
-				}
-				for _, v := range rev.Neighbors(u) {
-					next.Apply(ctx, min, v, label)
-				}
-			}
-		})
-		c.Barrier(root)
-		var changed atomicFloat
-		eg.parallelRange(node, t, func(ctx *cluster.Ctx, lo, hi int64) {
-			if eg.gatherLabels(ctx, curr, next, lo, hi, make([]uint64, cw), make([]uint64, cw), infs) {
-				changed.set()
-			}
-		})
-		if c.AllReduceSum(root, changed.get()) == 0 {
-			break
+// team is the application threads of one engine call on a node, with
+// their contexts built once per call. Every phase starts each thread at
+// root's clock and ends with root at the latest thread's, so root's
+// barriers see the time the threads spent.
+type team struct {
+	root *cluster.Ctx
+	ctxs []*cluster.Ctx
+	scr  [][]uint64 // per thread: two chunks of scratch
+}
+
+// newTeam builds t threads (at least one) working for root.
+func (eg *Graph) newTeam(root *cluster.Ctx, t int) *team {
+	ctxs := make([]*cluster.Ctx, max(t, 1))
+	for k := range ctxs {
+		ctxs[k] = eg.node.NewCtx(k)
+	}
+	return eg.teamOf(root, ctxs)
+}
+
+// soloTeam is root working alone.
+func (eg *Graph) soloTeam(root *cluster.Ctx) *team {
+	return eg.teamOf(root, []*cluster.Ctx{root})
+}
+
+func (eg *Graph) teamOf(root *cluster.Ctx, ctxs []*cluster.Ctx) *team {
+	cw := eg.chunkWords()
+	tm := &team{root: root, ctxs: ctxs, scr: make([][]uint64, len(ctxs))}
+	for k := range tm.scr {
+		tm.scr[k] = make([]uint64, 2*cw)
+	}
+	return tm
+}
+
+// scratch returns thread k's two chunk-sized buffers. Both start zeroed.
+func (tm *team) scratch(k int) (a, b []uint64) {
+	s := tm.scr[k]
+	return s[:len(s)/2], s[len(s)/2:]
+}
+
+// run calls fn on every thread and waits for all of them.
+func (tm *team) run(fn func(ctx *cluster.Ctx, k int)) {
+	start := tm.root.Clock.Now()
+	for _, ctx := range tm.ctxs {
+		ctx.Clock.AdvanceTo(start)
+	}
+	if len(tm.ctxs) == 1 {
+		fn(tm.ctxs[0], 0)
+	} else {
+		var wg sync.WaitGroup
+		for k, ctx := range tm.ctxs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				fn(ctx, k)
+			}()
 		}
-		c.Barrier(root)
+		wg.Wait()
 	}
-	out := eg.readU64(root, curr)
-	c.Barrier(root)
-	return out, iters
-}
-
-// parallelRange splits this node's vertex range across t threads.
-func (eg *Graph) parallelRange(node *cluster.Node, t int, fn func(ctx *cluster.Ctx, lo, hi int64)) {
-	if t <= 1 {
-		fn(node.NewCtx(0), eg.lo, eg.hi)
-		return
+	for _, ctx := range tm.ctxs {
+		tm.root.Clock.AdvanceTo(ctx.Clock.Now())
 	}
-	span := eg.hi - eg.lo
-	var wg sync.WaitGroup
-	for i := 0; i < t; i++ {
-		lo := eg.lo + span*int64(i)/int64(t)
-		hi := eg.lo + span*int64(i+1)/int64(t)
-		wg.Add(1)
-		go func(tid int, lo, hi int64) {
-			defer wg.Done()
-			fn(node.NewCtx(tid), lo, hi)
-		}(i, lo, hi)
-	}
-	wg.Wait()
 }
 
-// atomicFloat is a tiny sticky changed-flag usable from many threads.
-type atomicFloat struct {
-	mu  sync.Mutex
-	val float64
-}
-
-func (a *atomicFloat) set() {
-	a.mu.Lock()
-	a.val = 1
-	a.mu.Unlock()
-}
-
-func (a *atomicFloat) get() float64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.val
+// vertices runs fn on every thread over its share of [lo, hi).
+func (tm *team) vertices(lo, hi int64, fn func(ctx *cluster.Ctx, k int, lo, hi int64)) {
+	t := int64(len(tm.ctxs))
+	tm.run(func(ctx *cluster.Ctx, k int) {
+		fn(ctx, k, lo+(hi-lo)*int64(k)/t, lo+(hi-lo)*int64(k+1)/t)
+	})
 }

@@ -1,0 +1,143 @@
+package engine
+
+import (
+	"math"
+	"sort"
+
+	"darray/internal/cluster"
+	"darray/internal/core"
+	"darray/internal/graph"
+)
+
+// Scatter is propagation blocking (Beamer, Asanović and Patterson, IPDPS
+// 2017) in DArray's Operate interface. A node's local edges are grouped
+// by destination chunk once; each iteration then reads every local
+// vertex's value, fills the operands privately, and combines each block
+// with one ApplyAt — one Operate acquisition per destination chunk
+// instead of one Apply control path per edge.
+
+// pushList is one node's edges grouped by destination chunk. A stable
+// counting sort builds it, so within a block the edges keep the order of
+// a per-vertex walk and every destination receives its operands in that
+// order.
+type pushList struct {
+	dst    []int64 // destination vertex of each edge
+	src    []int32 // its source, as an offset into the local vertex range
+	blocks []int   // edges blocks[b]:blocks[b+1] share a destination chunk
+}
+
+// newPushList groups the edges of [lo, hi) in every adjacency of adj
+// (for each vertex, adj[0]'s edges first) by destination chunk of cw
+// words, over n vertices.
+func newPushList(lo, hi, n, cw int64, adj ...*graph.CSR) *pushList {
+	nc := (n + cw - 1) / cw
+	start := make([]int, nc+1) // start[c+1] counts chunk c's edges, then prefix-sums
+	for _, g := range adj {
+		for _, v := range g.Dsts[g.Offs[lo]:g.Offs[hi]] {
+			start[v/cw+1]++
+		}
+	}
+	pl := &pushList{}
+	for c := int64(0); c < nc; c++ {
+		if start[c+1] > 0 {
+			pl.blocks = append(pl.blocks, start[c])
+		}
+		start[c+1] += start[c]
+	}
+	pl.blocks = append(pl.blocks, start[nc])
+	pl.dst, pl.src = make([]int64, start[nc]), make([]int32, start[nc])
+	for u := lo; u < hi; u++ {
+		for _, g := range adj {
+			for _, v := range g.Neighbors(u) {
+				k := start[v/cw]
+				start[v/cw]++
+				pl.dst[k], pl.src[k] = v, int32(u-lo)
+			}
+		}
+	}
+	return pl
+}
+
+// split returns thread k of t's blocks [b0, b1), balanced by edges.
+func (pl *pushList) split(k, t int) (b0, b1 int) {
+	at := func(k int) int { return sort.SearchInts(pl.blocks, len(pl.dst)*k/t) }
+	return at(k), at(k + 1)
+}
+
+// outList returns the node's out-edge push list (PageRank's), built on
+// first use.
+func (eg *Graph) outList() *pushList {
+	if eg.out == nil {
+		eg.out = newPushList(eg.lo, eg.hi, eg.csr.N, eg.chunkWords(), eg.csr)
+	}
+	return eg.out
+}
+
+// undirectedList returns the push list over out- and in-edges (CC's
+// undirected view), built on first use. It is collective on first use:
+// it materializes the transpose.
+func (eg *Graph) undirectedList() *pushList {
+	if eg.undirected == nil {
+		eg.undirected = newPushList(eg.lo, eg.hi, eg.csr.N, eg.chunkWords(), eg.csr, eg.reverse())
+	}
+	return eg.undirected
+}
+
+// scatter pushes every local vertex's value along pl into next under op:
+// the threads read values over the vertex range, then combine over pl's
+// blocks.
+func (eg *Graph) scatter(tm *team, curr, next *core.Array, op core.OpID, pl *pushList, usePin, ranks bool) {
+	if eg.vals == nil {
+		eg.vals = make([]uint64, eg.hi-eg.lo)
+	}
+	if len(eg.ops) < len(pl.dst) {
+		eg.ops = make([]uint64, len(pl.dst))
+	}
+	tm.vertices(eg.lo, eg.hi, func(ctx *cluster.Ctx, _ int, lo, hi int64) {
+		eg.loadVals(ctx, curr, lo, hi, usePin, ranks)
+	})
+	tm.run(func(ctx *cluster.Ctx, k int) {
+		b0, b1 := pl.split(k, len(tm.ctxs))
+		for b := b0; b < b1; b++ {
+			s, e := pl.blocks[b], pl.blocks[b+1]
+			ops := eg.ops[s:e]
+			for j, u := range pl.src[s:e] {
+				ops[j] = eg.vals[u]
+			}
+			next.ApplyAt(ctx, op, pl.dst[s:e], ops)
+		}
+	})
+}
+
+// loadVals sets the value each vertex of [lo, hi) pushes this iteration:
+// its label, or with ranks its rank over its out-degree (a dangling
+// vertex pushes nothing and is not read). curr is read with one Get per
+// vertex, or with usePin through one PinRead per chunk: that is the
+// DArray-Pin series' only difference.
+func (eg *Graph) loadVals(ctx *cluster.Ctx, curr *core.Array, lo, hi int64, usePin, ranks bool) {
+	eachChunk(lo, hi, curr.ChunkWords(), func(lo, hi int64) {
+		var p *core.Pin
+		if usePin {
+			p = curr.PinRead(ctx, lo)
+		}
+		for u := lo; u < hi; u++ {
+			deg := eg.csr.OutDegree(u)
+			if ranks && deg == 0 {
+				continue
+			}
+			var x uint64
+			if p != nil {
+				x = p.Get(ctx, u)
+			} else {
+				x = curr.Get(ctx, u)
+			}
+			if ranks {
+				x = math.Float64bits(math.Float64frombits(x) / float64(deg))
+			}
+			eg.vals[u-eg.lo] = x
+		}
+		if p != nil {
+			p.Unpin(ctx)
+		}
+	})
+}
