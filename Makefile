@@ -88,13 +88,15 @@ chaos:
 # (skew x ship mode) at CI scale, plus the crossover acceptance gate
 # (auto >= 1.5x off at theta=0.99, auto within 5% of off at theta=0)
 # and the estimator's unit tests, the amortized-flush veto among them.
-# Last, the scattered bulk Operate (ApplyAt: against per-element Apply on
-# home and remote chunks, under ship=on, per-run charges) on four cores
-# under the race detector.
+# Last, on four cores under the race detector: the scattered bulk Operate
+# (ApplyAt: against per-element Apply on home and remote chunks, under
+# ship=on, per-run charges), and the shipped paths, whose pooled waiters
+# hand their kept closure from one goroutine to the next, with the
+# one-rule request accounting and degradation tests that cover them.
 hotspot:
 	$(GO) run ./cmd/darray-bench -fig hotspot -max-nodes 6
 	$(GO) test -run 'TestHotspot|TestShip' -count=1 ./internal/bench/ ./internal/core/
-	GOMAXPROCS=4 $(GO) test -race -timeout 120s -count=1 -run 'TestApplyAt' ./internal/core/
+	GOMAXPROCS=4 $(GO) test -race -timeout 120s -count=1 -run 'TestApplyAt|TestShip|TestStatsAccounting|TestAllVerbsDegrade|TestPooledAllocsShipped' ./internal/core/
 
 # Congestion-control smoke: the multi-stream contention tables (cc.Adaptive
 # windows vs cc.Fixed ones through the same pipeline) at CI scale, plus

@@ -147,7 +147,7 @@ type Cluster struct {
 	telHandles []*telemetry.Collector
 
 	// First fatal fabric error (e.g. retry budget exhausted on an async
-	// send). failCh closes once so every blocked WaitResp unblocks and
+	// send). failCh closes once so every blocked Token.Wait unblocks and
 	// applications degrade instead of deadlocking.
 	failOnce sync.Once
 	failErr  error
@@ -524,9 +524,9 @@ type Ctx struct {
 	Rng   *rand.Rand
 	Stats Stats
 
-	resp chan Resp // reusable completion channel for slow-path waits
-	err  error     // first completion error observed by this thread
-	toks []*Token  // recycled completion tokens
+	resp Token    // the built-in completion slot WaitResp and Complete use
+	err  error    // first completion error observed by this thread
+	toks []*Token // recycled completion tokens
 
 	// ccs[dst] is this thread's congestion controller toward node dst.
 	// Built eagerly at NewCtx so runtime goroutines — the prefetcher
@@ -539,10 +539,10 @@ type Ctx struct {
 	// call allocates nothing per call).
 	Scratch any
 
-	// demand counts this thread's in-flight slow-path chunk requests
-	// (pipeline tokens plus the single synchronous request). Atomic:
-	// runtime goroutines read it to cap speculative prefetch issue by
-	// the thread's spare window credit.
+	// demand counts this thread's in-flight slow-path requests, one per
+	// token between DemandStart and DemandEnd. Atomic: runtime
+	// goroutines read it to cap speculative prefetch issue by the
+	// thread's spare window credit.
 	demand atomic.Int64
 }
 
@@ -574,7 +574,7 @@ type Resp struct {
 // CC returns this thread's congestion controller toward node dst.
 func (ctx *Ctx) CC(dst int) *cc.Controller { return ctx.ccs[dst] }
 
-// DemandStart records one slow-path chunk request entering flight.
+// DemandStart records one slow-path request entering flight.
 func (ctx *Ctx) DemandStart() { ctx.demand.Add(1) }
 
 // DemandEnd records its completion.
@@ -584,34 +584,23 @@ func (ctx *Ctx) DemandEnd() { ctx.demand.Add(-1) }
 // count. Safe from any goroutine.
 func (ctx *Ctx) DemandInflight() int64 { return ctx.demand.Load() }
 
-// WaitResp blocks until the thread's outstanding slow-path request
-// completes. A Ctx may have at most one outstanding request.
-//
-// If the cluster hits a fatal fabric error (a message the retransmission
-// budget could not deliver) the completion may never arrive; WaitResp
-// then returns a Resp carrying the cluster error so the thread degrades
-// instead of deadlocking.
+// WaitResp waits on the ctx's built-in token for the one completion a
+// runtime goroutine delivers through Complete, recording an error on the
+// ctx (see Token.Wait). The interface layer does not use it: each of its
+// requests takes a token of its own from AcquireToken.
 func (ctx *Ctx) WaitResp() Resp {
-	select {
-	case r := <-ctx.resp:
-		if r.Err != nil {
-			ctx.Fail(r.Err)
-		}
-		return r
-	case <-ctx.Node.c.failCh:
-		err := ctx.Node.c.failErr
-		ctx.Fail(err)
-		return Resp{Err: err}
-	}
+	r := ctx.resp.Wait()
+	ctx.Fail(r.Err)
+	return r
 }
 
-// Complete delivers the completion for ctx's outstanding request; called
-// by runtime goroutines.
-func (ctx *Ctx) Complete(r Resp) { ctx.resp <- r }
+// Complete delivers the completion WaitResp waits for; called by
+// runtime goroutines.
+func (ctx *Ctx) Complete(r Resp) { ctx.resp.Complete(r) }
 
-// Token is a completion slot for one asynchronous slow-path request. A
-// Ctx's built-in response channel admits a single outstanding request at
-// a time; tokens let one application thread keep several requests in
+// Token is the completion slot of one slow-path request: every request
+// an application thread hands a runtime goroutine completes through the
+// token it was issued with, so one thread can keep several requests in
 // flight — the bulk-transfer pipeline issues one per chunk — each with
 // its own completion.
 type Token struct {
@@ -625,8 +614,10 @@ func (n *Node) NewToken() *Token { return &Token{node: n, ch: make(chan Resp, 1)
 // Complete delivers the token's completion; called by runtime goroutines.
 func (t *Token) Complete(r Resp) { t.ch <- r }
 
-// Wait blocks until the token completes, degrading with the cluster's
-// fatal fabric error exactly like Ctx.WaitResp.
+// Wait blocks until the token completes. If the cluster hits a fatal
+// fabric error (a message the retransmission budget could not deliver)
+// the completion may never arrive; Wait then returns a Resp carrying the
+// cluster error so the thread degrades instead of deadlocking.
 func (t *Token) Wait() Resp {
 	select {
 	case r := <-t.ch:
@@ -684,7 +675,7 @@ func (n *Node) NewCtx(tid int) *Ctx {
 		Node: n,
 		TID:  tid,
 		Rng:  rand.New(rand.NewSource(int64(n.id)*1_000_003 + int64(tid)*7919 + 1)),
-		resp: make(chan Resp, 1),
+		resp: Token{node: n, ch: make(chan Resp, 1)},
 		ccs:  make([]*cc.Controller, n.c.cfg.Nodes),
 	}
 	policy := n.c.ccPolicy()

@@ -205,7 +205,7 @@ func (n *Node) txLoop() {
 				// The peer stayed unreachable past the retransmission
 				// budget. There is no caller to hand the completion to (the
 				// Tx thread is asynchronous), so mark the whole cluster
-				// failed: every blocked WaitResp unblocks with this error.
+				// failed: every blocked Token.Wait unblocks with this error.
 				// The message was not delivered; its payload reference is
 				// ours to release.
 				m.Payload.Release()

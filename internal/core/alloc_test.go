@@ -143,6 +143,41 @@ func TestPooledAllocsLockSlowPath(t *testing.T) {
 	}
 }
 
+// A shipped Apply rides a pooled waiter whose kept closure dispatches it
+// to shipRequest: nothing per op is allocated to hand it to the runtime.
+// What remains is the ship message and its reply on the wire.
+func TestPooledAllocsShippedApply(t *testing.T) {
+	skipIfNotMeasurable(t)
+	c := cluster.New(cluster.Config{Nodes: 2, ChunkWords: 64, CacheChunks: 8, Ship: "on"})
+	defer c.Close()
+	const ops = 2000
+	var perOp float64
+	c.Run(func(n *cluster.Node) {
+		a := New(n, 2*64)
+		add := a.RegisterOp(OpAddU64)
+		ctx := n.NewCtx(0)
+		c.Barrier(ctx)
+		if n.ID() == 1 {
+			for k := 0; k < 100; k++ {
+				a.Apply(ctx, add, 3, 1) // warm up the pools
+			}
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			for k := 0; k < ops; k++ {
+				a.Apply(ctx, add, 3, 1)
+			}
+			runtime.ReadMemStats(&after)
+			perOp = float64(after.Mallocs-before.Mallocs) / ops
+		}
+		c.Barrier(ctx)
+	})
+	t.Logf("remote shipped Apply: %.2f allocs/op", perOp)
+	if perOp > 0.5 {
+		t.Errorf("remote shipped Apply allocates %.2f/op, want none per op", perOp)
+	}
+}
+
 // writerFillRounds has node 1 run WLock, Set and Unlock on an element
 // homed on node 0 while node 0 writes another element of the same chunk
 // between rounds, recalling node 1's Dirty copy: every writer grant then

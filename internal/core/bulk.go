@@ -121,7 +121,7 @@ func (a *Array) ApplyRange(ctx *cluster.Ctx, op OpID, i int64, src []uint64) {
 		}
 	}
 	ciLo, ciHi := a.chunkSpan(i, int64(len(src)))
-	if a.shipMode != shipOff && a.shipActiveRange(ciLo, ciHi, op) {
+	if a.shipActiveRange(ciLo, ciHi, op) {
 		a.applyRangeShipped(ctx, op, i, src, tc)
 		return
 	}
@@ -182,7 +182,7 @@ func (a *Array) ApplyAt(ctx *cluster.Ctx, op OpID, idx []int64, src []uint64) {
 			}
 			end++
 		}
-		if a.shipMode != shipOff && a.shipWanted(&a.dents[ci], ci, op) {
+		if a.shipWanted(&a.dents[ci], ci, op) {
 			for ; k < end; k++ {
 				a.Apply(ctx, op, idx[k], src[k])
 			}
@@ -201,19 +201,14 @@ func (a *Array) ApplyAt(ctx *cluster.Ctx, op OpID, idx []int64, src []uint64) {
 	}
 }
 
-// noteCombines counts n combines a pinned run made: Pin.Apply counts
-// nothing itself, so the bulk Operate calls add a run's length at once.
-func (a *Array) noteCombines(n int64) {
+// noteRun accounts a pinned run of n combines on chunk ci that started at
+// virtual time t1: Pin.Apply counts nothing itself, so the run adds its
+// length at once and, when the range op tc is sampled, gives the run's
+// CAS time a span of its own.
+func (a *Array) noteRun(ctx *cluster.Ctx, tc trace.Ctx, ci, n, t1 int64) {
 	if a.telOn() {
 		a.Metrics.Combines.Add(n)
 	}
-}
-
-// noteRun accounts a pinned run of n combines on chunk ci that started at
-// virtual time t1: it counts them and, when the range op tc is sampled,
-// gives the run's CAS time a span of its own.
-func (a *Array) noteRun(ctx *cluster.Ctx, tc trace.Ctx, ci, n, t1 int64) {
-	a.noteCombines(n)
 	if tc.Trace != 0 {
 		a.child(tc, a.self(), trace.StageService, "pinned-apply", ci, t1, ctx.Clock.Now())
 	}

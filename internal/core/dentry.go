@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"sync/atomic"
 
+	"darray/internal/buf"
 	"darray/internal/cluster"
 	"darray/internal/trace"
 )
@@ -91,10 +92,9 @@ func satisfies(s uint32, w uint8, op OpID) bool {
 	}
 }
 
-// waiter is one blocked slow-path request from an application thread.
-// tok, when non-nil, receives the completion instead of ctx's built-in
-// response channel: the bulk-transfer pipeline keeps several requests in
-// flight per thread, one token each.
+// waiter is one slow-path request from an application thread, issued
+// by request; its completion goes to tok (nil only for the asynchronous
+// lock-table releases, which have none).
 type waiter struct {
 	ctx  *cluster.Ctx
 	tok  *cluster.Token
@@ -119,13 +119,18 @@ type waiter struct {
 	filled bool
 
 	// idx is the element a lock-table request (want >= wantRLock, see
-	// lock.go) is about; vt is then its request or release time.
+	// lock.go) is about; vt is then its request or release time. For a
+	// shipped op (wantShip) idx is the offset in the chunk, and the
+	// operands are val or, for a batch, the leased words pay holds (the
+	// msgShipOp takes them over).
 	idx int64
+	val uint64
+	pay *buf.Ref
 
 	// run is the waiter's local-request closure (handleLocal, or
-	// handleLockLocal for a lock-table request, on a and d), built once
-	// and kept across recycling so submitting a pooled waiter allocates
-	// nothing.
+	// handleLockLocal for a lock-table request, or shipRequest for a
+	// shipped op, on a and d), built once and kept across recycling so
+	// submitting a pooled waiter allocates nothing.
 	a   *Array
 	d   *dentry
 	run func(rt *cluster.Runtime)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -262,30 +263,114 @@ func TestLockOnRemoteElementUnderEvictionPressure(t *testing.T) {
 	})
 }
 
-// Every Get ends in exactly one fast-path hit, after however many misses
-// it took; the thread's miss count and the node's agree.
+// Every kind of slow-path request is accounted by one rule. Node 1
+// requests chunks homed on node 0, which writes them back between rounds
+// so each round misses again: a data, pin, range or shipped request
+// counts one miss per chunk on both ctx.Stats and Metrics, a lock-table
+// request counts none; none is still in demand when its call returns; and
+// every token a request took comes back, so a repeat after warm-up takes
+// no new one.
 func TestStatsAccounting(t *testing.T) {
-	c := tc(t, 2, withMetrics)
-	c.Run(func(n *cluster.Node) {
-		a := New(n, 2*64)
-		ctx := n.NewCtx(0)
-		c.Barrier(ctx)
-		if n.ID() == 0 {
-			hits, misses, ctxMisses := a.Metrics.Hits.Load(), a.Metrics.Misses.Load(), ctx.Stats.Misses
-			for i := int64(64); i < 128; i++ {
-				a.Get(ctx, i) // remote chunk: 1 miss, then hits
+	const cw = 64
+	type kind struct {
+		name   string
+		ship   string
+		misses int64 // per round
+		hits   int64 // per round; 0: not checked
+		op     func(a *Array, ctx *cluster.Ctx, add OpID)
+	}
+	kinds := []kind{
+		{"Get", "off", 1, cw, func(a *Array, ctx *cluster.Ctx, _ OpID) {
+			for i := int64(0); i < cw; i++ {
+				a.Get(ctx, i) // one miss, then every Get hits
 			}
-			if got := a.Metrics.Hits.Load() - hits; got != 64 {
-				t.Errorf("hits delta = %d, want 64", got)
+		}},
+		{"Set", "off", 1, 0, func(a *Array, ctx *cluster.Ctx, _ OpID) { a.Set(ctx, 1, 5) }},
+		{"Apply", "off", 1, 0, func(a *Array, ctx *cluster.Ctx, add OpID) { a.Apply(ctx, add, 1, 5) }},
+		{"PinRead", "off", 1, 0, func(a *Array, ctx *cluster.Ctx, _ OpID) {
+			if p := a.PinRead(ctx, 1); p != nil {
+				p.Unpin(ctx)
 			}
-			m := a.Metrics.Misses.Load() - misses
-			if m == 0 {
-				t.Error("expected at least one miss")
-			}
-			if got := ctx.Stats.Misses - ctxMisses; got != m {
-				t.Errorf("ctx.Stats.Misses delta = %d, node misses delta = %d", got, m)
-			}
+		}},
+		{"GetRange", "off", 2, 0, func(a *Array, ctx *cluster.Ctx, _ OpID) {
+			a.GetRange(ctx, 0, make([]uint64, 2*cw))
+		}},
+		{"ShippedApply", "on", 1, 0, func(a *Array, ctx *cluster.Ctx, add OpID) { a.Apply(ctx, add, 1, 5) }},
+		{"ShippedApplyRange", "on", 2, 0, func(a *Array, ctx *cluster.Ctx, add OpID) {
+			a.ApplyRange(ctx, add, 0, make([]uint64, 2*cw))
+		}},
+		{"RLock", "off", 0, 0, func(a *Array, ctx *cluster.Ctx, _ OpID) {
+			a.RLock(ctx, 1)
+			a.Unlock(ctx, 1)
+		}},
+		{"WLock", "off", 0, 0, func(a *Array, ctx *cluster.Ctx, _ OpID) {
+			a.WLock(ctx, 1)
+			a.Unlock(ctx, 1)
+		}},
+	}
+	for _, k := range kinds {
+		t.Run(k.name, func(t *testing.T) {
+			c := tc(t, 2, withMetrics, func(cfg *cluster.Config) {
+				cfg.Ship, cfg.PrefetchAhead = k.ship, -1
+			})
+			c.Run(func(n *cluster.Node) {
+				a := New(n, 4*cw) // chunks 0 and 1 homed on node 0
+				add := a.RegisterOp(OpAddU64)
+				ctx := n.NewCtx(0)
+				for round := 0; round < 2; round++ {
+					c.Barrier(ctx)
+					if n.ID() == 0 {
+						a.Set(ctx, 0, 0)
+						a.Set(ctx, cw, 0)
+					}
+					c.Barrier(ctx)
+					if n.ID() != 1 {
+						continue
+					}
+					toks := topTokens(ctx)
+					misses, ctxMisses, hits := a.Metrics.Misses.Load(), ctx.Stats.Misses, a.Metrics.Hits.Load()
+					k.op(a, ctx, add)
+					if got := ctx.Stats.Misses - ctxMisses; got != k.misses {
+						t.Errorf("round %d: ctx.Stats.Misses delta = %d, want %d", round, got, k.misses)
+					}
+					if got := a.Metrics.Misses.Load() - misses; got != k.misses {
+						t.Errorf("round %d: Metrics.Misses delta = %d, want %d", round, got, k.misses)
+					}
+					if got := a.Metrics.Hits.Load() - hits; k.hits != 0 && got != k.hits {
+						t.Errorf("round %d: hits delta = %d, want %d", round, got, k.hits)
+					}
+					if d := ctx.DemandInflight(); d != 0 {
+						t.Errorf("round %d: %d requests still in demand", round, d)
+					}
+					if after := topTokens(ctx); round > 0 && !sameTokens(after, toks) {
+						t.Errorf("repeat took a token it did not return: top of the freelist %v, was %v", after, toks)
+					}
+				}
+				c.Barrier(ctx)
+			})
+		})
+	}
+}
+
+// topTokens returns the top of ctx's token freelist, as deep as any
+// request kind above keeps in flight, and leaves the freelist as it was.
+func topTokens(ctx *cluster.Ctx) [4]*cluster.Token {
+	var ts [4]*cluster.Token
+	for k := range ts {
+		ts[k] = ctx.AcquireToken()
+	}
+	for k := len(ts) - 1; k >= 0; k-- {
+		ctx.RecycleToken(ts[k])
+	}
+	return ts
+}
+
+// sameTokens reports whether x and y hold the same tokens in any order.
+func sameTokens(x, y [4]*cluster.Token) bool {
+	for _, t := range x {
+		if !slices.Contains(y[:], t) {
+			return false
 		}
-		c.Barrier(ctx)
-	})
+	}
+	return true
 }

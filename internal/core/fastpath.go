@@ -50,7 +50,7 @@ func (a *Array) Get(ctx *cluster.Ctx, i int64) uint64 {
 			return v
 		}
 		d.refcnt.Add(-1)
-		if !a.slowPath(ctx, d, ci, wantRead, 0, tc) {
+		if _, ok := a.slowPath(ctx, d, wantRead, 0, tc); !ok {
 			if tc.Trace != 0 {
 				a.endRoot(ctx, tc, "Get", ci, t0)
 			}
@@ -91,7 +91,7 @@ func (a *Array) Set(ctx *cluster.Ctx, i int64, v uint64) {
 			return
 		}
 		d.refcnt.Add(-1)
-		if !a.slowPath(ctx, d, ci, wantWrite, 0, tc) {
+		if _, ok := a.slowPath(ctx, d, wantWrite, 0, tc); !ok {
 			if tc.Trace != 0 {
 				a.endRoot(ctx, tc, "Set", ci, t0)
 			}
@@ -146,13 +146,13 @@ func (a *Array) Apply(ctx *cluster.Ctx, op OpID, i int64, operand uint64) {
 		if a.shipWanted(d, ci, op) {
 			// Active path: ship the op to the home instead of acquiring
 			// Operated permission. The op is complete when the reply lands.
-			a.shipOne(ctx, d, ci, off, op, operand, tc)
+			a.shipOne(ctx, d, off, op, operand, tc)
 			if tc.Trace != 0 {
 				a.endRoot(ctx, tc, "Apply", ci, t0)
 			}
 			return
 		}
-		if !a.slowPath(ctx, d, ci, wantOperate, op, tc) {
+		if _, ok := a.slowPath(ctx, d, wantOperate, op, tc); !ok {
 			if tc.Trace != 0 {
 				a.endRoot(ctx, tc, "Apply", ci, t0)
 			}
@@ -161,37 +161,74 @@ func (a *Array) Apply(ctx *cluster.Ctx, op OpID, i int64, operand uint64) {
 	}
 }
 
-// slowPath submits a request to the runtime owning chunk ci and blocks
-// until the runtime reports a state change, then the caller retries its
-// fast path. The response carries the virtual completion time.
-//
-// Returns false when the request completed with an error (the fabric
-// gave up on a peer): the caller must abandon the operation and return a
-// zero value instead of retrying — the error is recorded on ctx.
-func (a *Array) slowPath(ctx *cluster.Ctx, d *dentry, ci int64, want uint8, op OpID, tc trace.Ctx) bool {
-	if ctx.Err() != nil {
-		return false
-	}
-	ctx.Stats.Misses++
-	if a.telOn() {
-		a.Metrics.Misses.Add(1)
-	}
-	vt := ctx.Clock.Now()
-	if m := a.model; m != nil {
-		vt += m.SlowFixed
-	}
-	if tc.Trace != 0 {
-		tc = a.trc.Child(tc, int32(a.self()), trace.StageService, "submit", ci, ctx.Clock.Now(), vt)
-	}
+// slowPath asks the runtime owning chunk d for want and blocks until it
+// reports a state change; the caller then retries its fast path (a pin
+// request may instead be granted outright: resp.Val == 1). It reports
+// false when the cluster failed: the caller must abandon the operation
+// and return a zero value instead of retrying — the error is on ctx.
+func (a *Array) slowPath(ctx *cluster.Ctx, d *dentry, want uint8, op OpID, tc trace.Ctx) (cluster.Resp, bool) {
 	w := a.getWaiter()
-	w.ctx, w.want, w.op, w.vt, w.tc = ctx, want, op, vt, tc
+	w.want, w.op, w.tc = want, op, tc
+	return a.await(ctx, a.request(ctx, d, w, 0))
+}
+
+// request hands slow-path waiter w for chunk d — want, op, tc and the
+// operands its kind needs filled in by the caller — to the runtime owning
+// the chunk, and returns the token its completion arrives on, or nil when
+// ctx has already failed. The request leaves the thread SlowFixed (plus
+// extra, a shipped batch's operand copy) after now. Every request but a
+// lock-table one counts as a miss, and every one counts as demand until
+// await.
+func (a *Array) request(ctx *cluster.Ctx, d *dentry, w *waiter, extra int64) *cluster.Token {
+	if ctx.Err() != nil {
+		w.pay.Release() // a shipped batch that never went out
+		a.putWaiter(w)
+		return nil
+	}
+	if w.want < wantRLock {
+		ctx.Stats.Misses++
+		if a.telOn() {
+			a.Metrics.Misses.Add(1)
+		}
+	}
+	now := ctx.Clock.Now()
+	w.vt = now
+	if m := a.model; m != nil {
+		w.vt += m.SlowFixed + extra
+	}
+	if w.tc.Trace != 0 {
+		stage, name := trace.StageService, "submit"
+		if w.want == wantShip {
+			stage, name = trace.StageShip, "ship-submit"
+			if w.pay != nil {
+				name = "ship-batch"
+			}
+		}
+		w.tc = a.trc.Child(w.tc, int32(a.self()), stage, name, d.ci, now, w.vt)
+	}
+	tok := ctx.AcquireToken()
+	w.ctx, w.tok = ctx, tok
 	ctx.DemandStart()
 	a.submitLocal(d, w)
-	resp := ctx.WaitResp()
+	return tok
+}
+
+// await blocks until the request tok was issued for completes, and moves
+// the thread's clock to its completion. It reports false when there was
+// no request (tok nil: ctx had failed) or the cluster failed under it;
+// the error is then on ctx, and the token is not recycled — a late
+// completion may still land in it.
+func (a *Array) await(ctx *cluster.Ctx, tok *cluster.Token) (cluster.Resp, bool) {
+	if tok == nil {
+		return cluster.Resp{}, false
+	}
+	resp := tok.Wait()
 	ctx.DemandEnd()
 	if resp.Err != nil {
-		return false
+		ctx.Fail(resp.Err)
+		return resp, false
 	}
 	ctx.Clock.AdvanceTo(resp.VT)
-	return true
+	ctx.RecycleToken(tok)
+	return resp, true
 }

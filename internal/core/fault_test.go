@@ -15,13 +15,17 @@ import (
 // partitioned link (every message between A and B exceeds its retry
 // budget). No vtime model, so all traversals carry vt=0 and the window
 // [0, 1<<60) is always active.
-func faultyCluster(t *testing.T, nodes, a, b int) *cluster.Cluster {
+func faultyCluster(t *testing.T, nodes, a, b int, opts ...func(*cluster.Config)) *cluster.Cluster {
 	t.Helper()
 	plan := fault.New(fault.Config{
 		Seed: 1, Nodes: nodes, RetryBudget: 3,
 		Partitions: []fault.Partition{{A: a, B: b, Start: 0, End: 1 << 60}},
 	})
-	c := cluster.New(cluster.Config{Nodes: nodes, ChunkWords: 64, CacheChunks: 64, Faults: plan})
+	cfg := cluster.Config{Nodes: nodes, ChunkWords: 64, CacheChunks: 64, Faults: plan}
+	for _, o := range opts {
+		o(&cfg)
+	}
+	c := cluster.New(cfg)
 	t.Cleanup(c.Close)
 	return c
 }
@@ -56,36 +60,67 @@ func TestRemoteGetSurfacesRetryExceeded(t *testing.T) {
 	}
 }
 
-// Set, Apply, pins, and locks all degrade the same way: zero values and
-// recorded errors, no hangs, no panics — including the Unlock that pairs
-// a failed lock acquisition.
+// Set, Apply, pins, locks, the range verbs and shipped ops all degrade
+// the same way: zero values and recorded errors, no hangs, no panics —
+// including the Unlock that pairs a failed lock acquisition. Each verb
+// runs on a cluster of its own, so it is the one whose request meets the
+// dead link, and then once more on the failed ctx.
 func TestAllVerbsDegradeAfterFailure(t *testing.T) {
-	c := faultyCluster(t, 2, 0, 1)
-	c.Run(func(n *cluster.Node) {
-		ctx := n.NewCtx(0)
-		a := New(n, 256)
-		add := a.RegisterOp(OpAddU64)
-		c.Barrier(ctx)
-		if n.ID() != 1 {
-			return
-		}
-		a.Set(ctx, 0, 42)
-		a.Apply(ctx, add, 0, 1)
-		if p := a.PinRead(ctx, 0); p != nil {
-			t.Error("PinRead across a dead link returned a pin")
-		}
-		a.WLock(ctx, 7)
-		a.Unlock(ctx, 7) // must not panic "unlock of a lock not held"
-		if ctx.Err() == nil {
-			t.Error("ctx.Err() nil after degraded operations")
-		}
-		// Local elements this node homes stay accessible.
-		lo, _ := a.LocalRange()
-		a.Set(ctx, lo, 7)
-		if v := a.Get(ctx, lo); v != 7 {
-			t.Errorf("local access after degradation: got %d, want 7", v)
-		}
-	})
+	verbs := []struct {
+		name string
+		ship string
+		op   func(t *testing.T, a *Array, ctx *cluster.Ctx, add OpID)
+	}{
+		{"Set", "off", func(t *testing.T, a *Array, ctx *cluster.Ctx, _ OpID) { a.Set(ctx, 0, 42) }},
+		{"Apply", "off", func(t *testing.T, a *Array, ctx *cluster.Ctx, add OpID) { a.Apply(ctx, add, 0, 1) }},
+		{"PinRead", "off", func(t *testing.T, a *Array, ctx *cluster.Ctx, _ OpID) {
+			if p := a.PinRead(ctx, 0); p != nil {
+				t.Error("PinRead across a dead link returned a pin")
+			}
+		}},
+		{"WLock", "off", func(t *testing.T, a *Array, ctx *cluster.Ctx, _ OpID) {
+			a.WLock(ctx, 7)
+			a.Unlock(ctx, 7) // must not panic "unlock of a lock not held"
+		}},
+		{"ShippedApply", "on", func(t *testing.T, a *Array, ctx *cluster.Ctx, add OpID) { a.Apply(ctx, add, 0, 1) }},
+		{"ShippedApplyRange", "on", func(t *testing.T, a *Array, ctx *cluster.Ctx, add OpID) {
+			a.ApplyRange(ctx, add, 0, make([]uint64, 128))
+		}},
+		{"ApplyAt", "on", func(t *testing.T, a *Array, ctx *cluster.Ctx, add OpID) {
+			a.ApplyAt(ctx, add, []int64{0, 1, 64, 65}, []uint64{1, 1, 1, 1})
+		}},
+		{"GetRange", "on", func(t *testing.T, a *Array, ctx *cluster.Ctx, _ OpID) {
+			a.GetRange(ctx, 0, make([]uint64, 128))
+		}},
+		{"SetRange", "on", func(t *testing.T, a *Array, ctx *cluster.Ctx, _ OpID) {
+			a.SetRange(ctx, 0, make([]uint64, 128))
+		}},
+	}
+	for _, v := range verbs {
+		t.Run(v.name, func(t *testing.T) {
+			c := faultyCluster(t, 2, 0, 1, func(cfg *cluster.Config) { cfg.Ship = v.ship })
+			c.Run(func(n *cluster.Node) {
+				ctx := n.NewCtx(0)
+				a := New(n, 256) // chunks 0 and 1 homed on node 0, across the dead link
+				add := a.RegisterOp(OpAddU64)
+				c.Barrier(ctx)
+				if n.ID() != 1 {
+					return
+				}
+				v.op(t, a, ctx, add)
+				if ctx.Err() == nil {
+					t.Error("ctx.Err() nil after a degraded operation")
+				}
+				v.op(t, a, ctx, add) // again, on a ctx that has already failed
+				// Local elements this node homes stay accessible.
+				lo, _ := a.LocalRange()
+				a.Set(ctx, lo, 7)
+				if got := a.Get(ctx, lo); got != 7 {
+					t.Errorf("local access after degradation: got %d, want 7", got)
+				}
+			})
+		})
+	}
 }
 
 // A lease is out when the link to its lessee dies: the writer's recall

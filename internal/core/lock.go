@@ -373,28 +373,16 @@ const (
 // lock takes element i (of chunk ci) through the lock table: want is
 // wantRLock or wantWLock.
 func (a *Array) lock(ctx *cluster.Ctx, ci, i int64, want uint8) {
-	if ctx.Err() != nil {
-		return // degraded: the lock is not acquired
-	}
 	var tc trace.Ctx
 	var t0 int64
 	if a.trc != nil {
 		tc, t0 = a.rootSpan(ctx)
 	}
 	w := a.getWaiter()
-	w.ctx, w.want, w.idx, w.vt = ctx, want, i, ctx.Clock.Now()
-	if m := a.model; m != nil {
-		w.vt += m.SlowFixed
+	w.want, w.idx, w.tc = want, i, tc
+	if _, ok := a.await(ctx, a.request(ctx, &a.dents[ci], w, 0)); !ok {
+		return // degraded: the lock is not acquired (see ctx.Err)
 	}
-	if tc.Trace != 0 {
-		w.tc = a.trc.Child(tc, int32(a.self()), trace.StageService, "submit", ci, ctx.Clock.Now(), w.vt)
-	}
-	a.submitLocal(&a.dents[ci], w)
-	resp := ctx.WaitResp()
-	if resp.Err != nil {
-		return // cluster failed; the lock is not held (see ctx.Err)
-	}
-	ctx.Clock.AdvanceTo(resp.VT)
 	if tc.Trace != 0 {
 		name := "RLock"
 		if want == wantWLock {
@@ -522,9 +510,9 @@ func (a *Array) lockServed(base int64) int64 {
 
 // grantWaiter completes a local thread's lock request at virtual time vt.
 func (a *Array) grantWaiter(w *waiter, vt int64) {
-	ctx := w.ctx
+	tok := w.tok
 	a.putWaiter(w)
-	ctx.Complete(cluster.Resp{VT: vt, Val: 1})
+	tok.Complete(cluster.Resp{VT: vt, Val: 1})
 }
 
 // Unlock releases element i's lock (reader or writer — the lock knows

@@ -112,11 +112,11 @@ func (a *Array) acquire(ctx *cluster.Ctx, p *Pin, i int64, want uint8, op OpID, 
 			return true
 		}
 		d.refcnt.Add(-1)
-		granted, failed := a.slowPathPin(ctx, d, ci, want, op, tc)
-		if failed {
+		resp, ok := a.slowPath(ctx, d, want, op, tc)
+		if !ok {
 			return false
 		}
-		if granted {
+		if resp.Val == 1 {
 			// The runtime took the reference on our behalf.
 			if a.telOn() {
 				a.Metrics.PinSlow.Add(1)
@@ -125,39 +125,6 @@ func (a *Array) acquire(ctx *cluster.Ctx, p *Pin, i int64, want uint8, op OpID, 
 			return true
 		}
 	}
-}
-
-// slowPathPin submits a pin request; on success the runtime increments
-// the refcnt before completing, so no transition can intervene. It
-// reports whether the pin was granted, and separately whether the
-// request died with a fabric error (recorded on ctx; the caller must
-// give up rather than retry).
-func (a *Array) slowPathPin(ctx *cluster.Ctx, d *dentry, ci int64, want uint8, op OpID, tc trace.Ctx) (granted, failed bool) {
-	if ctx.Err() != nil {
-		return false, true
-	}
-	ctx.Stats.Misses++
-	if a.telOn() {
-		a.Metrics.Misses.Add(1)
-	}
-	vt := ctx.Clock.Now()
-	if m := a.model; m != nil {
-		vt += m.SlowFixed
-	}
-	if tc.Trace != 0 {
-		tc = a.trc.Child(tc, int32(a.self()), trace.StageService, "submit", ci, ctx.Clock.Now(), vt)
-	}
-	w := a.getWaiter()
-	w.ctx, w.want, w.op, w.vt, w.tc = ctx, want, op, vt, tc
-	ctx.DemandStart()
-	a.submitLocal(d, w)
-	resp := ctx.WaitResp()
-	ctx.DemandEnd()
-	if resp.Err != nil {
-		return false, true
-	}
-	ctx.Clock.AdvanceTo(resp.VT)
-	return resp.Val == 1, false
 }
 
 // First returns the first global index covered by the pin.

@@ -48,16 +48,23 @@ type chunkReq struct {
 type bulkRing struct {
 	reqs []chunkReq
 	infl []int64
+	toks []*cluster.Token // ApplyRange's shipped batches in flight
 }
 
-// ringOf returns ctx's ring sized for slots requests and nodes
-// destinations, with the in-flight counts cleared.
-func ringOf(ctx *cluster.Ctx, slots, nodes int) *bulkRing {
+// scratchOf returns ctx's bulk-range scratch, building it on first use.
+func scratchOf(ctx *cluster.Ctx) *bulkRing {
 	br, _ := ctx.Scratch.(*bulkRing)
 	if br == nil {
 		br = &bulkRing{}
 		ctx.Scratch = br
 	}
+	return br
+}
+
+// ringOf returns ctx's ring sized for slots requests and nodes
+// destinations, with the in-flight counts cleared.
+func ringOf(ctx *cluster.Ctx, slots, nodes int) *bulkRing {
+	br := scratchOf(ctx)
 	if cap(br.reqs) < slots {
 		br.reqs = make([]chunkReq, slots)
 	}
@@ -90,50 +97,24 @@ func (a *Array) issueChunkInto(ctx *cluster.Ctx, r *chunkReq, ci int64, want uin
 		}
 		d.refcnt.Add(-1)
 	}
-	if ctx.Err() != nil {
-		return // tok stays nil; awaitChunk reports the failure
-	}
-	ctx.Stats.Misses++
-	if a.telOn() {
-		a.Metrics.Misses.Add(1)
-	}
-	vt := ctx.Clock.Now()
-	if m := a.model; m != nil {
-		vt += m.SlowFixed
-	}
-	if tc.Trace != 0 {
-		tc = a.trc.Child(tc, int32(a.self()), trace.StageService, "submit", ci, ctx.Clock.Now(), vt)
-	}
-	r.tok = ctx.AcquireToken()
-	ctx.DemandStart()
 	w := a.getWaiter()
-	w.ctx, w.tok, w.want, w.op, w.vt, w.tc, w.src = ctx, r.tok, want, op, vt, tc, src
-	a.submitLocal(d, w)
+	w.want, w.op, w.tc, w.src = want, op, tc, src
+	r.tok = a.request(ctx, d, w, 0) // nil once ctx failed; awaitChunk reports it
 }
 
-// awaitChunk blocks until r's acquisition completes and returns the pin
-// (normally r.pin, valid until the slot is reissued), or nil when the
-// cluster has failed (recorded on ctx). In the rare case that the granted state was
+// awaitChunk blocks until r's acquisition completes and returns the pin,
+// r.pin (valid until the slot is reissued), or nil when the cluster has
+// failed (recorded on ctx). In the rare case that the granted state was
 // lost again before the pin could be taken, it falls back to the
 // synchronous pin path.
 func (a *Array) awaitChunk(ctx *cluster.Ctx, r *chunkReq, want uint8, op OpID, fn func(acc, operand uint64) uint64, tc trace.Ctx) *Pin {
 	if r.pinned {
 		return &r.pin
 	}
-	if r.tok == nil {
-		return nil // issued after the cluster already failed
-	}
-	resp := r.tok.Wait()
-	ctx.DemandEnd()
-	if resp.Err != nil {
-		// Do not recycle the token: a failed wait may leave a late
-		// completion in its channel.
-		ctx.Fail(resp.Err)
+	resp, ok := a.await(ctx, r.tok)
+	if !ok {
 		return nil
 	}
-	ctx.Clock.AdvanceTo(resp.VT)
-	ctx.RecycleToken(r.tok)
-	r.tok = nil
 	if r.ctrl != nil && resp.Linked {
 		// This request went to the home and back, so it is a round trip
 		// to feed the destination's controller: the sample carries both
@@ -160,7 +141,10 @@ func (a *Array) awaitChunk(ctx *cluster.Ctx, r *chunkReq, want uint8, op OpID, f
 		r.pin, r.filled = a.mkPin(r.d, r.ci, fn, op), resp.Filled
 		return &r.pin
 	}
-	return a.pin(ctx, r.ci*a.sh.chunkWords, want, op, tc)
+	if !a.acquire(ctx, &r.pin, r.ci*a.sh.chunkWords, want, op, tc) {
+		return nil
+	}
+	return &r.pin
 }
 
 // pipeHook, when non-nil, observes every pipeline issue ('i') and await

@@ -246,13 +246,9 @@ func (a *Array) respond(rt *cluster.Runtime, d *dentry, w *waiter, vt int64) {
 	// the requester's congestion controller reacts to. Linked tells that
 	// controller whether this completion is a round trip of its own.
 	resp := cluster.Resp{VT: vt, Val: val, RetransNs: d.retrans, Linked: w.linked, Filled: w.filled}
-	tok, ctx := w.tok, w.ctx
+	tok := w.tok
 	a.putWaiter(w) // every slow-path waiter is released exactly here
-	if tok != nil {
-		tok.Complete(resp)
-		return
-	}
-	ctx.Complete(resp)
+	tok.Complete(resp)
 }
 
 func maxi64(a, b int64) int64 {

@@ -4,7 +4,6 @@ import (
 	"math/bits"
 	"sync/atomic"
 
-	"darray/internal/buf"
 	"darray/internal/cluster"
 	"darray/internal/fabric"
 	"darray/internal/trace"
@@ -313,51 +312,31 @@ func (a *Array) shipWanted(d *dentry, ci int64, op OpID) bool {
 
 // shipOne ships a single Apply and waits for the home's reply, so every
 // op issued before a barrier is home-applied before the barrier exits
-// (the determinism chaos fingerprints rely on). Returns false when the
-// cluster failed.
-func (a *Array) shipOne(ctx *cluster.Ctx, d *dentry, ci, off int64, op OpID, operand uint64, tc trace.Ctx) bool {
-	if ctx.Err() != nil {
-		return false
-	}
-	ctx.Stats.Misses++
-	if a.telOn() {
-		a.Metrics.Misses.Add(1)
-	}
-	vt := ctx.Clock.Now()
-	if m := a.model; m != nil {
-		vt += m.SlowFixed
-	}
-	if tc.Trace != 0 {
-		tc = a.trc.Child(tc, int32(a.self()), trace.StageShip, "ship-submit", ci, ctx.Clock.Now(), vt)
-	}
+// (the determinism chaos fingerprints rely on).
+func (a *Array) shipOne(ctx *cluster.Ctx, d *dentry, off int64, op OpID, operand uint64, tc trace.Ctx) {
 	w := a.getWaiter()
-	w.ctx, w.want, w.op, w.vt, w.tc, w.linked = ctx, wantShip, op, vt, tc, true
-	a.rtOf(ci).Submit(func(rt *cluster.Runtime) {
-		a.shipRequest(rt, d, w, off, operand, nil, nil)
-	})
-	resp := ctx.WaitResp()
-	if resp.Err != nil {
-		return false
-	}
-	ctx.Clock.AdvanceTo(resp.VT)
-	return true
+	w.want, w.op, w.tc, w.idx, w.val = wantShip, op, tc, off, operand
+	a.await(ctx, a.request(ctx, d, w, 0))
 }
 
 // shipRequest runs on the chunk's runtime goroutine: it queues the
-// waiter on the chunk's ship FIFO and sends the msgShipOp. Per-pair
+// waiter on the chunk's ship FIFO and sends the msgShipOp carrying the
+// waiter's operand, or its leased batch, at offset w.idx. Per-pair
 // fabric FIFO plus per-chunk runtime placement guarantee replies return
 // in issue order, so handleShipReply matches the queue head.
-func (a *Array) shipRequest(rt *cluster.Runtime, d *dentry, w *waiter, off int64, val uint64, data []uint64, pay *buf.Ref) {
+func (a *Array) shipRequest(rt *cluster.Runtime, d *dentry, w *waiter) {
 	start, svt := a.charge2(rt, w.vt)
 	if w.tc.Valid() && a.traceOn() {
 		tc := a.child(w.tc, a.self(), trace.StageQueue, "rt-queue", d.ci, w.vt, start)
 		w.tc = a.child(tc, a.self(), trace.StageService, "ship-req", d.ci, start, svt)
 	}
 	a.rstate(rt).record(evShipReq, d.ci, -1, w.vt, w.tc)
-	w.vt = svt
+	w.vt, w.linked = svt, true
+	pay := w.pay
+	w.pay = nil // the message owns the batch now
 	d.shipQ = append(d.shipQ, w)
 	a.send(&fMsg{to: a.homeOfChunk(d.ci), kind: msgShipOp, chunk: d.ci, op: w.op,
-		idx: off, val: val, flag: data != nil, data: data, pay: pay, vt: svt, tc: w.tc})
+		idx: w.idx, val: w.val, flag: pay != nil, data: pay.Words(), pay: pay, vt: svt, tc: w.tc})
 }
 
 // handleShipReply completes the oldest in-flight shipped op on this
@@ -399,8 +378,8 @@ func (a *Array) shipActiveRange(ciLo, ciHi int64, op OpID) bool {
 
 // applyRangeShipped is ApplyRange's shipping-aware path: chunks whose
 // mode is shipped get one batched msgShipOp each (operands ride the
-// message, up to pipeline-depth batches in flight via tokens); the rest
-// take the ordinary pin path.
+// message, up to pipeline-depth batches in flight); the rest take the
+// ordinary pinned run.
 func (a *Array) applyRangeShipped(ctx *cluster.Ctx, op OpID, i int64, src []uint64, tc trace.Ctx) {
 	cw := a.sh.chunkWords
 	end := i + int64(len(src))
@@ -408,23 +387,17 @@ func (a *Array) applyRangeShipped(ctx *cluster.Ctx, op OpID, i int64, src []uint
 	if depth < 1 {
 		depth = 1
 	}
-	toks := make([]*cluster.Token, 0, depth)
+	br := scratchOf(ctx)
+	br.toks = br.toks[:0]
 	// drain waits out the oldest in-flight batches until at most keep
 	// remain; returns false once the cluster has failed.
 	drain := func(keep int) bool {
-		for len(toks) > keep {
-			tok := toks[0]
-			copy(toks, toks[1:])
-			toks = toks[:len(toks)-1]
-			resp := tok.Wait()
-			if resp.Err != nil {
-				// A failed wait may leave a late completion in the token's
-				// channel; do not recycle it.
-				ctx.Fail(resp.Err)
+		for len(br.toks) > keep {
+			tok := br.toks[0]
+			br.toks = br.toks[:copy(br.toks, br.toks[1:])]
+			if _, ok := a.await(ctx, tok); !ok {
 				return false
 			}
-			ctx.Clock.AdvanceTo(resp.VT)
-			ctx.RecycleToken(tok)
 		}
 		return true
 	}
@@ -432,42 +405,27 @@ func (a *Array) applyRangeShipped(ctx *cluster.Ctx, op OpID, i int64, src []uint
 		lo, hi := maxi64(i, ci*cw), mini64(end, (ci+1)*cw)
 		d := &a.dents[ci]
 		if !a.shipWanted(d, ci, op) {
-			p := a.pin(ctx, lo, wantPinOperate, op, tc)
-			if p == nil {
+			var p Pin
+			if !a.acquire(ctx, &p, lo, wantPinOperate, op, tc) {
 				return // cluster failed; see ctx.Err
 			}
+			t1 := ctx.Clock.Now()
 			for k := lo; k < hi; k++ {
 				p.Apply(ctx, k, src[k-i])
 			}
+			a.noteRun(ctx, tc, ci, hi-lo, t1)
 			p.Unpin(ctx)
-			a.noteCombines(hi - lo)
 			continue
-		}
-		if ctx.Err() != nil {
-			return
-		}
-		ctx.Stats.Misses++
-		if a.telOn() {
-			a.Metrics.Misses.Add(1)
 		}
 		data, pay := a.leasePayload(int(hi - lo))
 		copy(data, src[lo-i:hi-i])
-		vt := ctx.Clock.Now()
-		if m := a.model; m != nil {
-			vt += m.SlowFixed + m.CopyCost(int(8*(hi-lo)))
-		}
-		btc := tc
-		if tc.Trace != 0 {
-			btc = a.trc.Child(tc, int32(a.self()), trace.StageShip, "ship-batch", ci, ctx.Clock.Now(), vt)
-		}
-		tok := ctx.AcquireToken()
 		w := a.getWaiter()
-		w.ctx, w.tok, w.want, w.op, w.vt, w.tc, w.linked = ctx, tok, wantShip, op, vt, btc, true
-		off := lo - ci*cw
-		a.rtOf(ci).Submit(func(rt *cluster.Runtime) {
-			a.shipRequest(rt, d, w, off, 0, data, pay)
-		})
-		toks = append(toks, tok)
+		w.want, w.op, w.tc, w.idx, w.pay = wantShip, op, tc, lo-ci*cw, pay
+		tok := a.request(ctx, d, w, a.copyCost(int(hi-lo)))
+		if tok == nil {
+			return
+		}
+		br.toks = append(br.toks, tok)
 		if !drain(depth - 1) {
 			return
 		}

@@ -47,16 +47,20 @@ func (a *Array) putWaiter(w *waiter) {
 
 // submitLocal hands slow-path waiter w for chunk d to the runtime owning
 // the chunk, which runs handleLocal on it — or handleLockLocal, when w
-// carries a lock-table request.
+// carries a lock-table request, or shipRequest, when it carries a
+// shipped op.
 func (a *Array) submitLocal(d *dentry, w *waiter) {
 	w.a, w.d = a, d
 	if w.run == nil {
 		w.run = func(rt *cluster.Runtime) {
-			if w.want >= wantRLock {
+			switch {
+			case w.want == wantShip:
+				w.a.shipRequest(rt, w.d, w)
+			case w.want >= wantRLock:
 				w.a.handleLockLocal(rt, w)
-				return
+			default:
+				w.a.handleLocal(rt, w.d, w.d.ci, w)
 			}
-			w.a.handleLocal(rt, w.d, w.d.ci, w)
 		}
 	}
 	a.rtOf(d.ci).Submit(w.run)
