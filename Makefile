@@ -11,10 +11,11 @@ test:
 # The concurrency-heavy packages under the race detector: the coherence
 # protocol, the telemetry registry, the fault-injected fabric, the
 # lock-free queues, the streaming bench, the graph engine (whose
-# multithreaded passes range-write disjoint words of one chunk), and the
-# layers between them.
+# multithreaded passes range-write disjoint words of one chunk), the span
+# tracer (written from every runtime goroutine), the virtual clocks and
+# resource timelines, and the layers between them.
 race:
-	$(GO) test -race ./internal/core/... ./internal/telemetry/... ./internal/cluster/... ./internal/fabric/... ./internal/fault/... ./internal/chaos/... ./internal/queue/... ./internal/bench/... ./internal/cc/... ./internal/kvs/... ./internal/gam/... ./internal/gamkvs/... ./internal/engine/...
+	$(GO) test -race ./internal/core/... ./internal/telemetry/... ./internal/cluster/... ./internal/fabric/... ./internal/fault/... ./internal/chaos/... ./internal/queue/... ./internal/bench/... ./internal/cc/... ./internal/kvs/... ./internal/gam/... ./internal/gamkvs/... ./internal/engine/... ./internal/trace/... ./internal/vtime/...
 
 # Lock-protocol gate: the element-lock, reader-lease and reader-gate
 # tests (grant policy, the gate word's transitions, message-free and
@@ -112,13 +113,14 @@ contention:
 # the exported JSON parses, every non-root span links to a live parent,
 # and the critical path covers >= 95% of the slowest root op. Then the
 # protocol event recorder — ring wrap, lock traffic, merged reads racing
-# the runtimes that write, and the stalled-grant reproducers that order
-# themselves by it — on four cores under the race detector.
+# the runtimes that write, the stalled-grant reproducers that order
+# themselves by it, and the coherence-command golden that reads the
+# home's events — on four cores under the race detector.
 trace:
 	$(GO) run ./cmd/darray-kv -nodes 3 -threads 1 -records 2048 -ops 500 -trace-out $(or $(TMPDIR),/tmp)/darray-trace-smoke.json
 	$(GO) run ./cmd/darray-trace $(or $(TMPDIR),/tmp)/darray-trace-smoke.json
 	$(GO) test -run 'TestAcceptance' -count=1 ./internal/trace/
-	GOMAXPROCS=4 $(GO) test -race -timeout 120s -count=1 -run 'TestTrace|TestMergedTrace|TestStalled' ./internal/core/
+	GOMAXPROCS=4 $(GO) test -race -timeout 120s -count=1 -run 'TestTrace|TestMergedTrace|TestStalled|TestCoherenceCommandRows' ./internal/core/
 
 # Re-measure the cost model's CPU path costs on this host and print them
 # beside the recorded profile (vtime.Default). Not part of check: the
@@ -126,8 +128,8 @@ trace:
 calibrate:
 	$(GO) test -count=1 -run TestCalibrateProducesSaneCosts -v ./internal/bench/
 
-# Non-test Go outside the benchmark module: the line count ROADMAP item 3
-# is judged by.
+# Non-test Go outside the benchmark module: the line count ROADMAP's
+# Quality-of-design aim is judged by.
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs wc -l | tail -1
 

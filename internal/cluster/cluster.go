@@ -38,7 +38,7 @@ type Config struct {
 	// Cache geometry defaults used by systems built on the cluster.
 	ChunkWords    int // elements (8-byte words) per chunk; default 512
 	CacheChunks   int // cache capacity per runtime thread, in chunks; default 1024
-	PrefetchAhead int // chunks prefetched after every read miss, sequential or not; default 2, -1 disables (and the Get detector too)
+	PrefetchAhead int // chunks prefetched after every read miss, sequential or not; default 2. -1 turns off this and the sequential detector (fed by Get, PinRead and single-chunk GetRange): no fill is speculative
 
 	// Transmit-path batching (paper §4.5, BCL-style aggregation). The Tx
 	// thread drains up to TxBurst queued work requests per doorbell; the

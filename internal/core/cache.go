@@ -159,31 +159,20 @@ func (a *Array) evictLine(rt *cluster.Runtime, d *dentry) {
 }
 
 func (a *Array) finishEvict(rt *cluster.Runtime, d *dentry, prevState uint32) {
-	ci := d.ci
-	home := a.homeOfChunk(ci)
+	// A Shared line evicts silently: stale sharer bits at home are cleaned
+	// up by idempotent invalidations. A Dirty or Operated line goes home
+	// flagged voluntary, at the eviction's own time, uncharged.
+	m := fMsg{to: a.homeOfChunk(d.ci), chunk: d.ci, op: stateOp(prevState), flag: true, vt: d.tvt}
 	switch statePerm(prevState) {
-	case permRead:
-		// Shared lines evict silently; stale sharer bits at home are
-		// cleaned up by idempotent invalidations.
 	case permRW:
-		data, pay := a.takeLineData(d)
-		a.Metrics.WriteBacks.Add(1)
-		a.send(&fMsg{to: home, kind: msgWBData, chunk: ci, data: data, pay: pay,
-			flag: true, vt: d.tvt})
+		m.kind = msgWBData
+		a.reply(d, &m, permInvalid)
 	case permOperated:
-		data, pay := a.takeLineData(d)
-		a.Metrics.OpFlushes.Add(1)
-		a.send(&fMsg{to: home, kind: msgOpFlush, chunk: ci, op: stateOp(prevState),
-			data: data, pay: pay, flag: true, vt: d.tvt})
+		m.kind = msgOpFlush
+		a.reply(d, &m, permInvalid)
 	}
-	if d.pf.CompareAndSwap(true, false) {
-		a.Metrics.PrefetchWasted.Add(1)
-	}
-	s := a.rstate(rt)
-	s.freeLine(d.line)
-	d.line = nil
-	d.data = nil
+	a.releaseLine(rt, d)
 	d.busy = false
 	a.Metrics.Evictions.Add(1)
-	a.drainDeferred(rt, d, ci)
+	a.drainDeferred(rt, d, d.ci)
 }

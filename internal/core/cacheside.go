@@ -283,122 +283,64 @@ func (a *Array) completeWaiters(rt *cluster.Runtime, d *dentry) {
 	}
 }
 
-// handleInvalidate drops a Shared copy (home is granting someone
-// exclusive or Operated access). Invalidations are idempotent: a line
-// already gone (a silent eviction the home never heard of) just acks.
-// That is only true of a copy that is really gone — one whose grant has
-// arrived and is still being installed is busy, and the invalidation
-// waits for it (see stalledInstall), and is counted when it runs.
-func (a *Array) handleInvalidate(rt *cluster.Runtime, d *dentry, from int, svt int64, tc trace.Ctx) {
-	home := a.homeOfChunk(d.ci)
+// obey carries out coherence command kind, sent by the home `from`, on
+// d's copy as its row in cmdRows says. A command that arrives while d is
+// busy — evicting (the line dies anyway: answer once it has) or
+// installing a grant (the copy must exist before it can be given up; see
+// stalledInstall) — parks in d.defrd under its kind and runs once d is
+// idle.
+func (a *Array) obey(rt *cluster.Runtime, d *dentry, kind uint8, from int, svt int64, tc trace.Ctx) {
 	if d.busy {
-		// Evicting (the line dies anyway: ack once it has) or installing
-		// (the copy must exist before it can be dropped).
-		d.defrd = append(d.defrd, homeReq{from: from, want: defInvalidate, vt: svt, tc: tc})
+		d.defrd = append(d.defrd, homeReq{from: from, want: kind, vt: svt, tc: tc})
 		return
 	}
-	a.Metrics.Invals.Add(1)
-	if d.line == nil || statePerm(d.state.Load()) != permRead {
-		a.send(&fMsg{to: home, kind: msgInvAck, chunk: d.ci, vt: svt, tc: tc})
-		return
-	}
-	d.busy = true
-	d.tvt = maxi64(d.tvt, svt)
-	a.demoteLocal(rt, d, permInvalid, func(rt *cluster.Runtime) {
-		a.releaseLine(rt, d)
-		d.busy = false
-		a.send(&fMsg{to: home, kind: msgInvAck, chunk: d.ci, vt: d.tvt, tc: tc})
-		a.drainDeferred(rt, d, d.ci)
-	})
-}
-
-// handleDowngrade writes a Dirty chunk back but keeps a Shared copy
-// (home is serving another node's read).
-func (a *Array) handleDowngrade(rt *cluster.Runtime, d *dentry, svt int64, tc trace.Ctx) {
-	home := a.homeOfChunk(d.ci)
-	if d.busy {
-		d.defrd = append(d.defrd, homeReq{want: defDowngrade, vt: svt, tc: tc})
-		return
-	}
-	if d.line == nil || statePerm(d.state.Load()) != permRW {
-		// The ownership left on its own: an eviction's writeback crossed
-		// this command on the wire and answers it (handleWBData runs the
-		// home's continuation). Not busy rules out the other reading, a
-		// grant of that ownership still being installed.
-		return
-	}
-	d.busy = true
-	d.tvt = maxi64(d.tvt, svt)
-	a.demoteLocal(rt, d, permRead, func(rt *cluster.Runtime) {
-		// The line survives as a Shared copy, so the writeback cannot
-		// donate its buffer — this path genuinely copies.
-		data, pay := a.leasePayload(len(d.data))
-		copy(data, d.data)
-		a.Metrics.PayloadCopies.Add(1)
-		a.Metrics.WriteBacks.Add(1)
-		d.busy = false
-		cc := a.copyCost(len(data))
-		wtc := a.child(tc, a.self(), trace.StageService, "copy-out", d.ci, d.tvt, d.tvt+cc)
-		a.send(&fMsg{to: home, kind: msgWBData, chunk: d.ci, data: data, pay: pay,
-			vt: d.tvt + cc, tc: wtc})
-		a.drainDeferred(rt, d, d.ci)
-	})
-}
-
-// handleRecall writes a Dirty chunk back and invalidates it.
-func (a *Array) handleRecall(rt *cluster.Runtime, d *dentry, svt int64, tc trace.Ctx) {
-	home := a.homeOfChunk(d.ci)
-	if d.busy {
-		d.defrd = append(d.defrd, homeReq{want: defRecall, vt: svt, tc: tc})
-		return
-	}
-	if d.line == nil || statePerm(d.state.Load()) != permRW {
-		return // voluntary writeback in flight, as in handleDowngrade
-	}
-	d.busy = true
-	d.tvt = maxi64(d.tvt, svt)
-	a.demoteLocal(rt, d, permInvalid, func(rt *cluster.Runtime) {
-		// The line dies: its buffer rides the writeback message home.
-		data, pay := a.takeLineData(d)
-		a.Metrics.WriteBacks.Add(1)
-		a.releaseLine(rt, d)
-		d.busy = false
-		cc := a.copyCost(len(data))
-		wtc := a.child(tc, a.self(), trace.StageService, "copy-out", d.ci, d.tvt, d.tvt+cc)
-		a.send(&fMsg{to: home, kind: msgWBData, chunk: d.ci, data: data, pay: pay,
-			vt: d.tvt + cc, tc: wtc})
-		a.drainDeferred(rt, d, d.ci)
-	})
-}
-
-// handleOpRecall flushes the combined-operand buffer to home and
-// invalidates the chunk (home is collapsing the Operated state).
-func (a *Array) handleOpRecall(rt *cluster.Runtime, d *dentry, svt int64, tc trace.Ctx) {
-	home := a.homeOfChunk(d.ci)
-	if d.busy {
-		d.defrd = append(d.defrd, homeReq{want: defOpRecall, vt: svt, tc: tc})
-		return
-	}
+	row := &cmdRows[kind]
 	st := d.state.Load()
-	if d.line == nil || statePerm(st) != permOperated {
-		return // voluntary flush in flight, as in handleDowngrade
+	if d.line == nil || statePerm(st) != row.about {
+		// The node gave the copy up on its own. An eviction's writeback or
+		// op-flush crossed this command on the wire and answers it at the
+		// home; a Shared line evicted silently and the ack says so
+		// (invalidations are idempotent). Not busy rules out the other
+		// reading, a grant of the copy still being installed.
+		if row.reply == msgInvAck {
+			a.reply(d, &fMsg{to: from, kind: msgInvAck, chunk: d.ci, vt: svt, tc: tc}, row.keep)
+		}
+		return
 	}
-	op := stateOp(st)
 	d.busy = true
 	d.tvt = maxi64(d.tvt, svt)
-	a.demoteLocal(rt, d, permInvalid, func(rt *cluster.Runtime) {
-		// Like handleRecall: the dying line's buffer becomes the flush
-		// payload.
-		data, pay := a.takeLineData(d)
-		a.Metrics.OpFlushes.Add(1)
-		a.releaseLine(rt, d)
+	a.demoteLocal(rt, d, row.keep, func(rt *cluster.Runtime) {
 		d.busy = false
-		cc := a.copyCost(len(data))
-		wtc := a.child(tc, a.self(), trace.StageService, "copy-out", d.ci, d.tvt, d.tvt+cc)
-		a.send(&fMsg{to: home, kind: msgOpFlush, chunk: d.ci, op: op, data: data, pay: pay,
-			vt: d.tvt + cc, tc: wtc})
+		vt, wtc := d.tvt, tc
+		if row.reply != msgInvAck {
+			// Words leaving the node are charged as a copy-out.
+			vt += a.copyCost(len(d.data))
+			wtc = a.child(tc, a.self(), trace.StageService, "copy-out", d.ci, d.tvt, vt)
+		}
+		a.reply(d, &fMsg{to: from, kind: row.reply, chunk: d.ci, op: stateOp(st), vt: vt, tc: wtc}, row.keep)
+		if row.keep == permInvalid {
+			a.releaseLine(rt, d)
+		}
 		a.drainDeferred(rt, d, d.ci)
 	})
+}
+
+// reply sends m, a node's answer about its copy of d, and counts it. A
+// writeback or op-flush carries the line's words: a copy when the line
+// survives (keep is Read after a downgrade), else the line's own buffer,
+// and the caller then frees the line.
+func (a *Array) reply(d *dentry, m *fMsg, keep uint32) {
+	switch {
+	case m.kind == msgInvAck: // carries nothing
+	case keep != permInvalid:
+		m.data, m.pay = a.leasePayload(len(d.data))
+		copy(m.data, d.data)
+		a.Metrics.PayloadCopies.Add(1)
+	default:
+		m.data, m.pay = a.takeLineData(d)
+	}
+	a.countSent(m.kind)
+	a.send(m)
 }
 
 // releaseLine detaches and frees d's cache line. A line dying with its

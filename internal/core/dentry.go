@@ -154,26 +154,19 @@ type dentry struct {
 	data []uint64 // resident words: home subarray slice or cache line
 
 	// Runtime-owned (single runtime goroutine per chunk per node).
-	busy    bool                                               // a protocol transition (or eviction) is in flight
-	pending bool                                               // cache side: a request to home is outstanding
-	tvt     int64                                              // virtual time the transition has reached
-	retrans int64                                              // go-back-N delay of the grant being installed (set around completeWaiters)
-	waiters []*waiter                                          // local slow-path waiters
-	defrd   []homeReq                                          // requests deferred while busy
-	line    *cacheLine                                         // backing cache line (nil at home / not resident)
-	onWB    func(rt *cluster.Runtime, data []uint64, vt int64) // recall continuation
-	onAcks  func(rt *cluster.Runtime)                          // invalidation-ack continuation
-	acks    int
-	opAcks  int
-	onOpAll func(rt *cluster.Runtime) // operand-recall continuation
+	busy    bool       // a protocol transition (or eviction) is in flight
+	pending bool       // cache side: a request to home is outstanding
+	tvt     int64      // virtual time the transition has reached
+	retrans int64      // go-back-N delay of the grant being installed (set around completeWaiters)
+	waiters []*waiter  // local slow-path waiters
+	defrd   []homeReq  // requests deferred while busy
+	line    *cacheLine // backing cache line (nil at home / not resident)
 
-	// tctx is the causal-trace chain of the directory transaction in
-	// flight (home side; zero when the requester was untraced), and
-	// fanVT the virtual time its invalidation/op-recall fan-out began —
-	// together they let the ack counters emit one fanout span covering
-	// the whole multicast wait.
+	// Home side: the causal-trace chain of the directory transaction in
+	// flight (zero when the requester was untraced), and the replies it
+	// awaits from the nodes it sent a coherence command (demand).
 	tctx  trace.Ctx
-	fanVT int64
+	await awaited
 
 	// Home-directory fields (valid only at the home node).
 	dstate  uint8
@@ -198,6 +191,16 @@ type dentry struct {
 	// home (auto mode only), read on the Apply miss path.
 	shipQ []*waiter
 	ship  atomic.Bool
+}
+
+// awaited is a home transaction's outstanding coherence command: its
+// kind (a cmdRows index), the replies still due, the virtual time it went
+// out (the start of its fan-out span) and what runs after the last reply.
+type awaited struct {
+	kind  uint8
+	left  int
+	since int64
+	cont  func(rt *cluster.Runtime)
 }
 
 // enter takes a fast-path reference on d: announce (refcnt++), then

@@ -83,6 +83,49 @@ func kindName(k uint8) string {
 	return fmt.Sprintf("kind-%d", k)
 }
 
+// cmdRow is one coherence command the home sends the nodes holding a
+// copy of a chunk (paper Table 1 and Fig. 5; the Operated collapse of
+// §4.3), and the code's one statement of the drop/ack rule (PROTOCOL.md
+// "Evictions and crossings"). A node obeys it (obey): a command that
+// finds no line holding `about` is dropped, since the node gave that up
+// on its own, except that an invalidation is acked anyway; otherwise the
+// line is demoted to `keep` and `reply` goes home. The home sends it
+// through demand, which awaits one reply per node and closes the
+// `fanout` span over the round. The counter each message moves follows
+// its kind (countSent).
+type cmdRow struct {
+	about  uint32 // the permission the command is about
+	keep   uint32 // the permission the line keeps
+	reply  uint8  // inv-ack carries nothing; writeback and op-flush the line's words, copied if it keeps Read, else donated
+	fanout string // the home's span over the whole round; a writeback's own merge-wb span covers its wait
+}
+
+var cmdRows = [numKinds]cmdRow{
+	msgInvalidate: {about: permRead, keep: permInvalid, reply: msgInvAck, fanout: "inv-fanout"},
+	msgDowngrade:  {about: permRW, keep: permRead, reply: msgWBData},
+	msgRecall:     {about: permRW, keep: permInvalid, reply: msgWBData},
+	msgOpRecall:   {about: permOperated, keep: permInvalid, reply: msgOpFlush, fanout: "op-collapse"},
+}
+
+// countSent moves the counter a coherence message moves when it is sent:
+// the home's recalls and downgrades, a node's invalidation acks,
+// writebacks and op-flushes.
+func (a *Array) countSent(kind uint8) {
+	m := &a.Metrics
+	switch kind {
+	case msgRecall:
+		m.Recalls.Add(1)
+	case msgDowngrade:
+		m.Downgrades.Add(1)
+	case msgInvAck:
+		m.Invals.Add(1)
+	case msgWBData:
+		m.WriteBacks.Add(1)
+	case msgOpFlush:
+		m.OpFlushes.Add(1)
+	}
+}
+
 type fMsg struct {
 	to    int
 	kind  uint8
@@ -166,16 +209,10 @@ func (a *Array) handleMsg(rt *cluster.Runtime, m *fabric.Message) {
 	case msgOpGrant:
 		a.handleOpGrant(rt, d, m, svt)
 		return // the install continuation recycles m
-	case msgInvalidate:
-		a.handleInvalidate(rt, d, m.From, svt, tc)
+	case msgInvalidate, msgDowngrade, msgRecall, msgOpRecall:
+		a.obey(rt, d, m.Kind, m.From, svt, tc)
 	case msgInvAck:
 		a.handleInvAck(rt, d, svt)
-	case msgDowngrade:
-		a.handleDowngrade(rt, d, svt, tc)
-	case msgRecall:
-		a.handleRecall(rt, d, svt, tc)
-	case msgOpRecall:
-		a.handleOpRecall(rt, d, svt, tc)
 	case msgWBData:
 		a.handleWBData(rt, d, m, svt, tc)
 	case msgOpFlush:
@@ -271,7 +308,8 @@ func mini64(a, b int64) int64 {
 // homeReq is one request to a chunk's directory. The same record parks
 // in dentry.defrd while the chunk is busy — on the home side a request
 // behind the transaction in flight, on the cache side a coherence
-// command (want is then one of the def* tags) behind an eviction.
+// command (want is then its wire kind) behind an eviction or a stalled
+// grant installation.
 type homeReq struct {
 	from int   // requesting node (== home id for local requests)
 	want uint8 // wantRead/wantWrite/wantOperate/wantShip (pin variants local only)
@@ -467,7 +505,7 @@ func (a *Array) homeFromDirty(rt *cluster.Runtime, d *dentry, r homeReq, local b
 	}
 	if !local && r.want == wantRead {
 		// Dirty --Remote R--> Shared: the owner keeps a Shared copy.
-		a.demandWriteback(d, msgDowngrade, func(rt *cluster.Runtime) {
+		a.demand(rt, d, msgDowngrade, 1<<uint(owner), func(rt *cluster.Runtime) {
 			a.transition(TransDirtyToShared)
 			d.dstate = dirShared
 			d.sharers = (1 << uint(owner)) | (1 << uint(r.from))
@@ -476,7 +514,7 @@ func (a *Array) homeFromDirty(rt *cluster.Runtime, d *dentry, r homeReq, local b
 		})
 		return
 	}
-	a.demandWriteback(d, msgRecall, func(rt *cluster.Runtime) {
+	a.demand(rt, d, msgRecall, 1<<uint(owner), func(rt *cluster.Runtime) {
 		a.transition(TransDirtyToUnshared)
 		d.dstate = dirUnshared
 		d.owner = -1
@@ -552,31 +590,13 @@ func (a *Array) drainDeferred(rt *cluster.Runtime, d *dentry, ci int64) {
 			a.serveHome(rt, d, r)
 			continue
 		}
-		// Cache side: deferred coherence commands.
-		switch r.want {
-		case defInvalidate:
-			a.handleInvalidate(rt, d, r.from, r.vt, r.tc)
-		case defDowngrade:
-			a.handleDowngrade(rt, d, r.vt, r.tc)
-		case defRecall:
-			a.handleRecall(rt, d, r.vt, r.tc)
-		case defOpRecall:
-			a.handleOpRecall(rt, d, r.vt, r.tc)
-		}
+		a.obey(rt, d, r.want, r.from, r.vt, r.tc) // cache side: a parked command
 	}
 	// A cache-side dentry may have collected waiters during an eviction.
 	if !d.busy && !d.pending && len(d.waiters) > 0 && a.homeOfChunk(ci) != a.self() {
 		a.issueRequest(rt, d)
 	}
 }
-
-// Cache-side deferred command tags (reuse homeReq.want).
-const (
-	defInvalidate uint8 = 100 + iota
-	defDowngrade
-	defRecall
-	defOpRecall
-)
 
 // demoteLocal changes the local access permission, waiting out live
 // references when the change revokes rights (paper Figure 5); pure
@@ -626,75 +646,81 @@ func (a *Array) tryDemote(d *dentry, newState uint32) bool {
 	return true
 }
 
-// invalidateSharers sends invalidations to every sharer except `except`
-// and continues once all acks arrive.
+// demand sends coherence command kind to every node in mask and parks
+// the one awaited-reply record the chunk's transaction has in flight;
+// the last reply runs cont. With mask empty, cont runs at once.
+func (a *Array) demand(rt *cluster.Runtime, d *dentry, kind uint8, mask uint64, cont func(rt *cluster.Runtime)) {
+	n := bits.OnesCount64(mask)
+	if n == 0 {
+		cont(rt)
+		return
+	}
+	d.await = awaited{kind: kind, left: n, since: d.tvt, cont: cont}
+	for v := 0; mask != 0; v++ {
+		if mask&1 != 0 {
+			a.countSent(kind)
+			a.send(&fMsg{to: v, kind: kind, chunk: d.ci, vt: d.tvt, tc: d.tctx})
+		}
+		mask >>= 1
+	}
+}
+
+// awaits reports whether the transaction in flight on d waits for
+// replies of kind.
+func (d *dentry) awaits(kind uint8) bool {
+	return d.await.left > 0 && cmdRows[d.await.kind].reply == kind
+}
+
+// replied counts one reply to d's demand. The last closes the round's
+// fan-out span, if its command has one — a single span over the whole
+// multicast wait, from the demand to the last reply's service — and runs
+// the continuation.
+func (a *Array) replied(rt *cluster.Runtime, d *dentry) {
+	d.await.left--
+	if d.await.left > 0 {
+		return
+	}
+	if span := cmdRows[d.await.kind].fanout; span != "" {
+		d.tctx = a.child(d.tctx, a.self(), trace.StageFanout, span, d.ci, d.await.since, d.tvt)
+	}
+	cont := d.await.cont
+	d.await = awaited{}
+	cont(rt)
+}
+
+// invalidateSharers invalidates every sharer except `except` (-1: none)
+// and continues once all have acked.
 func (a *Array) invalidateSharers(rt *cluster.Runtime, d *dentry, except int, cont func(rt *cluster.Runtime)) {
 	mask := d.sharers
 	if except >= 0 {
 		mask &^= 1 << uint(except)
 	}
 	d.sharers = 0
-	n := bits.OnesCount64(mask)
-	if n == 0 {
-		cont(rt)
-		return
-	}
-	d.acks = n
-	d.onAcks = cont
-	d.fanVT = d.tvt
-	for v := 0; mask != 0; v++ {
-		if mask&1 != 0 {
-			a.send(&fMsg{to: v, kind: msgInvalidate, chunk: d.ci, vt: d.tvt, tc: d.tctx})
-		}
-		mask >>= 1
-	}
+	a.demand(rt, d, msgInvalidate, mask, cont)
 }
 
 func (a *Array) handleInvAck(rt *cluster.Runtime, d *dentry, svt int64) {
 	d.tvt = maxi64(d.tvt, svt)
-	if d.acks == 0 || d.onAcks == nil {
+	if !d.awaits(msgInvAck) {
 		a.rstate(rt).panicChunk(d.ci, "core: unexpected invalidation ack")
 	}
-	d.acks--
-	if d.acks == 0 {
-		// One fanout span covers the whole multicast wait: fan-out start
-		// to the last ack's service completion.
-		d.tctx = a.child(d.tctx, a.self(), trace.StageFanout, "inv-fanout", d.ci, d.fanVT, d.tvt)
-		cb := d.onAcks
-		d.onAcks = nil
-		cb(rt)
-	}
+	a.replied(rt, d)
 }
 
-// demandWriteback asks the chunk's Dirty owner to write it back: kind is
-// msgRecall (and invalidate) or msgDowngrade (and keep a Shared copy).
-// The response (or a voluntary writeback that crossed on the wire) lands
-// in handleWBData, which copies the data home before running cont.
-func (a *Array) demandWriteback(d *dentry, kind uint8, cont func(rt *cluster.Runtime)) {
-	if kind == msgRecall {
-		a.Metrics.Recalls.Add(1)
-	} else {
-		a.Metrics.Downgrades.Add(1)
-	}
-	d.onWB = func(rt *cluster.Runtime, data []uint64, vt int64) {
-		copy(d.data, data)
-		d.tvt = maxi64(d.tvt, vt)
-		cont(rt)
-	}
-	a.send(&fMsg{to: int(d.owner), kind: kind, chunk: d.ci, vt: d.tvt, tc: d.tctx})
-}
-
+// handleWBData copies a writeback into the home chunk. One the home
+// awaits answers its recall or downgrade — a voluntary one that crossed
+// the command on the wire included; any other ends the Dirty episode.
 func (a *Array) handleWBData(rt *cluster.Runtime, d *dentry, m *fabric.Message, svt int64, tc trace.Ctx) {
-	if d.onWB != nil {
-		cb := d.onWB
-		d.onWB = nil
-		end := svt + a.copyCost(len(m.Data))
+	end := svt + a.copyCost(len(m.Data))
+	if d.awaits(msgWBData) {
 		if tc.Valid() {
 			// The writeback chain (descended from our recall/downgrade)
 			// becomes the transaction chain for the rest of the grant.
 			d.tctx = a.child(tc, a.self(), trace.StageService, "merge-wb", d.ci, svt, end)
 		}
-		cb(rt, m.Data, end)
+		copy(d.data, m.Data)
+		d.tvt = maxi64(d.tvt, end)
+		a.replied(rt, d)
 		return
 	}
 	if d.busy {
@@ -708,7 +734,7 @@ func (a *Array) handleWBData(rt *cluster.Runtime, d *dentry, m *fabric.Message, 
 	d.dstate = dirUnshared
 	d.owner = -1
 	d.state.Store(permRW)
-	d.tvt = maxi64(d.tvt, svt+a.copyCost(len(m.Data)))
+	d.tvt = maxi64(d.tvt, end)
 	a.drainDeferred(rt, d, d.ci)
 }
 
@@ -719,36 +745,22 @@ func (a *Array) handleWBData(rt *cluster.Runtime, d *dentry, m *fabric.Message, 
 func (a *Array) collapseOperated(rt *cluster.Runtime, d *dentry, cont func(rt *cluster.Runtime)) {
 	a.bumpShip(d) // collapse churn feeds the contention estimator
 	a.demoteLocal(rt, d, permInvalid, func(rt *cluster.Runtime) {
-		mask := d.opNodes
-		n := bits.OnesCount64(mask)
-		finish := func(rt *cluster.Runtime) {
+		a.demand(rt, d, msgOpRecall, d.opNodes, func(rt *cluster.Runtime) {
 			a.transition(TransOperatedToUnshared)
 			d.dstate = dirUnshared
 			d.opNodes = 0
 			d.opID = 0
 			d.state.Store(permRW)
 			cont(rt)
-		}
-		if n == 0 {
-			finish(rt)
-			return
-		}
-		d.opAcks = n
-		d.onOpAll = finish
-		d.fanVT = d.tvt
-		for v := 0; mask != 0; v++ {
-			if mask&1 != 0 {
-				a.send(&fMsg{to: v, kind: msgOpRecall, chunk: d.ci, vt: d.tvt, tc: d.tctx})
-			}
-			mask >>= 1
-		}
+		})
 	})
 }
 
 // handleOpFlush merges a node's combined operand buffer into the home
 // chunk. Identity elements are skipped; merging uses CAS because home
 // application threads may be combining concurrently (voluntary flushes
-// arrive while the chunk is still Operated).
+// arrive while the chunk is still Operated). A flush, voluntary or not,
+// answers a collapse in flight.
 func (a *Array) handleOpFlush(rt *cluster.Runtime, d *dentry, m *fabric.Message, svt int64) {
 	op := a.op(OpID(m.OpID))
 	merged := a.mergeOperands(d, m.Data, op)
@@ -761,14 +773,8 @@ func (a *Array) handleOpFlush(rt *cluster.Runtime, d *dentry, m *fabric.Message,
 	}
 	d.opNodes &^= 1 << uint(m.From)
 	d.tvt = maxi64(d.tvt, svt+a.copyCost(len(m.Data)))
-	if d.opAcks > 0 {
-		d.opAcks--
-		if d.opAcks == 0 {
-			d.tctx = a.child(d.tctx, a.self(), trace.StageFanout, "op-collapse", d.ci, d.fanVT, d.tvt)
-			cb := d.onOpAll
-			d.onOpAll = nil
-			cb(rt)
-		}
+	if d.awaits(msgOpFlush) {
+		a.replied(rt, d)
 	}
 }
 

@@ -233,7 +233,7 @@ func (a *Array) homeShip(rt *cluster.Runtime, d *dentry, r homeReq) {
 			a.shipApply(rt, d, r)
 		})
 	case dirDirty:
-		a.demandWriteback(d, msgRecall, func(rt *cluster.Runtime) {
+		a.demand(rt, d, msgRecall, 1<<uint(d.owner), func(rt *cluster.Runtime) {
 			a.transition(TransDirtyToUnshared)
 			d.dstate = dirUnshared
 			d.owner = -1
