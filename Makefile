@@ -27,9 +27,12 @@ race:
 # queued fill would cause) and the announce/re-check regression of the
 # data fast path, on four cores under the race detector, with a bound so
 # a lost grant or release fails in two minutes instead of hanging CI for
-# ten.
+# ten. Then the reader-gate tests ten times more: the count is what
+# catches a window between a grant and its gate that shows one run in
+# sixty.
 locks:
 	GOMAXPROCS=4 $(GO) test -race -timeout 120s -count=1 -run 'TestLease|TestLocks|TestRLock|TestGate|TestLockFill|TestAnnounceRecheck' ./internal/core/
+	GOMAXPROCS=4 $(GO) test -race -timeout 120s -count=10 -run 'TestGate' ./internal/core/
 
 # Record-granular KVS gate: the store, the GAM baseline under it and
 # their pairing, which hold pins across whole buckets and records and so
@@ -114,13 +117,13 @@ contention:
 # and the critical path covers >= 95% of the slowest root op. Then the
 # protocol event recorder — ring wrap, lock traffic, merged reads racing
 # the runtimes that write, the stalled-grant reproducers that order
-# themselves by it, and the coherence-command golden that reads the
-# home's events — on four cores under the race detector.
+# themselves by it, and the coherence-command and directory-edge goldens
+# that read the home's events — on four cores under the race detector.
 trace:
 	$(GO) run ./cmd/darray-kv -nodes 3 -threads 1 -records 2048 -ops 500 -trace-out $(or $(TMPDIR),/tmp)/darray-trace-smoke.json
 	$(GO) run ./cmd/darray-trace $(or $(TMPDIR),/tmp)/darray-trace-smoke.json
 	$(GO) test -run 'TestAcceptance' -count=1 ./internal/trace/
-	GOMAXPROCS=4 $(GO) test -race -timeout 120s -count=1 -run 'TestTrace|TestMergedTrace|TestStalled|TestCoherenceCommandRows' ./internal/core/
+	GOMAXPROCS=4 $(GO) test -race -timeout 120s -count=1 -run 'TestTrace|TestMergedTrace|TestStalled|TestCoherenceCommandRows|TestDirectoryEdges' ./internal/core/
 
 # Re-measure the cost model's CPU path costs on this host and print them
 # beside the recorded profile (vtime.Default). Not part of check: the

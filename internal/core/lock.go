@@ -14,7 +14,10 @@ import (
 // runtime goroutine that owns the element's chunk; requests and grants
 // travel as protocol messages. Lock hold times chain through the lock's
 // virtual free-time, which is what makes exclusive WLock+Read+Write
-// serialize in the Fig. 14 experiment while Operate does not.
+// serialize in the Fig. 14 experiment while Operate does not. They chain
+// only while the lock's table entry lives: tryGrant drops an idle entry
+// and its free-time with it, so a request that finds the lock idle is
+// granted from its own clock, however late the last holder released.
 //
 // Reader leases keep read-mostly locks on the reading node. Once the
 // home has seen an element's chunk take a run of reader grants with no
@@ -720,20 +723,23 @@ func (ls *lockState) blocks(h lockReq, g *gate) bool {
 // allows, and drops the entry once nothing holds, waits for or leases
 // the lock (the table stays sparse; history lives in the chunk's obs).
 // A writer also waits for the readers inside the home's own gate, which
-// its request shut; a local reader granted with nothing left behind it
-// opens that gate for the readers after it. A writer's fill starts the
-// chunk's write transaction on its behalf: the data-resp is its grant.
+// its request shut; a pass that drains the queue on reader grants opens
+// that gate for the readers after them, before it wakes the local ones,
+// so a thread that follows one of them in finds it open. A writer's fill
+// starts the chunk's write transaction on its behalf: the data-resp is
+// its grant.
 func (a *Array) tryGrant(rt *cluster.Runtime, idx int64, ls *lockState) {
 	ci := idx / a.sh.chunkWords
 	obs := &a.dents[ci].obs.lock
 	g := a.gateOf(idx)
 	openVT := int64(-1) // grant time of the last local reader admitted in this pass
-	for len(ls.queue) > 0 {
-		h := ls.queue[0]
-		if ls.blocks(h, g) {
-			return
+	n := 0              // the pass has granted ls.queue[:n]; a local entry's vt is now its grant's
+	for n < len(ls.queue) {
+		h := &ls.queue[n]
+		if ls.blocks(*h, g) {
+			break
 		}
-		ls.queue = popFront(ls.queue)
+		n++
 		base := maxi64(h.vt, ls.freeVT)
 		var leased uint64
 		if h.writer {
@@ -753,7 +759,7 @@ func (a *Array) tryGrant(rt *cluster.Runtime, idx int64, ls *lockState) {
 			if g != nil {
 				local = gateHits(g.word.Load())
 			}
-			if h.w == nil && len(ls.queue) == 0 && ls.lessees&bit == 0 && obs.leasable(local) {
+			if h.w == nil && n == len(ls.queue) && ls.lessees&bit == 0 && obs.leasable(local) {
 				ls.lessees |= bit
 				leased = 1
 				a.Metrics.LeaseGrants.Add(1)
@@ -776,10 +782,10 @@ func (a *Array) tryGrant(rt *cluster.Runtime, idx int64, ls *lockState) {
 		}
 		switch {
 		case h.w != nil:
+			h.vt = gvt // woken below
 			if !h.writer {
 				openVT = gvt
 			}
-			a.grantWaiter(h.w, gvt)
 		case h.fill:
 			a.Metrics.LockFills.Add(1)
 			a.serveHome(rt, &a.dents[ci], homeReq{from: h.from, want: wantWrite, vt: gvt, tc: tc,
@@ -788,14 +794,22 @@ func (a *Array) tryGrant(rt *cluster.Runtime, idx int64, ls *lockState) {
 			a.send(&fMsg{to: h.from, kind: msgLockGrant, chunk: ci, idx: idx, val: leased, vt: gvt, tc: tc})
 		}
 		if h.writer {
-			return
+			break
 		}
 	}
-	if openVT >= 0 {
+	if openVT >= 0 && n == len(ls.queue) {
 		// The queue drained on reader grants: no writer holds or waits, so
 		// this node's next readers need neither the table nor this goroutine.
 		a.openGate(idx, openVT, 0)
 	}
+	for _, h := range ls.queue[:n] {
+		if h.w != nil {
+			a.grantWaiter(h.w, h.vt)
+		}
+	}
+	rest := copy(ls.queue, ls.queue[n:])
+	clear(ls.queue[rest:])
+	ls.queue = ls.queue[:rest]
 	if ls.idle() {
 		delete(a.rstate(rt).locks, idx)
 	}

@@ -351,176 +351,177 @@ func (a *Array) serveHome(rt *cluster.Runtime, d *dentry, r homeReq) {
 	}
 	d.tvt = maxi64(d.tvt, r.vt)
 	d.tctx = r.tc
+	if r.want == wantShip {
+		// Once per transaction, however many steps the op waits through.
+		a.noteShip(d, r.from, 0)
+	}
 	a.homeStep(rt, d, r)
 }
 
-// homeStep dispatches one directory transaction. Transitions that must
-// wait (reference drains, invalidation acks, recalls) continue through
-// callbacks and re-enter homeStep or finish via homeDone.
+// dirEdge is one grant edge of the home directory (paper Table 1 and
+// Fig. 9): the Transition it counts, the permission the home keeps and
+// the state the chunk lands in. A keep of permOperated is packed with
+// the requester's operator.
+type dirEdge struct {
+	t    Transition
+	keep uint32
+	to   uint8
+}
+
+// dirEdges is every edge a remote request makes to be granted, indexed by
+// directory state and base want. A zero entry (to == dirUnshared, where
+// no grant lands) names none: homeStep serves such a request in place or
+// reclaims the chunk for it.
+var dirEdges = [dirOperated + 1][wantOperate + 1]dirEdge{
+	dirUnshared: {
+		wantRead:    {TransUnsharedToShared, permRead, dirShared},
+		wantWrite:   {TransUnsharedToDirty, permInvalid, dirDirty},
+		wantOperate: {TransUnsharedToOperated, permOperated, dirOperated},
+	},
+	dirShared: {
+		wantWrite:   {TransSharedToDirty, permInvalid, dirDirty},
+		wantOperate: {TransSharedToOperated, permOperated, dirOperated},
+	},
+	dirDirty: {
+		wantRead: {TransDirtyToShared, permRead, dirShared},
+	},
+}
+
+// homeStep is the directory's one step: it serves r in place, makes the
+// one edge dirEdges names for it (grantEdge), or folds the chunk back to
+// Unshared and steps again (reclaim). A step that must wait — a
+// reference drain, the replies to a coherence command — continues in a
+// closure; one that need not builds none.
 func (a *Array) homeStep(rt *cluster.Runtime, d *dentry, r homeReq) {
-	if r.want == wantShip {
-		a.homeShip(rt, d, r)
+	bit := uint64(1) << uint(r.from)
+	switch {
+	case r.from == a.self() || r.want == wantShip:
+		// The home's own permission serves a local request, and a shipped
+		// op combines into the backing like a home thread's Apply: in place
+		// on Unshared or under its own operator, otherwise once reclaimed.
+		switch {
+		case !satisfies(d.state.Load(), r.want, r.op):
+			a.reclaim(rt, d, r)
+		case r.want == wantShip:
+			a.shipApply(rt, d, r)
+		default:
+			a.homeFinish(rt, d, r)
+		}
+	case d.dstate == dirShared && r.want == wantRead:
+		if d.sharers&bit == 0 {
+			a.transition(TransSharedAddSharer)
+		}
+		d.sharers |= bit
+		a.grantData(rt, d, r, permRead)
+	case d.dstate == dirOperated && r.want == wantOperate && r.op == d.opID:
+		var churn int32
+		if d.opNodes&bit == 0 {
+			a.transition(TransOperatedAddNode)
+			churn = 1
+		}
+		a.noteShip(d, r.from, churn)
+		d.opNodes |= bit
+		a.grantOperate(rt, d, r)
+	case d.dstate == dirDirty && int(d.owner) == r.from:
+		a.rstate(rt).panicChunk(d.ci, "core: dirty owner re-requested ownership")
+	case d.dstate <= dirOperated && dirEdges[d.dstate][r.want].to != dirUnshared:
+		a.grantEdge(rt, d, r)
+	default:
+		a.reclaim(rt, d, r)
+	}
+}
+
+// grantEdge clears the holders in the way of r's edge with the one
+// command that does it — the other sharers are invalidated, a Dirty owner
+// is downgraded and stays a sharer — and lands the edge once they have
+// all answered.
+func (a *Array) grantEdge(rt *cluster.Runtime, d *dentry, r homeReq) {
+	var kind uint8
+	var mask uint64
+	switch d.dstate {
+	case dirShared:
+		kind, mask = msgInvalidate, d.sharers&^(1<<uint(r.from))
+		d.sharers = 0
+	case dirDirty:
+		kind, mask = msgDowngrade, 1<<uint(d.owner)
+		d.sharers = mask
+	}
+	if mask == 0 {
+		a.landEdge(rt, d, r)
 		return
 	}
-	local := r.from == a.self()
-	switch d.dstate {
-	case dirUnshared:
-		a.homeFromUnshared(rt, d, r, local)
+	a.demand(rt, d, kind, mask, func(rt *cluster.Runtime) { a.landEdge(rt, d, r) })
+}
+
+// landEdge takes r's edge: the home keeps the row's permission, waiting
+// out its own references when that revokes rights (a drain re-enters
+// here), then the edge is counted and the requester granted.
+func (a *Array) landEdge(rt *cluster.Runtime, d *dentry, r homeReq) {
+	e := dirEdges[d.dstate][r.want]
+	keep := e.keep
+	if keep == permOperated {
+		keep = packState(permOperated, r.op)
+	}
+	if !a.tryDemote(d, keep) {
+		a.demoteLocal(rt, d, keep, func(rt *cluster.Runtime) { a.landEdge(rt, d, r) })
+		return
+	}
+	a.transition(e.t)
+	d.dstate = e.to
+	switch e.to {
 	case dirShared:
-		a.homeFromShared(rt, d, r, local)
+		d.sharers |= 1 << uint(r.from)
+		a.grantData(rt, d, r, permRead)
 	case dirDirty:
-		a.homeFromDirty(rt, d, r, local)
+		d.owner = int32(r.from)
+		a.grantData(rt, d, r, permRW)
 	case dirOperated:
-		if !local && r.want == wantOperate && r.op == d.opID {
-			if d.opNodes&(1<<uint(r.from)) == 0 {
-				a.transition(TransOperatedAddNode)
-				a.noteShip(d, r.from, 1)
-			} else {
-				a.noteShip(d, r.from, 0)
-			}
-			d.opNodes |= 1 << uint(r.from)
-			a.grantOperate(rt, d, r)
+		a.noteShip(d, r.from, 1)
+		d.opID, d.opNodes = r.op, 1<<uint(r.from)
+		a.grantOperate(rt, d, r)
+	}
+}
+
+// reclaim folds every copy of the chunk back to the home — the sharers
+// invalidated, the Dirty owner recalled, or the combiners collapsed once
+// the home's own combining is revoked (a drain re-enters here) — lands it
+// in Unshared with the home RW and steps r again from there.
+func (a *Array) reclaim(rt *cluster.Runtime, d *dentry, r homeReq) {
+	var kind uint8
+	var mask uint64
+	var t Transition
+	switch d.dstate {
+	case dirShared:
+		kind, mask, t = msgInvalidate, d.sharers, TransSharedToUnshared
+		d.sharers = 0
+	case dirDirty:
+		kind, mask, t = msgRecall, 1<<uint(d.owner), TransDirtyToUnshared
+	case dirOperated:
+		if !a.tryDemote(d, permInvalid) {
+			a.demoteLocal(rt, d, permInvalid, func(rt *cluster.Runtime) { a.reclaim(rt, d, r) })
 			return
 		}
-		if local && satisfies(d.state.Load(), r.want, r.op) {
-			// Home already holds Operated(op) permission locally.
-			a.homeFinish(rt, d, r)
-			return
-		}
-		a.collapseOperated(rt, d, func(rt *cluster.Runtime) {
-			a.homeStep(rt, d, r)
-		})
+		a.bumpShip(d) // collapse churn feeds the contention estimator
+		kind, mask, t = msgOpRecall, d.opNodes, TransOperatedToUnshared
 	default:
 		a.rstate(rt).panicChunk(d.ci, "core: bad directory state")
 	}
-}
-
-func (a *Array) homeFromUnshared(rt *cluster.Runtime, d *dentry, r homeReq, local bool) {
-	if local {
-		// Unshared already grants the home node R/W/O.
-		a.homeFinish(rt, d, r)
+	if mask == 0 {
+		a.unshare(d, t)
+		a.homeStep(rt, d, r)
 		return
 	}
-	switch r.want {
-	case wantRead:
-		a.demoteLocal(rt, d, permRead, func(rt *cluster.Runtime) {
-			a.transition(TransUnsharedToShared)
-			d.dstate = dirShared
-			d.sharers = 1 << uint(r.from)
-			a.grantData(rt, d, r, permRead)
-		})
-	case wantWrite:
-		a.homeToDirty(rt, d, r, TransUnsharedToDirty)
-	case wantOperate:
-		a.noteShip(d, r.from, 1)
-		a.demoteLocal(rt, d, packState(permOperated, r.op), func(rt *cluster.Runtime) {
-			a.transition(TransUnsharedToOperated)
-			d.dstate = dirOperated
-			d.opID = r.op
-			d.opNodes = 1 << uint(r.from)
-			a.grantOperate(rt, d, r)
-		})
-	}
-}
-
-func (a *Array) homeFromShared(rt *cluster.Runtime, d *dentry, r homeReq, local bool) {
-	switch r.want {
-	case wantRead:
-		if local {
-			a.homeFinish(rt, d, r) // home perm is Read already
-			return
-		}
-		if d.sharers&(1<<uint(r.from)) == 0 {
-			a.transition(TransSharedAddSharer)
-		}
-		d.sharers |= 1 << uint(r.from)
-		a.grantData(rt, d, r, permRead)
-	case wantWrite:
-		if !local {
-			if d.sharers&^(1<<uint(r.from)) == 0 {
-				d.sharers = 0 // nothing to invalidate: no continuation to park
-				a.homeToDirty(rt, d, r, TransSharedToDirty)
-				return
-			}
-			a.invalidateSharers(rt, d, r.from, func(rt *cluster.Runtime) {
-				a.homeToDirty(rt, d, r, TransSharedToDirty)
-			})
-			return
-		}
-		a.invalidateSharers(rt, d, -1, func(rt *cluster.Runtime) {
-			// Permission promotion Read→RW needs no drain (Fig. 6).
-			a.transition(TransSharedToUnshared)
-			d.dstate = dirUnshared
-			d.state.Store(permRW)
-			a.homeFinish(rt, d, r)
-		})
-	case wantOperate:
-		except := -1
-		if !local {
-			except = r.from
-		}
-		a.invalidateSharers(rt, d, except, func(rt *cluster.Runtime) {
-			if local {
-				a.transition(TransSharedToUnshared)
-				d.dstate = dirUnshared
-				d.state.Store(permRW) // RW satisfies Apply at home
-				a.homeFinish(rt, d, r)
-				return
-			}
-			a.noteShip(d, r.from, 1)
-			a.demoteLocal(rt, d, packState(permOperated, r.op), func(rt *cluster.Runtime) {
-				a.transition(TransSharedToOperated)
-				d.dstate = dirOperated
-				d.opID = r.op
-				d.opNodes = 1 << uint(r.from)
-				a.grantOperate(rt, d, r)
-			})
-		})
-	}
-}
-
-// homeToDirty ends a remote write transaction once no other sharer is
-// left: the home's own permission is revoked (draining its references)
-// and the requester becomes the Dirty owner with the chunk. Only a drain
-// that has to wait builds a continuation.
-func (a *Array) homeToDirty(rt *cluster.Runtime, d *dentry, r homeReq, t Transition) {
-	if a.tryDemote(d, permInvalid) {
-		a.grantDirty(rt, d, r, t)
-		return
-	}
-	a.demoteLocal(rt, d, permInvalid, func(rt *cluster.Runtime) { a.grantDirty(rt, d, r, t) })
-}
-
-func (a *Array) grantDirty(rt *cluster.Runtime, d *dentry, r homeReq, t Transition) {
-	a.transition(t)
-	d.dstate = dirDirty
-	d.owner = int32(r.from)
-	a.grantData(rt, d, r, permRW)
-}
-
-func (a *Array) homeFromDirty(rt *cluster.Runtime, d *dentry, r homeReq, local bool) {
-	owner := int(d.owner)
-	if !local && owner == r.from {
-		a.rstate(rt).panicChunk(d.ci, "core: dirty owner re-requested ownership")
-	}
-	if !local && r.want == wantRead {
-		// Dirty --Remote R--> Shared: the owner keeps a Shared copy.
-		a.demand(rt, d, msgDowngrade, 1<<uint(owner), func(rt *cluster.Runtime) {
-			a.transition(TransDirtyToShared)
-			d.dstate = dirShared
-			d.sharers = (1 << uint(owner)) | (1 << uint(r.from))
-			d.state.Store(permRead)
-			a.grantData(rt, d, r, permRead)
-		})
-		return
-	}
-	a.demand(rt, d, msgRecall, 1<<uint(owner), func(rt *cluster.Runtime) {
-		a.transition(TransDirtyToUnshared)
-		d.dstate = dirUnshared
-		d.owner = -1
-		d.state.Store(permRW)
+	a.demand(rt, d, kind, mask, func(rt *cluster.Runtime) {
+		a.unshare(d, t)
 		a.homeStep(rt, d, r)
 	})
+}
+
+// unshare lands the chunk in Unshared with the home RW, counting edge t.
+func (a *Array) unshare(d *dentry, t Transition) {
+	a.transition(t)
+	d.dstate, d.sharers, d.owner, d.opID, d.opNodes = dirUnshared, 0, -1, 0, 0
+	d.state.Store(permRW)
 }
 
 // homeFinish completes a transaction whose requester is the home node.
@@ -688,17 +689,6 @@ func (a *Array) replied(rt *cluster.Runtime, d *dentry) {
 	cont(rt)
 }
 
-// invalidateSharers invalidates every sharer except `except` (-1: none)
-// and continues once all have acked.
-func (a *Array) invalidateSharers(rt *cluster.Runtime, d *dentry, except int, cont func(rt *cluster.Runtime)) {
-	mask := d.sharers
-	if except >= 0 {
-		mask &^= 1 << uint(except)
-	}
-	d.sharers = 0
-	a.demand(rt, d, msgInvalidate, mask, cont)
-}
-
 func (a *Array) handleInvAck(rt *cluster.Runtime, d *dentry, svt int64) {
 	d.tvt = maxi64(d.tvt, svt)
 	if !d.awaits(msgInvAck) {
@@ -730,30 +720,9 @@ func (a *Array) handleWBData(rt *cluster.Runtime, d *dentry, m *fabric.Message, 
 		a.rstate(rt).panicChunk(d.ci, "core: writeback from non-owner")
 	}
 	copy(d.data, m.Data)
-	a.transition(TransDirtyToUnshared)
-	d.dstate = dirUnshared
-	d.owner = -1
-	d.state.Store(permRW)
+	a.unshare(d, TransDirtyToUnshared)
 	d.tvt = maxi64(d.tvt, end)
 	a.drainDeferred(rt, d, d.ci)
-}
-
-// collapseOperated drains the Operated state: home permission is revoked
-// first (stopping local combining), then every operating node is asked
-// to flush its combined operands, which the home merges; the chunk lands
-// in Unshared with home RW permission.
-func (a *Array) collapseOperated(rt *cluster.Runtime, d *dentry, cont func(rt *cluster.Runtime)) {
-	a.bumpShip(d) // collapse churn feeds the contention estimator
-	a.demoteLocal(rt, d, permInvalid, func(rt *cluster.Runtime) {
-		a.demand(rt, d, msgOpRecall, d.opNodes, func(rt *cluster.Runtime) {
-			a.transition(TransOperatedToUnshared)
-			d.dstate = dirUnshared
-			d.opNodes = 0
-			d.opID = 0
-			d.state.Store(permRW)
-			cont(rt)
-		})
-	})
 }
 
 // handleOpFlush merges a node's combined operand buffer into the home

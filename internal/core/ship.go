@@ -202,52 +202,13 @@ func (a *Array) shipHint(d *dentry) uint64 {
 // ---------------------------------------------------------------------------
 // Home side: applying a shipped op.
 
-// homeShip serves a wantShip directory transaction. The shipped op
-// mutates the authoritative words, so any state granting other nodes a
-// copy or exclusivity is folded back to Unshared first — with the one
-// crucial exception: Operated under the same operator combines directly
-// (commutative with every outstanding combine buffer), which is what
-// makes a shipped op cheap exactly when the chunk is hottest.
-func (a *Array) homeShip(rt *cluster.Runtime, d *dentry, r homeReq) {
-	a.noteShip(d, r.from, 0)
-	switch d.dstate {
-	case dirUnshared:
-		a.shipApply(rt, d, r)
-	case dirOperated:
-		if r.op == d.opID {
-			// Home holds Operated(op): the shipped operand combines into
-			// the backing exactly like a home-thread combine; no
-			// transition, no churn.
-			a.shipApply(rt, d, r)
-			return
-		}
-		a.collapseOperated(rt, d, func(rt *cluster.Runtime) {
-			a.homeStep(rt, d, r)
-		})
-	case dirShared:
-		// Every Shared copy goes stale, including the requester's.
-		a.invalidateSharers(rt, d, -1, func(rt *cluster.Runtime) {
-			a.transition(TransSharedToUnshared)
-			d.dstate = dirUnshared
-			d.state.Store(permRW) // promotion Read→RW needs no drain
-			a.shipApply(rt, d, r)
-		})
-	case dirDirty:
-		a.demand(rt, d, msgRecall, 1<<uint(d.owner), func(rt *cluster.Runtime) {
-			a.transition(TransDirtyToUnshared)
-			d.dstate = dirUnshared
-			d.owner = -1
-			d.state.Store(permRW)
-			a.shipApply(rt, d, r)
-		})
-	default:
-		a.rstate(rt).panicChunk(d.ci, "core: bad directory state")
-	}
-}
-
 // shipApply applies a shipped op (single operand or batch) against the
-// home backing and replies. Merging uses CAS like mergeOperands: home
-// application threads may be writing or combining concurrently.
+// home backing and replies. homeStep calls it on an Unshared chunk or one
+// Operated under the op's own operator, where the operand commutes with
+// every outstanding combine buffer — which is what makes a shipped op
+// cheap exactly when the chunk is hottest — and reclaims any other state
+// first. Merging uses CAS like mergeOperands: home application threads
+// may be writing or combining concurrently.
 func (a *Array) shipApply(rt *cluster.Runtime, d *dentry, r homeReq) {
 	op := a.op(r.op)
 	words := 1
