@@ -77,7 +77,7 @@ bufdebug:
 # cluster template's tracer — plus the >=2x GetRange and >=1.5x SetRange
 # speedup gates.
 stream:
-	GOMAXPROCS=4 $(GO) test -race -timeout 120s -count=1 -run 'TestNonPositiveSample|TestRTTSamples|TestOverwriteGrant|TestStallFromStalled' ./internal/cc/ ./internal/core/ ./internal/cluster/
+	GOMAXPROCS=4 $(GO) test -race -timeout 120s -count=1 -run 'TestNonPositiveSample|TestRTTSamples|TestOverwriteGrant|TestStallFromStalled|TestPipelineDescendingRuns|TestApplyAtPipelines' ./internal/cc/ ./internal/core/ ./internal/cluster/
 	$(GO) run ./cmd/darray-bench -fig stream -words-per-node 8192 -max-nodes 3 -trace-out $(or $(TMPDIR),/tmp)/stream.json
 	$(GO) run ./cmd/darray-trace $(or $(TMPDIR),/tmp)/stream.json
 	$(GO) test -run 'TestStream' -count=1 ./internal/bench/

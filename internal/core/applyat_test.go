@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"darray/internal/cluster"
@@ -83,6 +85,9 @@ func TestApplyAtShipOnMatchesApply(t *testing.T) {
 	applyAtAgainstApply(t, c, 3*4*64, OpAddU64, 0)
 }
 
+// ApplyAt allocates nothing on the home's own chunks, nor, once the first
+// call's Operated grants are in, on another node's: the pipeline runs on
+// the thread's ring and the runs are found in place.
 func TestApplyAtAllocatesNothing(t *testing.T) {
 	skipIfNotMeasurable(t)
 	c := tc(t, 2)
@@ -90,15 +95,152 @@ func TestApplyAtAllocatesNothing(t *testing.T) {
 		a := New(n, 2*4*64)
 		add := a.RegisterOp(OpAddU64)
 		ctx := n.NewCtx(0)
-		c.Barrier(ctx)
-		if n.ID() == 0 {
-			idx := scattered(rand.New(rand.NewSource(1)), 300, 4*64, 64) // node 0's chunks
-			src := make([]uint64, len(idx))
-			if got := testing.AllocsPerRun(100, func() { a.ApplyAt(ctx, add, idx, src) }); got != 0 {
-				t.Errorf("ApplyAt on resident chunks allocates %.2f per call, want 0", got)
+		idx := scattered(rand.New(rand.NewSource(1)), 300, 4*64, 64) // node 0's chunks
+		src := make([]uint64, len(idx))
+		for v, where := range []string{"resident", "remote"} {
+			c.Barrier(ctx)
+			if n.ID() == v {
+				if got := testing.AllocsPerRun(100, func() { a.ApplyAt(ctx, add, idx, src) }); got != 0 {
+					t.Errorf("ApplyAt over %d chunks on %s chunks allocates %.2f per call, want 0", 4, where, got)
+				}
 			}
 		}
 		c.Barrier(ctx)
+	})
+}
+
+// applyAtSchedule runs one ApplyAt on node 1 of a 2-node cluster at the
+// fixed pipeline depth, over node 0's chunks in the order chunks lists
+// them (two entries each), and returns the pipeline's issue/await
+// interleaving as captureSchedule does.
+func applyAtSchedule(t *testing.T, depth int, chunks []int64) string {
+	t.Helper()
+	c := tc(t, 2, func(cfg *cluster.Config) {
+		cfg.Model, cfg.RuntimeThreads, cfg.PipelineDepth, cfg.NoCC = vtime.Default(), 1, depth, true
+	})
+	var sched []string
+	c.Run(func(n *cluster.Node) {
+		a := New(n, 2*64*int64(len(chunks)))
+		add := a.RegisterOp(OpAddU64)
+		ctx := n.NewCtx(0)
+		c.Barrier(ctx)
+		if n.ID() == 1 {
+			var idx []int64
+			for _, ci := range chunks {
+				idx = append(idx, ci*64+3, ci*64+9)
+			}
+			pipeHook = func(op byte, ci int64) {
+				sched = append(sched, fmt.Sprintf("%c%d", op, ci))
+			}
+			a.ApplyAt(ctx, add, idx, make([]uint64, len(idx)))
+			pipeHook = nil
+		}
+		c.Barrier(ctx)
+	})
+	return strings.Join(sched, " ")
+}
+
+// TestApplyAtPipelinesAscendingRuns: an ApplyAt whose runs ascend keeps
+// PipelineDepth Operated grants in flight ahead of its first await —
+// the bulk ranges' fixed-depth schedule — while one whose runs descend
+// drains the ring before each run (the ordering rule).
+func TestApplyAtPipelinesAscendingRuns(t *testing.T) {
+	const depth = 4
+	up := []int64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
+	if got, want := applyAtSchedule(t, depth, up), fixedSchedule(int64(len(up)), depth); got != want {
+		t.Errorf("ascending ApplyAt schedule:\n got: %s\nwant: %s", got, want)
+	}
+	var want []string
+	for ci := int64(5); ci >= 0; ci-- {
+		want = append(want, fmt.Sprintf("i%d a%d", ci, ci))
+	}
+	if got := applyAtSchedule(t, depth, []int64{5, 4, 3, 2, 1, 0}); got != strings.Join(want, " ") {
+		t.Errorf("descending ApplyAt schedule:\n got: %s\nwant: %s", got, strings.Join(want, " "))
+	}
+}
+
+// TestPipelineDescendingRunsNoDeadlock is the shape that deadlocked
+// before pipelines kept their pins in ascending order: on each of two
+// nodes two threads issue ApplyAts whose runs interleave and descend over
+// the same chunks, beside multi-chunk ApplyRanges and GetRanges that
+// collapse those chunks again (reads go to the other node's half). A ring that pinned runs in input order
+// could hold chunk x while awaiting y as another holds y awaiting x; the
+// ordering rule leaves every wait pointing at a lower chunk
+// (PROTOCOL.md). The combined values are checked against a count.
+func TestPipelineDescendingRunsNoDeadlock(t *testing.T) {
+	const (
+		cw     = 32
+		chunks = 8
+		rounds = 150
+	)
+	c := tc(t, 2, func(cfg *cluster.Config) {
+		cfg.ChunkWords, cfg.RuntimeThreads, cfg.CacheChunks = cw, 2, 2*chunks
+	})
+	var want [chunks * cw]atomic.Int64
+	c.Run(func(n *cluster.Node) {
+		a := New(n, chunks*cw)
+		add := a.RegisterOp(OpAddU64)
+		root := n.NewCtx(0)
+		c.Barrier(root)
+		var wg sync.WaitGroup
+		for th := 0; th < 2; th++ {
+			ctx := n.NewCtx(th)
+			rng := rand.New(rand.NewSource(int64(10*n.ID() + th)))
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				buf := make([]uint64, 3*cw)
+				for r := 0; r < rounds; r++ {
+					switch r % 3 {
+					case 0:
+						// Runs on chunks hi, lo, hi-1, lo+1, ...: each second run
+						// descends, and the two threads' orders cross.
+						var idx []int64
+						for k := 0; k < chunks; k++ {
+							ci := int64(k / 2)
+							if k%2 == 0 {
+								ci = chunks - 1 - ci
+							}
+							if th == 1 {
+								ci = chunks - 1 - ci
+							}
+							for e := 0; e < 1+rng.Intn(3); e++ {
+								idx = append(idx, ci*cw+rng.Int63n(cw))
+							}
+						}
+						src := make([]uint64, len(idx))
+						for k, i := range idx {
+							src[k] = 1
+							want[i].Add(1)
+						}
+						a.ApplyAt(ctx, add, idx, src)
+					case 1:
+						lo := rng.Int63n(chunks*cw - int64(len(buf)))
+						for k := range buf {
+							buf[k] = 1
+							want[lo+int64(k)].Add(1)
+						}
+						a.ApplyRange(ctx, add, lo, buf)
+					case 2:
+						// Only the other node's half: a read of a chunk the reader's
+						// own node combines into under RW would race the CAS.
+						half := int64(chunks * cw / 2)
+						a.GetRange(ctx, int64(1-n.ID())*half+rng.Int63n(half-int64(len(buf))), buf)
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		c.Barrier(root)
+		if n.ID() == 0 {
+			for i := range want {
+				if got := a.Get(root, int64(i)); got != uint64(want[i].Load()) {
+					t.Errorf("a[%d] = %d, want %d", i, got, want[i].Load())
+					break
+				}
+			}
+		}
+		c.Barrier(root)
 	})
 }
 

@@ -13,9 +13,10 @@ import (
 // to the Pin interface for dense transfers (and the access pattern GAM
 // was designed around, cf. §2).
 //
-// A range spanning more than one chunk runs through rangePipeline, which
-// keeps up to a window of coherence round trips in flight; a range inside
-// one chunk is a single acquire, which allocates nothing.
+// A range spanning more than one chunk, and every ApplyRange and ApplyAt,
+// runs through rangePipeline, which keeps up to a window of coherence
+// round trips in flight; a GetRange or SetRange inside one chunk is a
+// single acquire. Neither allocates.
 
 // chunkSpan returns the chunk interval [ciLo, ciHi] covering elements
 // [i, i+n), which must lie inside the array: the last chunk's storage is
@@ -54,11 +55,9 @@ func (a *Array) GetRange(ctx *cluster.Ctx, i int64, dst []uint64) {
 		}
 	}
 	if ciLo, ciHi := a.chunkSpan(i, int64(len(dst))); ciHi > ciLo {
-		end := i + int64(len(dst))
-		a.rangePipeline(ctx, ciLo, ciHi, wantPinRead, 0, i, nil, func(p *Pin, _ bool) {
-			lo, hi := maxi64(i, p.base), mini64(end, p.limit)
-			copy(dst[lo-i:hi-i], p.d.data[lo-p.base:hi-p.base])
-			a.chargeCopy(ctx, tc, p.d.ci, hi-lo)
+		a.rangePipeline(ctx, runs{i: i, n: int64(len(dst))}, wantPinRead, 0, nil, func(p *Pin, k0, k1 int64, _ bool) {
+			copy(dst[k0:k1], p.d.data[i+k0-p.base:i+k1-p.base])
+			a.chargeCopy(ctx, tc, p.d.ci, k1-k0)
 		}, tc)
 		return
 	}
@@ -86,14 +85,12 @@ func (a *Array) SetRange(ctx *cluster.Ctx, i int64, src []uint64) {
 		}
 	}
 	if ciLo, ciHi := a.chunkSpan(i, int64(len(src))); ciHi > ciLo {
-		end := i + int64(len(src))
-		a.rangePipeline(ctx, ciLo, ciHi, wantPinWrite, 0, i, src, func(p *Pin, filled bool) {
+		a.rangePipeline(ctx, runs{i: i, n: int64(len(src))}, wantPinWrite, 0, src, func(p *Pin, k0, k1 int64, filled bool) {
 			if filled {
 				return // the runtime stored this chunk's words with the grant
 			}
-			lo, hi := maxi64(i, p.base), mini64(end, p.limit)
-			copy(p.d.data[lo-p.base:hi-p.base], src[lo-i:hi-i])
-			a.chargeCopy(ctx, tc, p.d.ci, hi-lo)
+			copy(p.d.data[i+k0-p.base:i+k1-p.base], src[k0:k1])
+			a.chargeCopy(ctx, tc, p.d.ci, k1-k0)
 		}, tc)
 		return
 	}
@@ -125,28 +122,7 @@ func (a *Array) ApplyRange(ctx *cluster.Ctx, op OpID, i int64, src []uint64) {
 		a.applyRangeShipped(ctx, op, i, src, tc)
 		return
 	}
-	if ciHi > ciLo {
-		end := i + int64(len(src))
-		a.rangePipeline(ctx, ciLo, ciHi, wantPinOperate, op, i, nil, func(p *Pin, _ bool) {
-			lo, hi := maxi64(i, p.base), mini64(end, p.limit)
-			t1 := ctx.Clock.Now()
-			for k := lo; k < hi; k++ {
-				p.Apply(ctx, k, src[k-i])
-			}
-			a.noteRun(ctx, tc, p.d.ci, hi-lo, t1)
-		}, tc)
-		return
-	}
-	var p Pin
-	if !a.acquire(ctx, &p, i, wantPinOperate, op, tc) {
-		return // cluster failed; see ctx.Err
-	}
-	t1 := ctx.Clock.Now()
-	for k, v := range src {
-		p.Apply(ctx, i+int64(k), v)
-	}
-	a.noteRun(ctx, tc, p.d.ci, int64(len(src)), t1)
-	p.Unpin(ctx)
+	a.applyRuns(ctx, op, runs{i: i, n: int64(len(src))}, src, tc)
 }
 
 // ApplyAt combines src[k] into element idx[k] for every k under the
@@ -155,9 +131,11 @@ func (a *Array) ApplyRange(ctx *cluster.Ctx, op OpID, i int64, src []uint64) {
 // Operate acquisition and combines through the pin, so the run pays the
 // delay-flag/refcnt control path once instead of per element; a run on a
 // chunk in shipped mode goes through Apply per element, which ships it.
-// Entries need not be sorted, but a caller that groups them by chunk
-// (propagation blocking) gets one acquisition per chunk. A call
-// allocates nothing.
+// The runs share ApplyRange's pipeline: while their chunks ascend, up to
+// PipelineDepth Operated grants are in flight at once, so a caller that
+// sorts its entries by chunk (propagation blocking) pays one acquisition
+// per chunk and overlaps their round trips. A run whose chunk descends
+// waits for the ones before it to finish. A call allocates nothing.
 func (a *Array) ApplyAt(ctx *cluster.Ctx, op OpID, idx []int64, src []uint64) {
 	if len(idx) != len(src) {
 		panic(fmt.Sprintf("core: ApplyAt with %d indices and %d operands", len(idx), len(src)))
@@ -173,32 +151,26 @@ func (a *Array) ApplyAt(ctx *cluster.Ctx, op OpID, idx []int64, src []uint64) {
 			defer a.endRoot(ctx, tc, "ApplyAt", idx[0]/a.sh.chunkWords, t0)
 		}
 	}
-	for k := 0; k < len(idx); {
-		ci, _ := a.locate(idx[k])
-		end := k + 1
-		for end < len(idx) {
-			if c, _ := a.locate(idx[end]); c != ci {
-				break
+	a.applyRuns(ctx, op, runs{n: int64(len(idx)), idx: idx}, src, tc)
+}
+
+// applyRuns combines src[k] into element rs.at(k) for every position k
+// through the pipeline: a pinned run combines through its pin, a
+// shipping run through Apply per element.
+func (a *Array) applyRuns(ctx *cluster.Ctx, op OpID, rs runs, src []uint64, tc trace.Ctx) {
+	a.rangePipeline(ctx, rs, wantPinOperate, op, nil, func(p *Pin, k0, k1 int64, _ bool) {
+		if p == nil {
+			for k := k0; k < k1; k++ {
+				a.Apply(ctx, op, rs.at(k), src[k])
 			}
-			end++
+			return
 		}
-		if a.shipWanted(&a.dents[ci], ci, op) {
-			for ; k < end; k++ {
-				a.Apply(ctx, op, idx[k], src[k])
-			}
-			continue
+		t1 := ctx.Clock.Now()
+		for k := k0; k < k1; k++ {
+			p.Apply(ctx, rs.at(k), src[k])
 		}
-		var p Pin
-		if !a.acquire(ctx, &p, idx[k], wantPinOperate, op, tc) {
-			return // cluster failed; see ctx.Err
-		}
-		n, t1 := int64(end-k), ctx.Clock.Now()
-		for ; k < end; k++ {
-			p.Apply(ctx, idx[k], src[k])
-		}
-		a.noteRun(ctx, tc, p.d.ci, n, t1)
-		p.Unpin(ctx)
-	}
+		a.noteRun(ctx, tc, p.d.ci, k1-k0, t1)
+	}, tc)
 }
 
 // noteRun accounts a pinned run of n combines on chunk ci that started at

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+
 	"darray/internal/cc"
 	"darray/internal/cluster"
 	"darray/internal/trace"
@@ -15,24 +17,29 @@ import (
 //
 // How many acquisitions stay in flight toward one destination is that
 // destination's cc.Controller's decision, with the configured
-// PipelineDepth as its ceiling. Every multi-chunk range runs through
-// this one ring: at PipelineDepth 1 it is a window of one — issue,
-// await, issue, await — and a controller built with cc.Fixed holds the
-// window at the ceiling, which is the static-knob schedule.
+// PipelineDepth as its ceiling. Every multi-chunk range and every
+// ApplyAt runs through this one ring: at PipelineDepth 1 it is a window
+// of one — issue, await, issue, await — and a controller built with
+// cc.Fixed holds the window at the ceiling, which is the static-knob
+// schedule.
 
-// chunkReq is one in-flight chunk acquisition of a bulk pipeline.
+// chunkReq is one in-flight run of a bulk pipeline: the acquisition of
+// chunk ci for the operand positions [k0, k1) of the range.
 type chunkReq struct {
-	ci  int64
-	d   *dentry
-	tok *cluster.Token // slow-path completion; nil when pin fast-granted
+	ci     int64
+	k0, k1 int64
+	d      *dentry
+	tok    *cluster.Token // slow-path completion; nil when pin fast-granted
 
 	// pin is the acquired pin, handed to the range's process callback in
 	// place. pinned marks it valid at issue (the lock-free fast path
 	// granted); otherwise awaitChunk fills it. filled is set at await when
-	// the runtime already stored the SetRange source into the chunk.
+	// the runtime already stored the SetRange source into the chunk. ship
+	// marks a run that acquires nothing: its chunk is in shipped mode.
 	pin    Pin
 	pinned bool
 	filled bool
+	ship   bool
 
 	// Congestion-control bookkeeping, set by the pipeline when the
 	// acquisition went remote: the destination's controller, and the
@@ -152,29 +159,70 @@ func (a *Array) awaitChunk(ctx *cluster.Ctx, r *chunkReq, want uint8, op OpID, f
 // schedule. Set only from single-threaded tests before any bulk call.
 var pipeHook func(op byte, ci int64)
 
-// rangePipeline pins chunks [ciLo, ciHi] in order with up to a.pipeline
-// acquisitions outstanding, and toward each remote home no more than its
-// controller's window, calling process for each pinned chunk and
-// unpinning it. The next acquisitions are issued before the current
-// chunk is processed, so the copy overlaps the fetch. Stops early
-// (without process) once the cluster fails.
+// runs is the sequence of runs a pipeline visits: operand positions
+// [0, n), where position k is element i+k of a contiguous range, or
+// element idx[k] when idx is set (ApplyAt), cut wherever the chunk
+// changes.
+type runs struct {
+	i, n int64
+	idx  []int64
+}
+
+// at returns the element at operand position k.
+func (rs *runs) at(k int64) int64 {
+	if rs.idx == nil {
+		return rs.i + k
+	}
+	return rs.idx[k]
+}
+
+// runAt returns the chunk of the run that starts at position k and the
+// position one past its end: the rest of the chunk for a contiguous
+// range, the maximal run of same-chunk entries for idx.
+func (a *Array) runAt(rs *runs, k int64) (ci, end int64) {
+	cw := a.sh.chunkWords
+	if rs.idx == nil {
+		ci = (rs.i + k) / cw
+		return ci, mini64(rs.n, (ci+1)*cw-rs.i)
+	}
+	ci, _ = a.locate(rs.idx[k])
+	for end = k + 1; end < rs.n; end++ {
+		if c, _ := a.locate(rs.idx[end]); c != ci {
+			break
+		}
+	}
+	return ci, end
+}
+
+// rangePipeline pins the chunk of every run of rs in order, with up to
+// a.pipeline acquisitions outstanding and toward each remote home no
+// more than its controller's window, calling process with each run's pin
+// and operand positions [k0, k1) and then unpinning it. The next runs are
+// issued before the current one is processed, so the work overlaps the
+// fetches. Stops early (without process) once the cluster fails.
 //
-// src, non-nil only for SetRange, holds the words for elements
-// [i, i+len(src)): chunks it covers whole are requested as overwrites,
-// and process is told (filled) when the runtime already stored them.
-func (a *Array) rangePipeline(ctx *cluster.Ctx, ciLo, ciHi int64, want uint8, op OpID, i int64, src []uint64, process func(p *Pin, filled bool), tc trace.Ctx) {
+// Ordering rule: the ring holds pins only in strictly ascending chunk
+// order. A run whose chunk does not ascend, or whose Operate must ship,
+// is issued only once the ring has drained; a shipping run reaches
+// process with a nil pin (the caller applies element by element) and
+// nothing is issued behind it until it is done. A thread waiting in its
+// ring therefore holds only chunks above the one it waits for, so no
+// cycle of waits can form (PROTOCOL.md, "Pipelines hold pins in
+// ascending order").
+//
+// src, non-nil only for SetRange, holds the words for the contiguous
+// range: chunks it covers whole are requested as overwrites, and process
+// is told (filled) when the runtime already stored them.
+func (a *Array) rangePipeline(ctx *cluster.Ctx, rs runs, want uint8, op OpID, src []uint64, process func(p *Pin, k0, k1 int64, filled bool), tc trace.Ctx) {
 	var fn func(acc, operand uint64) uint64
 	if want == wantPinOperate {
 		fn = a.op(op).Fn
 	}
-	depth := int64(a.pipeline)
-	if n := ciHi - ciLo + 1; depth > n {
-		depth = n
-	}
 	// Fixed ring of depth+1 request slots: at most depth acquisitions are
-	// outstanding and completions are consumed in issue order, so slot
-	// (ci-ciLo)%(depth+1) is reissued only after chunk ci+1 was awaited —
-	// by then ci's pin, which lives in the slot, has been processed.
+	// outstanding and completions are consumed in issue order, so a slot
+	// is reissued only after the run behind it was awaited — by then the
+	// slot's pin has been processed.
+	depth := int64(a.pipeline)
 	slots := depth + 1
 	br := ringOf(ctx, int(slots), ctx.Node.Cluster().Nodes())
 	reqs := br.reqs
@@ -183,17 +231,27 @@ func (a *Array) rangePipeline(ctx *cluster.Ctx, ciLo, ciHi int64, want uint8, op
 	infl := br.infl
 	cw := a.sh.chunkWords
 	self := a.self()
-	next := ciLo
-	awaited := ciLo
+	// The issue cursor: the run [next, end) on chunk ci, found once and
+	// kept until it is issued. issued, awaited and done count runs; the
+	// ring holds pins while done < issued, the newest on chunk top.
+	var next, end, ci, issued, awaited, done int64
+	top := int64(-1)
 	// blockedVT, when >= 0, is the virtual time since which the window
 	// (not the ring) has withheld the next issue — surfaced as a "cc"
 	// stage span so the critical-path report separates pacing from wire.
 	blockedVT := int64(-1)
 	issue := func() {
-		for next <= ciHi && next-awaited < depth {
-			dst := a.homeOfChunk(next)
+		for next < rs.n && issued-awaited < depth {
+			if end <= next {
+				ci, end = a.runAt(&rs, next)
+			}
+			ship := want == wantPinOperate && a.shipWanted(&a.dents[ci], ci, op)
+			if done < issued && (ship || ci <= top) {
+				return // ordering rule: drain the ring first
+			}
+			dst := a.homeOfChunk(ci)
 			var ctrl *cc.Controller
-			if dst != self {
+			if dst != self && !ship {
 				ctrl = ctx.CC(dst)
 				if infl[dst] >= int64(ctrl.Window(a.pipeline)) {
 					if blockedVT < 0 {
@@ -204,45 +262,60 @@ func (a *Array) rangePipeline(ctx *cluster.Ctx, ciLo, ciHi int64, want uint8, op
 			}
 			if blockedVT >= 0 {
 				if tc.Valid() && a.traceOn() {
-					a.child(tc, self, trace.StageCC, "cwnd-wait", next, blockedVT, ctx.Clock.Now())
+					a.child(tc, self, trace.StageCC, "cwnd-wait", ci, blockedVT, ctx.Clock.Now())
 				}
 				blockedVT = -1
 			}
-			r := &reqs[(next-ciLo)%slots]
+			r := &reqs[issued%slots]
 			if pipeHook != nil {
-				pipeHook('i', next)
+				pipeHook('i', ci)
 			}
-			var whole []uint64
-			if off := next*cw - i; src != nil && off >= 0 && off+cw <= int64(len(src)) {
-				whole = src[off : off+cw]
+			if ship {
+				*r = chunkReq{ci: ci, ship: true}
+				top = math.MaxInt64
+			} else {
+				var whole []uint64
+				if off := ci*cw - rs.i; src != nil && off >= 0 && off+cw <= int64(len(src)) {
+					whole = src[off : off+cw]
+				}
+				a.issueChunkInto(ctx, r, ci, want, op, fn, whole, tc)
+				if r.tok != nil && ctrl != nil {
+					r.ctrl = ctrl
+					r.issueVT = ctx.Clock.Now()
+					infl[dst]++
+				}
+				top = ci
 			}
-			a.issueChunkInto(ctx, r, next, want, op, fn, whole, tc)
-			if r.tok != nil && ctrl != nil {
-				r.ctrl = ctrl
-				r.issueVT = ctx.Clock.Now()
-				infl[dst]++
-			}
-			next++
+			r.k0, r.k1 = next, end
+			issued++
+			next = end
 		}
 	}
 	issue()
-	for ci := ciLo; ci <= ciHi; ci++ {
-		r := &reqs[(ci-ciLo)%slots]
-		ctrl := r.ctrl
+	for done < issued {
+		r := &reqs[done%slots]
 		if pipeHook != nil {
-			pipeHook('a', ci)
+			pipeHook('a', r.ci)
 		}
-		p := a.awaitChunk(ctx, r, want, op, fn, tc)
+		var p *Pin
+		if !r.ship {
+			ctrl := r.ctrl
+			if p = a.awaitChunk(ctx, r, want, op, fn, tc); ctrl != nil {
+				infl[a.homeOfChunk(r.ci)]--
+			}
+		}
 		awaited++
-		if ctrl != nil {
-			infl[a.homeOfChunk(ci)]--
-		}
 		issue()
-		if p == nil {
+		if p == nil && !r.ship {
 			return // cluster failed; remaining tokens die with it
 		}
-		process(p, r.filled)
-		p.Unpin(ctx)
+		process(p, r.k0, r.k1, r.filled)
+		if p != nil {
+			p.Unpin(ctx)
+		}
+		if done++; done == issued {
+			issue() // the ring has drained: a descending or shipping run may go
+		}
 	}
 }
 

@@ -35,6 +35,11 @@ type Graph struct {
 	// the operands of one scatter.
 	out, undirected *pushList
 	vals, ops       []uint64
+
+	// Pass scratch: two buffers over the local vertex range, built on
+	// first use (local) and shared by a team's threads, each on its own
+	// share.
+	bufA, bufB []uint64
 }
 
 // NewGraph collectively wraps csr for the cluster.
@@ -94,12 +99,14 @@ const (
 )
 
 // PageRank runs iters rounds of synchronous PageRank and returns this
-// node's local slice of the final ranks. Init, gather and read-back walk
-// the local vertex range a chunk at a time; scatter pushes each vertex's
-// share a destination chunk at a time (push.go). usePin selects the
-// DArray-Pin variant (paper Figure 16's DArray-Pin series): scatter reads
-// curr through one pinned chunk at a time instead of one Get per vertex;
-// the combining is the same ApplyAt either way.
+// node's local slice of the final ranks. Gather and read-back make one
+// multi-chunk range call per thread over its share of the local vertex
+// range, so the op-recall collapses of next's chunks overlap in the
+// range pipeline; scatter makes one ApplyAt per thread over its blocks of
+// the push list, so its Operated grants overlap the same way (push.go).
+// usePin selects the DArray-Pin variant (paper Figure 16's DArray-Pin
+// series): scatter reads curr through one pinned chunk at a time instead
+// of one Get per vertex; the combining is the same ApplyAt either way.
 func (eg *Graph) PageRank(ctx *cluster.Ctx, iters int, usePin bool) []float64 {
 	return eg.pageRank(eg.soloTeam(ctx), iters, usePin)
 }
@@ -115,65 +122,66 @@ func (eg *Graph) pageRank(tm *team, iters int, usePin bool) []float64 {
 
 	curr.Fill(root, math.Float64bits(1.0/float64(eg.csr.N)))
 	next.Fill(root, 0)
+	buf := eg.local(&eg.bufA)
 	c.Barrier(root)
 
 	for it := 0; it < iters; it++ {
 		eg.scatter(tm, curr, next, add, pl, usePin, true)
 		c.Barrier(root)
-		tm.vertices(eg.lo, eg.hi, func(ctx *cluster.Ctx, k int, lo, hi int64) {
-			buf, zeros := tm.scratch(k)
-			eg.gatherRanks(ctx, curr, next, lo, hi, buf, zeros)
+		tm.vertices(eg.lo, eg.hi, func(ctx *cluster.Ctx, _ int, lo, hi int64) {
+			eg.gatherRanks(ctx, curr, next, lo, buf[lo-eg.lo:hi-eg.lo])
 		})
 		c.Barrier(root)
 	}
-	buf, _ := tm.scratch(0)
-	out := eg.readF64(root, curr, buf)
+	out := eg.readF64(root, curr)
 	c.Barrier(root)
 	return out
 }
 
-// gatherRanks folds damping into the ranks of [lo, hi) a chunk at a
-// time: curr = base + d·next, and next is zeroed for the next scatter.
-// buf and zeros are chunk-sized scratch; zeros stays all zero.
-func (eg *Graph) gatherRanks(ctx *cluster.Ctx, curr, next *core.Array, lo, hi int64, buf, zeros []uint64) {
+// gatherRanks folds damping into the ranks of the vertices from lo that
+// buf covers: curr = base + d·next, and next is zeroed for the next
+// scatter.
+func (eg *Graph) gatherRanks(ctx *cluster.Ctx, curr, next *core.Array, lo int64, buf []uint64) {
 	base := (1 - prDamping) / float64(eg.csr.N)
-	eachChunk(lo, hi, curr.ChunkWords(), func(lo, hi int64) {
-		b := buf[:hi-lo]
-		next.GetRange(ctx, lo, b)
-		for k, v := range b {
-			b[k] = math.Float64bits(base + prDamping*math.Float64frombits(v))
-		}
-		curr.SetRange(ctx, lo, b)
-		next.SetRange(ctx, lo, zeros[:hi-lo])
-	})
+	next.GetRange(ctx, lo, buf)
+	for k, v := range buf {
+		buf[k] = math.Float64bits(base + prDamping*math.Float64frombits(v))
+	}
+	curr.SetRange(ctx, lo, buf)
+	clear(buf)
+	next.SetRange(ctx, lo, buf)
 }
 
-// readF64 returns this node's slice of a as float64s, read a chunk at a
-// time through the chunk-sized buf.
-func (eg *Graph) readF64(ctx *cluster.Ctx, a *core.Array, buf []uint64) []float64 {
-	out := make([]float64, eg.hi-eg.lo)
-	eachChunk(eg.lo, eg.hi, a.ChunkWords(), func(lo, hi int64) {
-		b := buf[:hi-lo]
-		a.GetRange(ctx, lo, b)
-		for k, v := range b {
-			out[lo-eg.lo+int64(k)] = math.Float64frombits(v)
-		}
-	})
+// local returns *s, a buffer over the local vertex range, made on first
+// use. Teams call it before their threads start.
+func (eg *Graph) local(s *[]uint64) []uint64 {
+	if *s == nil {
+		*s = make([]uint64, eg.hi-eg.lo)
+	}
+	return *s
+}
+
+// readF64 returns this node's slice of a as float64s, read with one
+// GetRange.
+func (eg *Graph) readF64(ctx *cluster.Ctx, a *core.Array) []float64 {
+	b := eg.local(&eg.bufA)
+	a.GetRange(ctx, eg.lo, b)
+	out := make([]float64, len(b))
+	for k, v := range b {
+		out[k] = math.Float64frombits(v)
+	}
 	return out
 }
 
-// readU64 returns this node's slice of a, read a chunk at a time.
+// readU64 returns this node's slice of a, read with one GetRange.
 func (eg *Graph) readU64(ctx *cluster.Ctx, a *core.Array) []uint64 {
 	out := make([]uint64, eg.hi-eg.lo)
-	eachChunk(eg.lo, eg.hi, a.ChunkWords(), func(lo, hi int64) {
-		a.GetRange(ctx, lo, out[lo-eg.lo:hi-eg.lo])
-	})
+	a.GetRange(ctx, eg.lo, out)
 	return out
 }
 
 // eachChunk calls fn on the pieces of [lo, hi) that each lie inside one
-// chunk of cw words, in order: the unit a GetRange or SetRange serves
-// with one acquisition and no allocation.
+// chunk of cw words, in order: the unit a Pin covers.
 func eachChunk(lo, hi, cw int64, fn func(lo, hi int64)) {
 	for lo < hi {
 		end := min(hi, (lo/cw+1)*cw)
@@ -194,9 +202,9 @@ func (eg *Graph) reverse() *graph.CSR {
 // ConnectedComponents runs min-label propagation over the undirected
 // view of the graph until a fixed point, returning this node's labels
 // and the number of iterations. Like PageRank it initializes, gathers and
-// reads back a chunk at a time and scatters a destination chunk at a
-// time, over out- and in-edges; usePin reads curr through a pinned chunk
-// in scatter.
+// reads back with one range call per thread share and scatters with one
+// ApplyAt per thread, over out- and in-edges; usePin reads curr through a
+// pinned chunk in scatter.
 func (eg *Graph) ConnectedComponents(ctx *cluster.Ctx, usePin bool) ([]uint64, int) {
 	return eg.connectedComponents(eg.soloTeam(ctx), usePin)
 }
@@ -210,9 +218,8 @@ func (eg *Graph) connectedComponents(tm *team, usePin bool) ([]uint64, int) {
 	min := curr.RegisterOp(core.OpMinU64)
 	_ = next.RegisterOp(core.OpMinU64)
 
-	infs := make([]uint64, curr.ChunkWords())
-	buf, _ := tm.scratch(0)
-	eg.initLabels(root, curr, next, buf, infs)
+	cb, nb := eg.local(&eg.bufA), eg.local(&eg.bufB)
+	eg.initLabels(root, curr, next, cb)
 	c.Barrier(root)
 
 	changed := make([]bool, len(tm.ctxs))
@@ -222,8 +229,7 @@ func (eg *Graph) connectedComponents(tm *team, usePin bool) ([]uint64, int) {
 		eg.scatter(tm, curr, next, min, pl, usePin, false)
 		c.Barrier(root)
 		tm.vertices(eg.lo, eg.hi, func(ctx *cluster.Ctx, k int, lo, hi int64) {
-			cb, nb := tm.scratch(k)
-			changed[k] = eg.gatherLabels(ctx, curr, next, lo, hi, cb, nb, infs)
+			changed[k] = eg.gatherLabels(ctx, curr, next, lo, cb[lo-eg.lo:hi-eg.lo], nb[lo-eg.lo:hi-eg.lo])
 		})
 		if c.AllReduceSum(root, anyChanged(changed)) == 0 {
 			break
@@ -245,41 +251,33 @@ func anyChanged(changed []bool) float64 {
 	return 0
 }
 
-// initLabels labels every local vertex with its own id in curr and sets
-// next to the min identity, through chunk-sized scratch buf and infs; it
-// leaves infs all ones for gatherLabels.
-func (eg *Graph) initLabels(ctx *cluster.Ctx, curr, next *core.Array, buf, infs []uint64) {
-	for k := range infs {
-		infs[k] = ^uint64(0)
+// initLabels labels every local vertex with its own id in curr, with
+// one SetRange through buf (local-range scratch), and sets next to the
+// min identity.
+func (eg *Graph) initLabels(ctx *cluster.Ctx, curr, next *core.Array, buf []uint64) {
+	for k := range buf {
+		buf[k] = uint64(eg.lo) + uint64(k)
 	}
-	eachChunk(eg.lo, eg.hi, curr.ChunkWords(), func(lo, hi int64) {
-		b := buf[:hi-lo]
-		for k := range b {
-			b[k] = uint64(lo) + uint64(k)
-		}
-		curr.SetRange(ctx, lo, b)
-	})
+	curr.SetRange(ctx, eg.lo, buf)
 	next.Fill(ctx, ^uint64(0))
 }
 
-// gatherLabels lowers curr to next's combined minimum over [lo, hi) a
-// chunk at a time and resets next to the identity (infs, all ones). It
-// reports whether any label fell.
-func (eg *Graph) gatherLabels(ctx *cluster.Ctx, curr, next *core.Array, lo, hi int64, cb, nb, infs []uint64) bool {
+// gatherLabels lowers curr to next's combined minimum over the vertices
+// from lo that cb and nb cover, and resets next to the identity (all
+// ones). It reports whether any label fell.
+func (eg *Graph) gatherLabels(ctx *cluster.Ctx, curr, next *core.Array, lo int64, cb, nb []uint64) bool {
+	curr.GetRange(ctx, lo, cb)
+	next.GetRange(ctx, lo, nb)
 	changed := false
-	eachChunk(lo, hi, curr.ChunkWords(), func(lo, hi int64) {
-		cl, nl := cb[:hi-lo], nb[:hi-lo]
-		curr.GetRange(ctx, lo, cl)
-		next.GetRange(ctx, lo, nl)
-		for k, v := range nl {
-			if v < cl[k] {
-				cl[k] = v
-				changed = true
-			}
+	for k, v := range nb {
+		if v < cb[k] {
+			cb[k] = v
+			changed = true
 		}
-		curr.SetRange(ctx, lo, cl)
-		next.SetRange(ctx, lo, infs[:hi-lo])
-	})
+		nb[k] = ^uint64(0)
+	}
+	curr.SetRange(ctx, lo, cb)
+	next.SetRange(ctx, lo, nb)
 	return changed
 }
 

@@ -32,7 +32,6 @@ func (eg *Graph) ConnectedComponentsMT(ctx *cluster.Ctx, t int, usePin bool) ([]
 type team struct {
 	root *cluster.Ctx
 	ctxs []*cluster.Ctx
-	scr  [][]uint64 // per thread: two chunks of scratch
 }
 
 // newTeam builds t threads (at least one) working for root.
@@ -41,27 +40,12 @@ func (eg *Graph) newTeam(root *cluster.Ctx, t int) *team {
 	for k := range ctxs {
 		ctxs[k] = eg.node.NewCtx(k)
 	}
-	return eg.teamOf(root, ctxs)
+	return &team{root: root, ctxs: ctxs}
 }
 
 // soloTeam is root working alone.
 func (eg *Graph) soloTeam(root *cluster.Ctx) *team {
-	return eg.teamOf(root, []*cluster.Ctx{root})
-}
-
-func (eg *Graph) teamOf(root *cluster.Ctx, ctxs []*cluster.Ctx) *team {
-	cw := eg.chunkWords()
-	tm := &team{root: root, ctxs: ctxs, scr: make([][]uint64, len(ctxs))}
-	for k := range tm.scr {
-		tm.scr[k] = make([]uint64, 2*cw)
-	}
-	return tm
-}
-
-// scratch returns thread k's two chunk-sized buffers. Both start zeroed.
-func (tm *team) scratch(k int) (a, b []uint64) {
-	s := tm.scr[k]
-	return s[:len(s)/2], s[len(s)/2:]
+	return &team{root: root, ctxs: []*cluster.Ctx{root}}
 }
 
 // run calls fn on every thread and waits for all of them.

@@ -12,9 +12,11 @@ import (
 // Scatter is propagation blocking (Beamer, Asanović and Patterson, IPDPS
 // 2017) in DArray's Operate interface. A node's local edges are grouped
 // by destination chunk once; each iteration then reads every local
-// vertex's value, fills the operands privately, and combines each block
-// with one ApplyAt — one Operate acquisition per destination chunk
-// instead of one Apply control path per edge.
+// vertex's value, fills the operands privately, and combines each
+// thread's blocks with one ApplyAt. Its runs are the blocks, in
+// ascending chunk order, so the call takes one Operate acquisition per
+// destination chunk instead of one Apply control path per edge, and
+// keeps up to PipelineDepth of those Operated grants in flight.
 
 // pushList is one node's edges grouped by destination chunk. A stable
 // counting sort builds it, so within a block the edges keep the order of
@@ -84,8 +86,8 @@ func (eg *Graph) undirectedList() *pushList {
 }
 
 // scatter pushes every local vertex's value along pl into next under op:
-// the threads read values over the vertex range, then combine over pl's
-// blocks.
+// the threads read values over the vertex range, then each combines its
+// share of pl's blocks with one ApplyAt.
 func (eg *Graph) scatter(tm *team, curr, next *core.Array, op core.OpID, pl *pushList, usePin, ranks bool) {
 	if eg.vals == nil {
 		eg.vals = make([]uint64, eg.hi-eg.lo)
@@ -98,14 +100,12 @@ func (eg *Graph) scatter(tm *team, curr, next *core.Array, op core.OpID, pl *pus
 	})
 	tm.run(func(ctx *cluster.Ctx, k int) {
 		b0, b1 := pl.split(k, len(tm.ctxs))
-		for b := b0; b < b1; b++ {
-			s, e := pl.blocks[b], pl.blocks[b+1]
-			ops := eg.ops[s:e]
-			for j, u := range pl.src[s:e] {
-				ops[j] = eg.vals[u]
-			}
-			next.ApplyAt(ctx, op, pl.dst[s:e], ops)
+		s, e := pl.blocks[b0], pl.blocks[b1]
+		ops := eg.ops[s:e]
+		for j, u := range pl.src[s:e] {
+			ops[j] = eg.vals[u]
 		}
+		next.ApplyAt(ctx, op, pl.dst[s:e], ops)
 	})
 }
 

@@ -68,7 +68,7 @@ func (eg *Graph) SSSP(ctx *cluster.Ctx, w *graph.WCSR, root int64) []float64 {
 		}
 		c.Barrier(ctx)
 	}
-	out := eg.readF64(ctx, dist.Array, dbuf)
+	out := eg.readF64(ctx, dist.Array)
 	c.Barrier(ctx)
 	return out
 }
