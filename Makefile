@@ -94,13 +94,16 @@ chaos:
 # and the estimator's unit tests, the amortized-flush veto among them.
 # Last, on four cores under the race detector: the scattered bulk Operate
 # (ApplyAt: against per-element Apply on home and remote chunks, under
-# ship=on, per-run charges), and the shipped paths, whose pooled waiters
-# hand their kept closure from one goroutine to the next, with the
-# one-rule request accounting and degradation tests that cover them.
+# ship=on, per-run charges, folded repeats), and the shipped paths, whose
+# pooled waiters hand their kept closure from one goroutine to the next,
+# with the one-rule request accounting and degradation tests that cover
+# them; then the engine's push list, whose vertex-sorted blocks feed
+# those folds, and the PageRank/CC passes and clocks that run on it.
 hotspot:
 	$(GO) run ./cmd/darray-bench -fig hotspot -max-nodes 6
 	$(GO) test -run 'TestHotspot|TestShip' -count=1 ./internal/bench/ ./internal/core/
 	GOMAXPROCS=4 $(GO) test -race -timeout 120s -count=1 -run 'TestApplyAt|TestShip|TestStatsAccounting|TestAllVerbsDegrade|TestPooledAllocsShipped' ./internal/core/
+	GOMAXPROCS=4 $(GO) test -race -timeout 120s -count=1 -run 'TestPushList|TestChunkPasses|TestPageRank|TestConnectedComponents|TestMTClock' ./internal/engine/
 
 # Congestion-control smoke: the multi-stream contention tables (cc.Adaptive
 # windows vs cc.Fixed ones through the same pipeline) at CI scale, plus

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"sync"
@@ -26,6 +27,38 @@ func scattered(rng *rand.Rand, k int, n, cw int64) []int64 {
 		}
 	}
 	return idx
+}
+
+// repeated returns scattered's indices with each entry repeated one to
+// four times in place, so runs hold adjacent repeats of an element.
+func repeated(rng *rand.Rand, k int, n, cw int64) []int64 {
+	var idx []int64
+	for _, i := range scattered(rng, k, n, cw) {
+		for r := 1 + rng.Intn(4); r > 0; r-- {
+			idx = append(idx, i)
+		}
+	}
+	return idx
+}
+
+// applyAtCost is the composed virtual cost of an ApplyAt over idx whose
+// every acquisition hits, and its number of runs: per run of one chunk
+// of cw words an acquisition (GetHit), per element of the run a pinned
+// Apply (PinAccess + ApplyHit - GetHit), and per adjacent repeat of that
+// element a fold (PinAccess).
+func applyAtCost(m *vtime.Model, idx []int64, cw int64) (vt, runs int64) {
+	for k, i := range idx {
+		switch {
+		case k == 0 || i/cw != idx[k-1]/cw:
+			runs++
+			vt += m.GetHit + m.PinAccess + m.ApplyHit - m.GetHit
+		case i != idx[k-1]:
+			vt += m.PinAccess + m.ApplyHit - m.GetHit
+		default:
+			vt += m.PinAccess
+		}
+	}
+	return vt, runs
 }
 
 // applyAtAgainstApply has every node combine the same scattered operands
@@ -96,17 +129,90 @@ func TestApplyAtAllocatesNothing(t *testing.T) {
 		add := a.RegisterOp(OpAddU64)
 		ctx := n.NewCtx(0)
 		idx := scattered(rand.New(rand.NewSource(1)), 300, 4*64, 64) // node 0's chunks
-		src := make([]uint64, len(idx))
+		rep := repeated(rand.New(rand.NewSource(2)), 300, 4*64, 64)
+		src := make([]uint64, len(rep))
 		for v, where := range []string{"resident", "remote"} {
 			c.Barrier(ctx)
 			if n.ID() == v {
-				if got := testing.AllocsPerRun(100, func() { a.ApplyAt(ctx, add, idx, src) }); got != 0 {
+				if got := testing.AllocsPerRun(100, func() { a.ApplyAt(ctx, add, idx, src[:len(idx)]) }); got != 0 {
 					t.Errorf("ApplyAt over %d chunks on %s chunks allocates %.2f per call, want 0", 4, where, got)
+				}
+				if got := testing.AllocsPerRun(100, func() { a.ApplyAt(ctx, add, rep, src) }); got != 0 {
+					t.Errorf("ApplyAt folding repeats over %d chunks on %s chunks allocates %.2f per call, want 0", 4, where, got)
 				}
 			}
 		}
 		c.Barrier(ctx)
 	})
+}
+
+// TestApplyAtFoldsRepeatedIndices: runs of adjacent repeated indices
+// over home and remote chunks fold into one pinned Apply per element.
+// Each node in turn calls ApplyAt twice, the second time on the Operated
+// grants the first took, so its clock is the composed form exactly, and
+// Combines still counts every operand; afterwards the array equals one
+// combined by per-element Apply. The float operands are quarters, so a
+// fold rounds no sum.
+func TestApplyAtFoldsRepeatedIndices(t *testing.T) {
+	const n = 2 * 4 * 64
+	m := vtime.Default()
+	for _, tcase := range []struct {
+		op   Op
+		init uint64
+		val  func(*rand.Rand) uint64
+	}{
+		{OpAddU64, 0, func(r *rand.Rand) uint64 { return uint64(r.Intn(1000)) }},
+		{OpAddF64, math.Float64bits(0), func(r *rand.Rand) uint64 { return math.Float64bits(float64(r.Intn(1000)) / 4) }},
+		{OpMinU64, ^uint64(0), func(r *rand.Rand) uint64 { return uint64(r.Intn(1 << 20)) }},
+	} {
+		t.Run(tcase.op.Name, func(t *testing.T) {
+			c := tc(t, 2, func(cfg *cluster.Config) { cfg.Model, cfg.Metrics = m, true })
+			c.Run(func(node *cluster.Node) {
+				a, b := New(node, n), New(node, n)
+				ida, idb := a.RegisterOp(tcase.op), b.RegisterOp(tcase.op)
+				ctx := node.NewCtx(0)
+				a.Fill(ctx, tcase.init)
+				b.Fill(ctx, tcase.init)
+				rng := rand.New(rand.NewSource(int64(node.ID()) + 11))
+				idx := repeated(rng, 200, n, a.ChunkWords())
+				src := make([]uint64, len(idx))
+				for k := range src {
+					src[k] = tcase.val(rng)
+				}
+				want, _ := applyAtCost(m, idx, a.ChunkWords())
+				for v := 0; v < 2; v++ {
+					c.Barrier(ctx)
+					if node.ID() != v {
+						continue
+					}
+					a.ApplyAt(ctx, ida, idx, src)
+					vt, combines := ctx.Clock.Now(), a.Metrics.Combines.Load()
+					a.ApplyAt(ctx, ida, idx, src)
+					if got := ctx.Clock.Now() - vt; got != want {
+						t.Errorf("node %d: ApplyAt of %d operands advanced the clock %d, want %d", v, len(idx), got, want)
+					}
+					if got := a.Metrics.Combines.Load() - combines; got != int64(len(idx)) {
+						t.Errorf("node %d: ApplyAt counted %d combines, want %d", v, got, len(idx))
+					}
+					for r := 0; r < 2; r++ {
+						for k, i := range idx {
+							b.Apply(ctx, idb, i, src[k])
+						}
+					}
+				}
+				c.Barrier(ctx)
+				if node.ID() == 0 {
+					for i := int64(0); i < n; i++ {
+						if x, y := a.Get(ctx, i), b.Get(ctx, i); x != y {
+							t.Errorf("element %d: ApplyAt gave %#x, Apply %#x", i, x, y)
+							break
+						}
+					}
+				}
+				c.Barrier(ctx)
+			})
+		})
+	}
 }
 
 // applyAtSchedule runs one ApplyAt on node 1 of a 2-node cluster at the
@@ -245,7 +351,8 @@ func TestPipelineDescendingRunsNoDeadlock(t *testing.T) {
 }
 
 // On one node every run is a home hit: a run costs one acquisition at a
-// Get hit's price, an element the pinned CAS. Combines count elements,
+// Get hit's price, an element the pinned CAS, and an adjacent repeat of
+// an element (scattered draws a few) a fold. Combines count operands,
 // hits count acquisitions.
 func TestApplyAtIsChargedPerRun(t *testing.T) {
 	m := vtime.Default()
@@ -255,16 +362,10 @@ func TestApplyAtIsChargedPerRun(t *testing.T) {
 		add := a.RegisterOp(OpAddU64)
 		ctx := n.NewCtx(0)
 		idx := scattered(rand.New(rand.NewSource(3)), 500, a.Len(), a.ChunkWords())
-		runs := int64(1)
-		for k := 1; k < len(idx); k++ {
-			if idx[k]/64 != idx[k-1]/64 {
-				runs++
-			}
-		}
+		want, runs := applyAtCost(m, idx, a.ChunkWords())
 		src := make([]uint64, len(idx))
 		vt, hits, combines := ctx.Clock.Now(), a.Metrics.Hits.Load(), a.Metrics.Combines.Load()
 		a.ApplyAt(ctx, add, idx, src)
-		want := runs*m.GetHit + int64(len(idx))*(m.PinAccess+m.ApplyHit-m.GetHit)
 		if got := ctx.Clock.Now() - vt; got != want {
 			t.Errorf("ApplyAt of %d elements in %d runs advanced the clock %d, want %d", len(idx), runs, got, want)
 		}

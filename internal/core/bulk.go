@@ -156,7 +156,10 @@ func (a *Array) ApplyAt(ctx *cluster.Ctx, op OpID, idx []int64, src []uint64) {
 
 // applyRuns combines src[k] into element rs.at(k) for every position k
 // through the pipeline: a pinned run combines through its pin, a
-// shipping run through Apply per element.
+// shipping run through Apply per element. A pinned run first folds
+// consecutive operands for one element through the operator, which its
+// associativity and commutativity permit, so the element takes one CAS;
+// each folded operand is charged as a pinned access without the CAS.
 func (a *Array) applyRuns(ctx *cluster.Ctx, op OpID, rs runs, src []uint64, tc trace.Ctx) {
 	a.rangePipeline(ctx, rs, wantPinOperate, op, nil, func(p *Pin, k0, k1 int64, _ bool) {
 		if p == nil {
@@ -165,9 +168,17 @@ func (a *Array) applyRuns(ctx *cluster.Ctx, op OpID, rs runs, src []uint64, tc t
 			}
 			return
 		}
-		t1 := ctx.Clock.Now()
-		for k := k0; k < k1; k++ {
-			p.Apply(ctx, rs.at(k), src[k])
+		t1, folds := ctx.Clock.Now(), int64(0)
+		for k := k0; k < k1; {
+			i, x := rs.at(k), src[k]
+			for k++; k < k1 && rs.at(k) == i; k++ {
+				x = p.apFn(x, src[k])
+				folds++
+			}
+			p.Apply(ctx, i, x)
+		}
+		if m := a.model; m != nil {
+			ctx.Clock.Advance(folds * m.PinAccess)
 		}
 		a.noteRun(ctx, tc, p.d.ci, k1-k0, t1)
 	}, tc)

@@ -160,7 +160,9 @@ func (p *Pin) Set(ctx *cluster.Ctx, i int64, v uint64) {
 // Apply combines operand into element i through the pin. Requires a
 // PinOperate. The pin skips the control path but not the element CAS, so
 // it is charged PinAccess plus the CAS premium an Apply hit pays over a
-// Get hit (ApplyHit - GetHit).
+// Get hit (ApplyHit - GetHit). A bulk Operate folds an element's adjacent
+// operands before its one Apply; each folded operand is a pinned access
+// without the CAS, PinAccess alone.
 func (p *Pin) Apply(ctx *cluster.Ctx, i int64, operand uint64) {
 	p.check(i)
 	if p.apFn == nil {

@@ -103,10 +103,13 @@ const (
 // multi-chunk range call per thread over its share of the local vertex
 // range, so the op-recall collapses of next's chunks overlap in the
 // range pipeline; scatter makes one ApplyAt per thread over its blocks of
-// the push list, so its Operated grants overlap the same way (push.go).
-// usePin selects the DArray-Pin variant (paper Figure 16's DArray-Pin
-// series): scatter reads curr through one pinned chunk at a time instead
-// of one Get per vertex; the combining is the same ApplyAt either way.
+// the push list, so its Operated grants overlap the same way, and each
+// destination's adjacent operands fold into one CAS (push.go). The fold
+// keeps each destination's source order, so the ranks are the per-edge
+// sums bit for bit. usePin selects the DArray-Pin variant (paper Figure
+// 16's DArray-Pin series): scatter reads curr through one pinned chunk at
+// a time instead of one Get per vertex; the combining is the same ApplyAt
+// either way.
 func (eg *Graph) PageRank(ctx *cluster.Ctx, iters int, usePin bool) []float64 {
 	return eg.pageRank(eg.soloTeam(ctx), iters, usePin)
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"darray/internal/cluster"
@@ -10,49 +11,51 @@ import (
 )
 
 // Scatter is propagation blocking (Beamer, Asanović and Patterson, IPDPS
-// 2017) in DArray's Operate interface. A node's local edges are grouped
-// by destination chunk once; each iteration then reads every local
+// 2017) in DArray's Operate interface. A node's local edges are sorted
+// by destination vertex once; each iteration then reads every local
 // vertex's value, fills the operands privately, and combines each
 // thread's blocks with one ApplyAt. Its runs are the blocks, in
 // ascending chunk order, so the call takes one Operate acquisition per
 // destination chunk instead of one Apply control path per edge, and
-// keeps up to PipelineDepth of those Operated grants in flight.
+// keeps up to PipelineDepth of those Operated grants in flight. Inside a
+// block a vertex's operands are adjacent, so the run folds them through
+// the operator and pays one CAS per distinct destination, not per edge
+// (the duplicates sender-side combining folds before shared memory).
 
-// pushList is one node's edges grouped by destination chunk. A stable
-// counting sort builds it, so within a block the edges keep the order of
-// a per-vertex walk and every destination receives its operands in that
-// order.
+// pushList is one node's edges sorted by destination vertex. A stable
+// counting sort builds it, so each destination's edges keep the order of
+// a per-vertex walk: it receives its operands in source order, which
+// keeps a folded floating-point sum the one per-edge combining gave.
 type pushList struct {
 	dst    []int64 // destination vertex of each edge
 	src    []int32 // its source, as an offset into the local vertex range
 	blocks []int   // edges blocks[b]:blocks[b+1] share a destination chunk
 }
 
-// newPushList groups the edges of [lo, hi) in every adjacency of adj
-// (for each vertex, adj[0]'s edges first) by destination chunk of cw
-// words, over n vertices.
+// newPushList sorts the edges of [lo, hi) in every adjacency of adj
+// (for each vertex, adj[0]'s edges first) by destination vertex, over n
+// vertices, and blocks them by destination chunk of cw words.
 func newPushList(lo, hi, n, cw int64, adj ...*graph.CSR) *pushList {
-	nc := (n + cw - 1) / cw
-	start := make([]int, nc+1) // start[c+1] counts chunk c's edges, then prefix-sums
+	start := make([]int, n+1) // start[v+1] counts vertex v's edges, then prefix-sums
 	for _, g := range adj {
 		for _, v := range g.Dsts[g.Offs[lo]:g.Offs[hi]] {
-			start[v/cw+1]++
+			start[v+1]++
 		}
 	}
 	pl := &pushList{}
-	for c := int64(0); c < nc; c++ {
-		if start[c+1] > 0 {
-			pl.blocks = append(pl.blocks, start[c])
+	for v := int64(0); v < n; v++ {
+		if v%cw == 0 {
+			pl.blocks = append(pl.blocks, start[v])
 		}
-		start[c+1] += start[c]
+		start[v+1] += start[v]
 	}
-	pl.blocks = append(pl.blocks, start[nc])
-	pl.dst, pl.src = make([]int64, start[nc]), make([]int32, start[nc])
+	pl.blocks = slices.Compact(append(pl.blocks, start[n])) // drop the empty chunks
+	pl.dst, pl.src = make([]int64, start[n]), make([]int32, start[n])
 	for u := lo; u < hi; u++ {
 		for _, g := range adj {
 			for _, v := range g.Neighbors(u) {
-				k := start[v/cw]
-				start[v/cw]++
+				k := start[v]
+				start[v]++
 				pl.dst[k], pl.src[k] = v, int32(u-lo)
 			}
 		}

@@ -33,7 +33,7 @@ type Model struct {
 	GetHit       int64 // DArray fast-path Get on a resident chunk
 	SetHit       int64 // DArray fast-path Set
 	ApplyHit     int64 // DArray fast-path Apply (CAS combine)
-	PinAccess    int64 // DArray pinned Get/Set (no atomics)
+	PinAccess    int64 // DArray pinned Get/Set, or an operand folded before a pinned Apply (no atomics)
 	GamAccess    int64 // GAM lock-based access path (mutex + cache lookup)
 	BclLocal     int64 // BCL local-partition access
 	SlowFixed    int64 // fixed CPU portion of a slow-path miss (enqueue+wake)
