@@ -19,9 +19,11 @@ race:
 
 # Lock-protocol gate: the element-lock, reader-lease and reader-gate
 # tests (grant policy, the gate word's transitions, message-free and
-# submit-free hits, both recall paths, a writer waiting out the readers
-# inside a gate, writer progress, back-off, virtual-time chaining, a
-# 3-node mixed RLock/WLock stress guarding plain counters), the writer
+# submit-free hits, one lock-req per write cycle for a read-mostly
+# remote reader (TestLeaseOneRoundTripPerWrite), both recall paths, a
+# writer waiting out the readers inside a gate, writer progress,
+# back-off, virtual-time chaining, a 3-node mixed RLock/WLock stress
+# guarding plain counters), the writer
 # grants that carry their chunk (filled, declined, already Dirty, a
 # lessee's, from Dirty and Operated on a third node, and the deadlock a
 # queued fill would cause) and the announce/re-check regression of the
@@ -29,10 +31,13 @@ race:
 # a lost grant or release fails in two minutes instead of hanging CI for
 # ten. Then the reader-gate tests ten times more: the count is what
 # catches a window between a grant and its gate that shows one run in
-# sixty.
+# sixty. Last, the lease policy and the tests staged on it (a lease at
+# the first reader grant, a second one after an unpaid return) ten
+# times.
 locks:
 	GOMAXPROCS=4 $(GO) test -race -timeout 120s -count=1 -run 'TestLease|TestLocks|TestRLock|TestGate|TestLockFill|TestAnnounceRecheck' ./internal/core/
 	GOMAXPROCS=4 $(GO) test -race -timeout 120s -count=10 -run 'TestGate' ./internal/core/
+	GOMAXPROCS=4 $(GO) test -race -timeout 120s -count=10 -run 'TestLeasePolicy|TestLeaseOneRoundTripPerWrite|TestGateMixedReadersConserveCount' ./internal/core/
 
 # Record-granular KVS gate: the store, the GAM baseline under it and
 # their pairing, which hold pins across whole buckets and records and so

@@ -141,8 +141,8 @@ func TestLeaseRecallAcrossDeadLinkDegrades(t *testing.T) {
 		a := New(n, 2*64)
 		c.Barrier(ctx)
 		if n.ID() == 1 {
-			readPairs(a, ctx, idx, leaseRunMin)
-			a.RLock(ctx, idx) // a lease hit: inside when the link dies
+			readPairs(a, ctx, idx, 1) // leased at the first grant
+			a.RLock(ctx, idx)         // a lease hit: inside when the link dies
 			if !holdsLease(a, idx) {
 				t.Error("no lease before the cut")
 			}

@@ -190,30 +190,35 @@ func TestGateWord(t *testing.T) {
 
 func TestLeasePolicy(t *testing.T) {
 	var o lockObs
-	for k := 1; k < leaseRunMin; k++ {
-		o.readerGrant()
-		if o.leasable(0) {
-			t.Fatalf("leasable after %d reader grants, want %d", k, leaseRunMin)
-		}
-	}
-	if !o.leasable(1) {
-		t.Fatalf("not leasable after %d reader grants and one through the home's gate", leaseRunMin-1)
-	}
-	o.readerGrant()
-	if !o.leasable(0) {
-		t.Fatalf("not leasable after %d reader grants", leaseRunMin)
-	}
 	o.writerGrant()
 	if o.leasable(0) {
-		t.Fatal("leasable right after a writer grant")
+		t.Fatal("leasable right after a writer grant, before any reader grant")
+	}
+	// The floor is the grant being made: the first reader grant after a
+	// writer's leases.
+	o.readerGrant()
+	if o.required() != 1 || !o.leasable(0) {
+		t.Fatalf("required = %d, leasable %v at the first reader grant, want 1 and true", o.required(), o.leasable(0))
 	}
 	// Leases that return without paying double the requirement up to the
 	// ceiling; paying ones halve it back down to the floor.
-	for want := int32(2 * leaseRunMin); want <= leaseRunMax; want *= 2 {
+	for want := int32(2); want <= leaseRunMax; want *= 2 {
 		o.returned(leasePayoff - 1)
 		if o.required() != want {
 			t.Fatalf("required = %d after a poor lease, want %d", o.required(), want)
 		}
+	}
+	// Once backed off, the run counts again from the last writer grant, and
+	// readers through the home's gate extend it.
+	o.writerGrant()
+	for k := int32(1); k < leaseRunMax; k++ {
+		o.readerGrant()
+		if o.leasable(0) {
+			t.Fatalf("leasable after %d reader grants, want %d", k, leaseRunMax)
+		}
+	}
+	if !o.leasable(1) {
+		t.Fatalf("not leasable after %d reader grants and one through the home's gate", leaseRunMax-1)
 	}
 	o.returned(0)
 	if o.required() != leaseRunMax {
@@ -225,23 +230,23 @@ func TestLeasePolicy(t *testing.T) {
 	if !o.leasable(0) {
 		t.Fatal("a run at the ceiling must still lease: back-off may not disable leasing for good")
 	}
-	for want := int32(leaseRunMax / 2); want >= leaseRunMin; want /= 2 {
+	for want := int32(leaseRunMax / 2); want >= 1; want /= 2 {
 		o.returned(leasePayoff)
 		if o.required() != want {
 			t.Fatalf("required = %d after a paying lease, want %d", o.required(), want)
 		}
 	}
 	o.returned(100)
-	if o.required() != leaseRunMin {
-		t.Fatalf("required = %d, want the floor %d", o.required(), leaseRunMin)
+	if o.required() != 1 {
+		t.Fatalf("required = %d, want the floor 1", o.required())
 	}
 }
 
-// The home leases only once the chunk has shown the read run, and from
-// then on the lessee's RLock/Unlock pairs send nothing and submit nothing:
-// neither the fabric nor the node's own runtime goroutines see them. The
-// same holds at the home once a first reader has opened the gate.
-func TestLeaseGrantedAfterReadRunThenHitsStayLocal(t *testing.T) {
+// The home leases at the first remote reader grant, and from then on the
+// lessee's RLock/Unlock pairs send nothing and submit nothing: neither
+// the fabric nor the node's own runtime goroutines see them. The same
+// holds at the home once a first reader has opened the gate.
+func TestLeaseGrantedAtFirstReaderGrantThenHitsStayLocal(t *testing.T) {
 	const idx, pairs = 3, 1000
 	c := tc(t, 2)
 	c.Run(func(n *cluster.Node) {
@@ -250,18 +255,14 @@ func TestLeaseGrantedAfterReadRunThenHitsStayLocal(t *testing.T) {
 		home := &a.Instances()[0].Metrics
 		c.Barrier(ctx)
 		if n.ID() == 1 {
-			readPairs(a, ctx, idx, leaseRunMin-1)
-			if g := home.LeaseGrants.Load(); g != 0 {
-				t.Errorf("%d leases granted after %d reader grants, want none before %d", g, leaseRunMin-1, leaseRunMin)
-			}
 			if holdsLease(a, idx) {
-				t.Error("lessee table has an entry before the read run completed")
+				t.Error("lessee table has an entry before any reader grant")
 			}
 			readPairs(a, ctx, idx, 1)
 			if g := home.LeaseGrants.Load(); g != 1 {
-				t.Errorf("%d leases granted by reader grant %d, want 1", g, leaseRunMin)
+				t.Errorf("%d leases granted by the first reader grant, want 1", g)
 			}
-			settle(t, a) // the unleased readers' unlocks have landed; the masks agree
+			settle(t, a) // the lessee and the home agree on the masks
 			if !holdsLease(a, idx) {
 				t.Error("no lease entry after the leasing grant")
 			}
@@ -443,13 +444,19 @@ func TestGateMixedReadersConserveCount(t *testing.T) {
 				return g, homeReaders()
 			}
 			held := n.NewCtx(1)
+			// A lease that comes back unpaid makes the chunk show a read run
+			// of two before its next one: the first reader grant after it
+			// is unleased, the second leases.
+			readPairs(a, ctx, ridx, 1) // leased at the first grant, no hit
+			a.WLock(ctx, ridx)         // returns it unpaid on the lock-req
+			a.Unlock(ctx, ridx)
 			a.RLock(held, ridx) // unleased: counted at the home
-			readPairs(a, ctx, ridx, leaseRunMin)
+			readPairs(a, ctx, ridx, 1)
 			if !holdsLease(a, ridx) {
 				t.Error("no lease after the read run")
 			}
-			// The unleased pairs' unlocks are asynchronous: let them land, so
-			// the home counts only the reader still inside.
+			// Unlocks are asynchronous: let them land, so the home counts
+			// only the reader still inside.
 			waitFor(t, "unleased unlocks to land", func() int64 {
 				if homeReaders() > 1 {
 					return 0
@@ -543,8 +550,8 @@ func TestLeaseRecalledByHomeWriter(t *testing.T) {
 		home := &a.Instances()[0].Metrics
 		c.Barrier(ctx)
 		if n.ID() == 1 {
-			readPairs(a, ctx, idx, leaseRunMin)
-			a.RLock(ctx, idx) // a lease hit
+			readPairs(a, ctx, idx, 1) // leased at the first grant
+			a.RLock(ctx, idx)         // a lease hit
 			readerIn.Store(true)
 		}
 		c.Barrier(ctx)
@@ -595,7 +602,7 @@ func TestLeaseReturnedByLesseeWriter(t *testing.T) {
 		c.Barrier(ctx)
 		if n.ID() == 1 {
 			// No reader inside: the lock-req carries the lease back.
-			readPairs(a, ctx, idx, leaseRunMin+3)
+			readPairs(a, ctx, idx, 4) // a lease and three hits: it pays
 			settle(t, a)
 			if !holdsLease(a, idx) {
 				t.Error("no lease after the read run")
@@ -613,7 +620,7 @@ func TestLeaseReturnedByLesseeWriter(t *testing.T) {
 
 			// A reader inside: the writer's request goes home, the home
 			// recalls this node, and the grant waits for the reader.
-			readPairs(a, ctx, idx, leaseRunMin)
+			readPairs(a, ctx, idx, 1)
 			settle(t, a)
 			if !holdsLease(a, idx) {
 				t.Error("no lease after the second read run")
@@ -700,6 +707,49 @@ func TestLeaseWriterNotStarved(t *testing.T) {
 	}
 }
 
+// A read-mostly element's remote reader pays one lock round trip per
+// write: the first reader grant after each home-side writer leases, so of
+// the reader's pairs between two writers one sends a lock-req and the
+// rest are gate hits, and every lease comes back paid.
+func TestLeaseOneRoundTripPerWrite(t *testing.T) {
+	const idx, writes, pairs = 5, 16, 8 // element 5 is homed on node 0
+	c := tc(t, 2)
+	c.Run(func(n *cluster.Node) {
+		a := New(n, 2*64)
+		ctx := n.NewCtx(0)
+		stats := n.Endpoint().Stats()
+		c.Barrier(ctx)
+		reqs, hits := stats.KindCount(msgLockReq), leaseHits(a)
+		for w := 0; w < writes; w++ {
+			if n.ID() == 1 {
+				readPairs(a, ctx, idx, pairs)
+			}
+			c.Barrier(ctx)
+			if n.ID() == 0 {
+				a.WLock(ctx, idx) // recalls node 1's lease
+				a.Unlock(ctx, idx)
+			}
+			c.Barrier(ctx)
+		}
+		if n.ID() == 1 {
+			if d := stats.KindCount(msgLockReq) - reqs; d != writes {
+				t.Errorf("%d lock-reqs over %d write cycles of %d read pairs, want one per cycle", d, writes, pairs)
+			}
+			if h := leaseHits(a) - hits; h != writes*(pairs-1) {
+				t.Errorf("%d gate hits, want %d: every pair but the leasing one", h, writes*(pairs-1))
+			}
+		}
+		c.Barrier(ctx)
+		if n.ID() == 0 {
+			settle(t, a)
+			if g, r := a.Metrics.LeaseGrants.Load(), a.Metrics.LeaseRecalls.Load(); g != writes || r != writes {
+				t.Errorf("lease grants %d recalls %d, want %d and %d", g, r, writes, writes)
+			}
+		}
+		c.Barrier(ctx)
+	})
+}
+
 // Under an even read/write mix the policy stops leasing: each lease
 // comes back having served next to nothing, and the required run doubles
 // out of the mix's reach.
@@ -724,8 +774,8 @@ func TestLeaseBacksOffUnderEvenMix(t *testing.T) {
 				a.Unlock(ctx, idx)
 			}
 			settle(t, a)
-			// Without back-off a run of leaseRunMin reads, and so a lease,
-			// comes about every 2^leaseRunMin ops: ~250 here.
+			// Without back-off every reader grant that follows a writer's
+			// would lease: about one op in four, ~1000 here.
 			grants := a.Instances()[0].Metrics.LeaseGrants.Load()
 			if grants > 16 {
 				t.Errorf("%d leases granted over %d ops of a 50/50 mix: the policy ping-pongs", grants, ops)

@@ -19,11 +19,11 @@ import (
 // and its free-time with it, so a request that finds the lock idle is
 // granted from its own clock, however late the last holder released.
 //
-// Reader leases keep read-mostly locks on the reading node. Once the
-// home has seen an element's chunk take a run of reader grants with no
-// writer in between (lockObs), a reader grant to a remote node carries a
-// lease: from then on that node admits and releases readers of the
-// element itself, with no message. A writer pays to collect the leases:
+// Reader leases keep read-mostly locks on the reading node. An
+// uncontended reader grant to a remote node carries a lease unless
+// leases on the element's chunk have stopped paying (lockObs): from then
+// on that node admits and releases readers of the element itself, with
+// no message. A writer pays to collect the leases:
 // its request makes the home send lease-recall to every lessee, each
 // stops admitting readers, waits for the ones inside to leave and
 // answers lease-release; the writer is granted when the home's own
@@ -281,11 +281,11 @@ func (a *Array) shutGate(idx int64, ifEmpty bool) (g *gate, inside int64, ok boo
 	return g, gateCount(w), ok
 }
 
-// Lease policy. The home leases an element only while its chunk looks
-// read-mostly, and learns from every lease that comes back whether
-// leasing that chunk pays.
+// Lease policy. The home leases at the first uncontended remote reader
+// grant (an unleased pair costs a round trip, a leased one a gate CAS),
+// and learns from every lease that comes back whether leasing the chunk
+// pays: each one that does not doubles the read run required first.
 const (
-	leaseRunMin = 4  // reader grants since the chunk's last writer grant before a lease goes out
 	leaseRunMax = 64 // ceiling of the backed-off requirement
 	leasePayoff = 2  // local hits a returned lease must have served to be worth its recall
 )
@@ -293,10 +293,10 @@ const (
 // lockObs is the lock half of the per-chunk observation record.
 type lockObs struct {
 	readRun int32 // reader grants by the table on the chunk since its last writer grant, capped at leaseRunMax
-	need    int32 // read run required before leasing; 0 means leaseRunMin
+	need    int32 // read run required before leasing; 0 means 1, the grant being made
 }
 
-func (o *lockObs) required() int32 { return max(o.need, leaseRunMin) }
+func (o *lockObs) required() int32 { return max(o.need, 1) }
 
 func (o *lockObs) readerGrant() {
 	if o.readRun < leaseRunMax {
@@ -317,7 +317,7 @@ func (o *lockObs) returned(hits int64) {
 	if hits < leasePayoff {
 		o.need = min(2*o.required(), leaseRunMax)
 	} else {
-		o.need = max(o.required()/2, leaseRunMin)
+		o.need = max(o.required()/2, 1)
 	}
 }
 

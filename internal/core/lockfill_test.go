@@ -266,7 +266,7 @@ func TestLockFillLesseeWriter(t *testing.T) {
 		home := &a.Instances()[0].Metrics
 		c.Barrier(ctx)
 		if n.ID() == 1 {
-			readPairs(a, ctx, idx, leaseRunMin+1)
+			readPairs(a, ctx, idx, 2) // the first grant leases, the second pair is a hit
 			settle(t, a)
 			if !holdsLease(a, idx) {
 				t.Error("no lease after the read run")

@@ -94,7 +94,7 @@ func TestTraceRecordsLockTraffic(t *testing.T) {
 		ctx := n.NewCtx(0)
 		c.Barrier(ctx)
 		if n.ID() == 1 {
-			readPairs(a, ctx, idx, leaseRunMin+1)
+			readPairs(a, ctx, idx, 2) // the first grant leases, the second pair is a hit
 			settle(t, a)
 			if !holdsLease(a, idx) {
 				t.Error("no lease after the read run")
