@@ -23,19 +23,22 @@ race:
 # remote reader (TestLeaseOneRoundTripPerWrite), both recall paths, a
 # writer waiting out the readers inside a gate, writer progress,
 # back-off, virtual-time chaining, a 3-node mixed RLock/WLock stress
-# guarding plain counters), the writer
-# grants that carry their chunk (filled, declined, already Dirty, a
-# lessee's, from Dirty and Operated on a third node, and the deadlock a
-# queued fill would cause) and the announce/re-check regression of the
-# data fast path, on four cores under the race detector, with a bound so
-# a lost grant or release fails in two minutes instead of hanging CI for
-# ten. Then the reader-gate tests ten times more: the count is what
-# catches a window between a grant and its gate that shows one run in
-# sixty. Last, the lease policy and the tests staged on it (a lease at
-# the first reader grant, a second one after an unpaid return) ten
-# times.
+# guarding plain counters, a lessee writer's suspended lease resuming at
+# its unlock and the recall that crosses its return), the grants that
+# carry their chunk (a reader's, leased, declined behind a writer, or
+# unleased when a writer queues during its transaction; a writer's
+# filled, declined, already Dirty, a lessee's, from Dirty and
+# Operated on a third node, and the deadlock a queued fill would cause),
+# the lock-edge golden (TestLockEdges) and the announce/re-check
+# regression of the data fast path, on four cores under the race
+# detector, with a bound so a lost grant or release fails in two minutes
+# instead of hanging CI for ten. Then the reader-gate tests ten times
+# more: the count is what catches a window between a grant and its gate
+# that shows one run in sixty. Last, the lease policy and the tests
+# staged on it (a lease at the first reader grant, a second one after an
+# unpaid return) ten times.
 locks:
-	GOMAXPROCS=4 $(GO) test -race -timeout 120s -count=1 -run 'TestLease|TestLocks|TestRLock|TestGate|TestLockFill|TestAnnounceRecheck' ./internal/core/
+	GOMAXPROCS=4 $(GO) test -race -timeout 120s -count=1 -run 'TestLease|TestLocks|TestLockEdges|TestRLock|TestGate|TestLockFill|TestAnnounceRecheck' ./internal/core/
 	GOMAXPROCS=4 $(GO) test -race -timeout 120s -count=10 -run 'TestGate' ./internal/core/
 	GOMAXPROCS=4 $(GO) test -race -timeout 120s -count=10 -run 'TestLeasePolicy|TestLeaseOneRoundTripPerWrite|TestGateMixedReadersConserveCount' ./internal/core/
 
@@ -43,7 +46,8 @@ locks:
 # their pairing, which hold pins across whole buckets and records and so
 # lean on grant installations that stall (a held reference, no free line)
 # — plus the four reproducers of a coherence command arriving during such
-# a stall. Four cores, race detector, ten rounds: the count is what
+# a stall and the one of a lease-recall arriving behind a leasing grant
+# that carries its chunk. Four cores, race detector, ten rounds: the count is what
 # catches a hang that shows one run in three, the bound what reports it.
 # Last, ten seconds of FuzzSlab against its model of the slab region;
 # minimizing a long new input would otherwise eat most of them.

@@ -212,7 +212,7 @@ func writerFillRounds(t *testing.T, rounds int) (perRound float64, fills int64) 
 				round(k) // warm up the pools
 			}
 			home := &a.Instances()[0].Metrics
-			fills = home.LockFills.Load()
+			fills = home.WriterFills.Load()
 			var before, after runtime.MemStats
 			runtime.GC()
 			runtime.ReadMemStats(&before)
@@ -221,7 +221,7 @@ func writerFillRounds(t *testing.T, rounds int) (perRound float64, fills int64) 
 			}
 			runtime.ReadMemStats(&after)
 			perRound = float64(after.Mallocs-before.Mallocs) / float64(rounds)
-			fills = home.LockFills.Load() - fills
+			fills = home.WriterFills.Load() - fills
 		}
 		c.Barrier(ctx)
 	})

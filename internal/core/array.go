@@ -124,16 +124,19 @@ type Metrics struct {
 	ShipFlips      atomic.Int64
 	ShipBytesSaved atomic.Int64
 
-	// Reader-lease accounting (see lock.go). LeaseGrants and LeaseRecalls
-	// count at the home: grants that carried a lease, and lease-recall
-	// messages a writer made it send.
+	// Reader-lease accounting (see lock.go). LeaseGrants, LeaseResumes
+	// and LeaseRecalls count at the home: grants that carried a lease,
+	// suspended leases a lessee's writer resumed at its unlock, and
+	// lease-recall messages sent.
 	LeaseGrants  atomic.Int64
+	LeaseResumes atomic.Int64
 	LeaseRecalls atomic.Int64
 
-	// Writer fills, counted at the home: remote writer grants that carried
-	// the element's chunk, and fill requests declined because the lock
-	// could not be granted on arrival.
-	LockFills    atomic.Int64
+	// Lock fills, counted at the home: remote reader and writer grants
+	// that carried the element's chunk, and fill requests declined
+	// because the lock could not be granted on arrival.
+	ReaderFills  atomic.Int64
+	WriterFills  atomic.Int64
 	FillDeclines atomic.Int64
 
 	// Reader-gate accounting. GateCloses counts open gates the runtime

@@ -158,6 +158,9 @@ func (a *Array) handleDataResp(rt *cluster.Runtime, d *dentry, m *fabric.Message
 	}
 	fill := svt + a.copyCost(words)
 	a.child(tc, a.self(), trace.StageService, "install", d.ci, svt, fill)
+	if m.Val&grantsLease != 0 {
+		a.leaseArrived(a.rstate(rt), m.Idx, svt)
+	}
 	// The common case needs no wait — nothing references the old line and
 	// a line is free — and then builds no continuations.
 	if a.tryDemote(d, permInvalid) && a.tryLine(rt, d) {
@@ -190,8 +193,9 @@ func (a *Array) stalledInstall(rt *cluster.Runtime, d *dentry, finish func(rt *c
 
 // finishGrant fills d's line from grant m, publishes the granted
 // permission and completes the waiters it satisfies — and, when m is a
-// writer's lock grant carrying the chunk, the thread waiting for that
-// lock, which finds the chunk writable. It owns m (see handleMsg) and
+// lock grant carrying the chunk, the thread waiting for that lock, which
+// finds the chunk readable or writable as its mode needs (a lease the
+// grant carries was installed on arrival). It owns m (see handleMsg) and
 // recycles it.
 func (a *Array) finishGrant(rt *cluster.Runtime, d *dentry, m *fabric.Message, fill int64) {
 	if m.Flag {

@@ -225,7 +225,7 @@ func fuzzOnce(t *testing.T, nodes, runtimes, cache int, seed int64, ship string)
 		if n.ID() == 0 {
 			var fills int64
 			for _, inst := range a.Instances() {
-				fills += inst.Metrics.LockFills.Load()
+				fills += inst.Metrics.WriterFills.Load()
 			}
 			if fills == 0 {
 				t.Error("no writer grant carried its chunk")

@@ -36,6 +36,21 @@ func holdsLease(a *Array, idx int64) bool {
 	return a.snapshotLocks().leases[idx]
 }
 
+// leaseOf reads a's node's lease record of element idx from the runtime
+// goroutine that owns it: whether there is one, and whether a local
+// writer has it suspended.
+func leaseOf(a *Array, idx int64) (held, suspended bool) {
+	done := make(chan struct{})
+	a.rtOf(idx / a.sh.chunkWords).Submit(func(rt *cluster.Runtime) {
+		defer close(done)
+		if le := a.rstate(rt).leases[idx]; le != nil {
+			held, suspended = true, le.suspended
+		}
+	})
+	<-done
+	return held, suspended
+}
+
 // readPairs takes and drops element idx's read lock k times.
 func readPairs(a *Array, ctx *cluster.Ctx, idx int64, k int) {
 	for ; k > 0; k-- {
@@ -589,7 +604,9 @@ func TestLeaseRecalledByHomeWriter(t *testing.T) {
 
 // A writer on the lessee node returns the lease on its own lock-req when
 // no reader is inside (no recall message), and waits for the home's
-// recall to drain the node's readers when one is.
+// recall to drain the node's readers when one is. A returned lease that
+// paid is suspended while that writer holds the lock and resumes at its
+// unlock, so the node's next reader is a gate hit again.
 func TestLeaseReturnedByLesseeWriter(t *testing.T) {
 	const idx = 7
 	c := tc(t, 2)
@@ -599,6 +616,7 @@ func TestLeaseReturnedByLesseeWriter(t *testing.T) {
 		a := New(n, 2*64)
 		ctx := n.NewCtx(0)
 		home := &a.Instances()[0].Metrics
+		stats := n.Endpoint().Stats()
 		c.Barrier(ctx)
 		if n.ID() == 1 {
 			// No reader inside: the lock-req carries the lease back.
@@ -609,10 +627,25 @@ func TestLeaseReturnedByLesseeWriter(t *testing.T) {
 			}
 			a.WLock(ctx, idx)
 			guarded++
-			if holdsLease(a, idx) {
-				t.Error("lessee kept its entry while its own writer holds the lock")
+			if held, suspended := leaseOf(a, idx); !held || !suspended {
+				t.Errorf("while its own writer holds the lock: lease held %v suspended %v, want both", held, suspended)
+			}
+			if g := a.gateOf(idx); g.word.Load()&gateOpen != 0 {
+				t.Error("lessee gate open while its own writer holds the lock")
 			}
 			a.Unlock(ctx, idx)
+			settle(t, a)
+			if held, suspended := leaseOf(a, idx); !held || suspended {
+				t.Errorf("after the writer's unlock: lease held %v suspended %v, want it resumed", held, suspended)
+			}
+			if r := home.LeaseResumes.Load(); r != 1 {
+				t.Errorf("%d lease resumes, want 1", r)
+			}
+			reqs := stats.KindCount(msgLockReq)
+			readPairs(a, ctx, idx, 1)
+			if d := stats.KindCount(msgLockReq) - reqs; d != 0 {
+				t.Errorf("the next reader sent %d lock-reqs, want 0: a gate hit under the resumed lease", d)
+			}
 			settle(t, a)
 			if r := home.LeaseRecalls.Load(); r != 0 {
 				t.Errorf("%d recall messages for a lease its own node's writer returned, want 0", r)
@@ -620,11 +653,6 @@ func TestLeaseReturnedByLesseeWriter(t *testing.T) {
 
 			// A reader inside: the writer's request goes home, the home
 			// recalls this node, and the grant waits for the reader.
-			readPairs(a, ctx, idx, 1)
-			settle(t, a)
-			if !holdsLease(a, idx) {
-				t.Error("no lease after the second read run")
-			}
 			var wg sync.WaitGroup
 			wg.Add(1)
 			a.RLock(ctx, idx)
@@ -840,5 +868,77 @@ func TestLeaseStress(t *testing.T) {
 			}
 		}
 		c.Barrier(root)
+	})
+}
+
+// A home writer's recall crosses a lessee writer's lock-req that returns
+// the lease, which paid and so stays suspended on the lessee: the recall
+// reaches the suspended record and is stale — the home took the lease
+// back on the lock-req — so it is ignored, not answered with a release
+// the home could not match to a lessee. The lessee's runtime goroutine is
+// held while both are in flight; its local queue is served before its
+// messages, so the writer's request runs first.
+func TestLeaseRecallCrossesSuspend(t *testing.T) {
+	const idx = 5 // homed on node 0
+	c := tc(t, 2)
+	posted := make(chan struct{})
+	runBounded(t, c, func(n *cluster.Node) {
+		a := New(n, 2*64)
+		ctx := n.NewCtx(0)
+		home := &a.Instances()[0].Metrics
+		c.Barrier(ctx)
+		if n.ID() == 1 {
+			readPairs(a, ctx, idx, 4) // a lease and three hits: it pays
+			settle(t, a)
+		}
+		c.Barrier(ctx)
+		switch n.ID() {
+		case 0:
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				wctx := n.NewCtx(1)
+				a.WLock(wctx, idx) // recalls node 1's lease
+				a.Unlock(wctx, idx)
+			}()
+			await(func() bool { return n.Endpoint().Stats().KindCount(msgLeaseRecall) == 1 })
+			close(posted)
+			<-done
+		case 1:
+			held, release := make(chan struct{}), make(chan struct{})
+			d := &a.dents[idx/a.sh.chunkWords]
+			a.rtOf(d.ci).Submit(func(*cluster.Runtime) {
+				close(held)
+				<-release
+			})
+			<-held
+			w := a.getWaiter()
+			w.want, w.idx = wantWLock, idx
+			tok := a.request(ctx, d, w, 0) // queued behind the hold
+			<-posted
+			close(release)
+			if _, ok := a.await(ctx, tok); !ok {
+				t.Fatal("lessee writer's WLock failed")
+			}
+			if held, suspended := leaseOf(a, idx); !held || !suspended {
+				t.Errorf("under the lessee's own writer: lease held %v suspended %v, want both", held, suspended)
+			}
+			a.Unlock(ctx, idx)
+			settle(t, a)
+			if held, suspended := leaseOf(a, idx); !held || suspended {
+				t.Errorf("after the writer's unlock: lease held %v suspended %v, want it resumed", held, suspended)
+			}
+			if r := n.Endpoint().Stats().KindCount(msgLeaseRelease); r != 0 {
+				t.Errorf("the lessee answered the stale recall with %d lease-releases, want 0", r)
+			}
+			if !sawEvent(a, msgLeaseRecall, d.ci) {
+				t.Error("the recall never reached the lessee")
+			}
+			if r, m := home.LeaseRecalls.Load(), home.LeaseResumes.Load(); r != 1 || m != 1 {
+				t.Errorf("recalls %d resumes %d, want 1 and 1", r, m)
+			}
+		}
+		validateAll(t, c, a, ctx)
+		c.Barrier(ctx)
 	})
 }

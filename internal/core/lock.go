@@ -2,6 +2,7 @@ package core
 
 import (
 	"runtime"
+	"slices"
 	"sync/atomic"
 
 	"darray/internal/cluster"
@@ -33,13 +34,20 @@ import (
 // behind it, leased node or not, so FIFO order and writer progress are
 // those of the unleased protocol.
 //
-// A remote writer's grant can carry the element's chunk. The lock and
-// the chunk share a home and a runtime goroutine, so a writer whose chunk
-// is idle and not writable on its node asks for it on the lock-req. If
-// the home can grant the lock on arrival it runs an ordinary write
-// transaction on the writer's behalf and the data-resp is the grant;
-// otherwise it declines the fill at once and the later grant is a plain
-// lock-grant. A data miss therefore never waits on a lock.
+// A remote grant can carry the element's chunk. The lock and the chunk
+// share a home and a runtime goroutine, so a requester whose chunk is
+// idle on its node and lacks the permission the lock mode needs — Read
+// for RLock, RW for WLock — asks for it on the lock-req. If the home can
+// grant the lock on arrival it runs an ordinary read or write transaction
+// on the requester's behalf and the data-resp is the grant, carrying a
+// reader's lease when the grant leases; otherwise it declines the fill at
+// once and the later grant is a plain lock-grant. A data miss therefore
+// never waits on a lock.
+//
+// A lessee's own writer does not end a lease that paid: it returns it on
+// its lock-req as before, keeps the record suspended with the gate shut,
+// and reopens the gate at its table Unlock, whose unlock message tells
+// the home to list the node as lessee again.
 //
 // Wherever a node may admit a reader without a message — at the home
 // while no writer holds or waits, on a lessee while the lease is held and
@@ -68,7 +76,7 @@ type lockReq struct {
 	from   int
 	writer bool
 	recall bool    // writer whose wait includes collecting leases
-	fill   bool    // remote writer asking for the chunk, not declined: its grant carries it
+	fill   bool    // remote requester asking for the chunk, not declined: its grant carries it
 	w      *waiter // non-nil for local requests
 	vt     int64
 	tc     trace.Ctx // requester's causal-trace chain (zero when untraced)
@@ -79,9 +87,10 @@ type lockReq struct {
 // admitted and the hits it served live in the element's gate, which the
 // lease opened on arrival.
 type lease struct {
-	recalled bool  // the home wants it back: the gate is shut, release once it drains
-	recallVT int64 // virtual time the recall was served here
-	tc       trace.Ctx
+	recalled  bool  // the home wants it back: the gate is shut, release once it drains
+	suspended bool  // returned on a local writer's lock-req: the gate is shut until the node's next table Unlock
+	recallVT  int64 // virtual time the recall was served here
+	tc        trace.Ctx
 }
 
 // gate is one element's lock-free reader entrance on one node: a word
@@ -405,10 +414,19 @@ func (a *Array) handleLockLocal(rt *cluster.Runtime, w *waiter) {
 		vt := w.vt
 		a.putWaiter(w)
 		if home == a.self() {
-			a.unlockRequest(rt, idx, vt)
-		} else {
-			a.send(&fMsg{to: home, kind: msgUnlock, chunk: ci, idx: idx, vt: vt})
+			a.unlockRequest(rt, idx, home, vt, false)
+			return
 		}
+		// The writer that suspended this node's lease is done with the
+		// lock: readers here may come in through the gate again, and the
+		// unlock tells the home so.
+		le := a.rstate(rt).leases[idx]
+		resume := le != nil && le.suspended
+		if resume {
+			le.suspended = false
+			a.openGate(idx, vt, 0)
+		}
+		a.send(&fMsg{to: home, kind: msgUnlock, chunk: ci, idx: idx, flag: resume, vt: vt})
 	case wantDrained:
 		a.putWaiter(w)
 		a.Metrics.GateDrains.Add(1)
@@ -438,7 +456,8 @@ func (a *Array) handleLockLocal(rt *cluster.Runtime, w *waiter) {
 
 // A lock-req's Val: leaseReturned says it carries the sender's lease
 // back, with the lease's hit count in the bits from reqHitShift up;
-// fillWanted says a writer asks for its element's chunk with the grant.
+// fillWanted says the requester asks for its element's chunk with the
+// grant.
 const (
 	leaseReturned = 1
 	fillWanted    = 2
@@ -446,37 +465,53 @@ const (
 )
 
 // grantsLock, above the permission in a data-resp's Val, makes the grant
-// also the write lock on element Idx.
-const grantsLock = 1 << 32
+// also the lock on element Idx, in the mode the permission names (Read
+// or RW); grantsLease adds a reader lease to a Read one.
+const (
+	grantsLock  = 1 << 32
+	grantsLease = 1 << 33
+)
 
 // lockRemote sends a local thread's request for a lock homed elsewhere to
 // the home. It runs on the runtime goroutine owning the element's chunk.
 // A reader gets here only past a gate that was not open when it looked —
-// no lease, or a recalled one — and queues at the home like any other,
-// behind the writer that caused the recall if there is one. A writer on a
-// lessee node with no reader inside takes the lease back with it.
+// no lease, or a recalled or suspended one — and queues at the home like
+// any other, behind the writer that caused the recall if there is one. A
+// writer on a lessee node with no reader inside takes the lease back with
+// it; a lease that paid stays here suspended, to resume at the node's
+// next table Unlock.
 //
-// A writer asks for the chunk when it is idle here and not writable:
-// nothing outstanding (pending), nothing being installed or evicted
-// (busy), not RW. The fill then holds the chunk's pending slot, so it is
-// the one request this node has outstanding for the chunk, until the
-// home answers with the chunk or with a decline.
+// A request asks for the chunk when it is idle here and lacks the
+// permission the mode needs: nothing outstanding (pending), nothing being
+// installed or evicted (busy), not readable for a reader, not RW for a
+// writer. The fill then holds the chunk's pending slot, so it is the one
+// request this node has outstanding for the chunk, until the home answers
+// with the chunk or with a decline.
 func (a *Array) lockRemote(rt *cluster.Runtime, home int, idx int64, r lockReq) {
 	s := a.rstate(rt)
 	ci := idx / a.sh.chunkWords
 	var ret uint64
-	if r.writer && s.leases[idx] != nil {
+	if le := s.leases[idx]; r.writer && le != nil && !le.suspended {
 		// Shut the gate only if nobody is inside: then the writer's own
 		// request returns the lease and the home needs no recall round trip
 		// to this node. With readers inside the lease stays as it is and
 		// the writer waits for the home to recall them.
 		if g, _, ok := a.shutGate(idx, true); ok {
-			ret = leaseReturned | uint64(a.endGate(g, true))<<reqHitShift
+			hits := a.endGate(g, true)
+			ret = leaseReturned | uint64(hits)<<reqHitShift
 			r.vt = maxi64(r.vt, g.freeVT.Load())
-			delete(s.leases, idx)
+			if hits >= leasePayoff {
+				le.recalled, le.suspended = false, true
+			} else {
+				delete(s.leases, idx)
+			}
 		}
 	}
-	if d := &a.dents[ci]; r.writer && !d.pending && !d.busy && statePerm(d.state.Load()) != permRW {
+	want := wantRead
+	if r.writer {
+		want = wantWrite
+	}
+	if d := &a.dents[ci]; !d.pending && !d.busy && !satisfies(d.state.Load(), want, 0) {
 		d.pending = true
 		ret |= fillWanted
 	}
@@ -571,7 +606,7 @@ func (a *Array) handleLockMsg(rt *cluster.Runtime, m *fabric.Message, svt int64,
 		a.lockRequest(rt, m.Idx, lockReq{from: m.From, writer: m.Flag, fill: m.Val&fillWanted != 0,
 			vt: svt, tc: tc}, m.Val)
 	case msgUnlock:
-		a.unlockRequest(rt, m.Idx, svt)
+		a.unlockRequest(rt, m.Idx, m.From, svt, m.Flag)
 	case msgFillDecline:
 		// The lock-req queued at the home, so its grant will be a plain
 		// lock-grant: the chunk's pending slot is free again, and the data
@@ -585,20 +620,15 @@ func (a *Array) handleLockMsg(rt *cluster.Runtime, m *fabric.Message, svt int64,
 	case msgLockGrant:
 		w := a.takeLockWaiter(s, m.Idx)
 		if m.Val != 0 {
-			// The grant carries a lease: the gate opens with the thread this
-			// grant admits counted inside, as the lease's first reader.
-			if s.leases[m.Idx] != nil {
-				s.panicChunk(m.Chunk, "core: lease granted to a node that holds it")
-			}
-			s.leases[m.Idx] = &lease{}
-			a.openGate(m.Idx, svt, 1)
+			a.leaseArrived(s, m.Idx, svt)
 		}
 		a.grantWaiter(w, svt)
 	case msgLeaseRecall:
 		le := s.leases[m.Idx]
-		if le == nil {
+		if le == nil || le.suspended {
 			// Already returned on a local writer's lock-req, which the home
-			// reads before anything this node sends from now on.
+			// reads before anything this node sends from now on; a suspended
+			// lease is listed again only by that writer's unlock, after it.
 			return
 		}
 		le.recalled, le.recallVT, le.tc = true, svt, tc
@@ -610,6 +640,19 @@ func (a *Array) handleLockMsg(rt *cluster.Runtime, m *fabric.Message, svt int64,
 			a.tryGrant(rt, m.Idx, ls)
 		}
 	}
+}
+
+// leaseArrived installs the reader lease on element idx that a grant
+// arriving at virtual time vt carries: the gate opens with the thread the
+// grant admits counted inside, as the lease's first reader. A data-resp
+// installs it on arrival, before its chunk, so that a recall the home
+// sends after the grant finds it even while the installation stalls.
+func (a *Array) leaseArrived(s *rtState, idx, vt int64) {
+	if s.leases[idx] != nil {
+		s.panicChunk(idx/a.sh.chunkWords, "core: lease granted to a node that holds it")
+	}
+	s.leases[idx] = &lease{}
+	a.openGate(idx, vt, 1)
 }
 
 // releaseLease answers a recall once the shut gate has drained — at the
@@ -670,16 +713,10 @@ func (a *Array) lockRequest(rt *cluster.Runtime, idx int64, r lockReq, ret uint6
 	if r.writer && ls.lessees != 0 {
 		// Recall as soon as the writer is known, not when it reaches the
 		// head: leases drain while it waits its turn. No lease is granted
-		// while anything is queued, so this set is final for this writer.
+		// while anything is queued, so this set is final for this writer
+		// unless a suspended one resumes (unlockRequest).
 		r.recall = true
-		ci := idx / a.sh.chunkWords
-		for v, mask := 0, ls.lessees&^ls.recalled; mask != 0; v, mask = v+1, mask>>1 {
-			if mask&1 != 0 {
-				a.Metrics.LeaseRecalls.Add(1)
-				a.send(&fMsg{to: v, kind: msgLeaseRecall, chunk: ci, idx: idx, vt: r.vt, tc: r.tc})
-			}
-		}
-		ls.recalled = ls.lessees
+		a.recallLeases(ls, idx, ls.lessees&^ls.recalled, r.vt, r.tc)
 	}
 	if r.fill && (len(ls.queue) != 0 || ls.blocks(r, a.gateOf(idx))) {
 		r.fill = false
@@ -690,7 +727,23 @@ func (a *Array) lockRequest(rt *cluster.Runtime, idx int64, r lockReq, ret uint6
 	a.tryGrant(rt, idx, ls)
 }
 
-func (a *Array) unlockRequest(rt *cluster.Runtime, idx int64, vt int64) {
+// recallLeases sends lease-recall for element idx to every node in mask.
+func (a *Array) recallLeases(ls *lockState, idx int64, mask uint64, vt int64, tc trace.Ctx) {
+	ci := idx / a.sh.chunkWords
+	for v, m := 0, mask; m != 0; v, m = v+1, m>>1 {
+		if m&1 != 0 {
+			a.Metrics.LeaseRecalls.Add(1)
+			a.send(&fMsg{to: v, kind: msgLeaseRecall, chunk: ci, idx: idx, vt: vt, tc: tc})
+		}
+	}
+	ls.recalled |= mask
+}
+
+// unlockRequest releases one holder of element idx's lock at virtual time
+// vt, for node from. resume says from's suspended lease resumes: the node
+// has reopened its gate, so it is listed as lessee before anything is
+// granted, and recalled at once if a writer is waiting.
+func (a *Array) unlockRequest(rt *cluster.Runtime, idx int64, from int, vt int64, resume bool) {
 	s := a.rstate(rt)
 	ls := s.locks[idx]
 	if ls == nil || (!ls.writerHeld && ls.readers == 0) {
@@ -708,7 +761,53 @@ func (a *Array) unlockRequest(rt *cluster.Runtime, idx int64, vt int64) {
 		ls.readers--
 	}
 	ls.freeVT = maxi64(ls.freeVT, vt)
+	if resume {
+		bit := uint64(1) << uint(from)
+		ls.lessees |= bit
+		a.Metrics.LeaseResumes.Add(1)
+		if k := slices.IndexFunc(ls.queue, func(h lockReq) bool { return h.writer }); k >= 0 {
+			ls.queue[k].recall = true
+			a.recallLeases(ls, idx, bit, vt, ls.queue[k].tc)
+		}
+	}
 	a.tryGrant(rt, idx, ls)
+}
+
+// lease makes a reader grant to remote node from a reader lease when
+// nothing else waits on the lock (waiting == 0: a queued writer would
+// recall it at once), the node holds none and the chunk's policy allows.
+// The home's own readers of the element since its last writer went
+// through the gate, not the table: they extend the read run all the same.
+func (a *Array) lease(ls *lockState, idx int64, from, waiting int) bool {
+	bit := uint64(1) << uint(from)
+	var local int64
+	if g := a.gateOf(idx); g != nil {
+		local = gateHits(g.word.Load())
+	}
+	if waiting != 0 || ls.lessees&bit != 0 || !a.dents[idx/a.sh.chunkWords].obs.lock.leasable(local) {
+		return false
+	}
+	ls.lessees |= bit
+	a.Metrics.LeaseGrants.Add(1)
+	return true
+}
+
+// fillGrant is what a data-resp carrying the lock grant r adds to its
+// Val: grantsLock, and for a reader a lease if one is made now. The lease
+// is decided as the chunk leaves rather than when the table granted the
+// lock, which counted the reader unleased: a recall for the lease may
+// only follow its grant on the wire, and a writer that queued while the
+// transaction ran would recall it at once.
+func (a *Array) fillGrant(rt *cluster.Runtime, r homeReq) uint64 {
+	if r.want != wantRead {
+		return grantsLock
+	}
+	ls := a.rstate(rt).locks[r.idx]
+	if !a.lease(ls, r.idx, r.from, len(ls.queue)) {
+		return grantsLock
+	}
+	ls.readers--
+	return grantsLock | grantsLease
 }
 
 // blocks reports whether the lock's state keeps request h from being
@@ -725,14 +824,16 @@ func (ls *lockState) blocks(h lockReq, g *gate) bool {
 // A writer also waits for the readers inside the home's own gate, which
 // its request shut; a pass that drains the queue on reader grants opens
 // that gate for the readers after them, before it wakes the local ones,
-// so a thread that follows one of them in finds it open. A writer's fill
-// starts the chunk's write transaction on its behalf: the data-resp is
-// its grant.
+// so a thread that follows one of them in finds it open. A fill starts
+// the chunk's read or write transaction on the requester's behalf once
+// the queue is trimmed: the data-resp is its grant. A fill is granted
+// only on arrival, alone in the queue, so a pass grants at most one.
 func (a *Array) tryGrant(rt *cluster.Runtime, idx int64, ls *lockState) {
 	ci := idx / a.sh.chunkWords
 	obs := &a.dents[ci].obs.lock
 	g := a.gateOf(idx)
 	openVT := int64(-1) // grant time of the last local reader admitted in this pass
+	var fill homeReq    // the pass's fill, if fill.lock
 	n := 0              // the pass has granted ls.queue[:n]; a local entry's vt is now its grant's
 	for n < len(ls.queue) {
 		h := &ls.queue[n]
@@ -750,19 +851,10 @@ func (a *Array) tryGrant(rt *cluster.Runtime, idx int64, ls *lockState) {
 			}
 		} else {
 			obs.readerGrant()
-			bit := uint64(1) << uint(h.from)
-			// Lease only when nothing waits on the lock: a queued writer
-			// would recall it at once. The home's own readers of the element
-			// since its last writer went through the gate, not the table:
-			// they extend the read run all the same.
-			var local int64
-			if g != nil {
-				local = gateHits(g.word.Load())
-			}
-			if h.w == nil && n == len(ls.queue) && ls.lessees&bit == 0 && obs.leasable(local) {
-				ls.lessees |= bit
+			// A filled grant's lease is decided when its chunk leaves
+			// (fillGrant).
+			if h.w == nil && !h.fill && a.lease(ls, idx, h.from, len(ls.queue)-n) {
 				leased = 1
-				a.Metrics.LeaseGrants.Add(1)
 			} else {
 				ls.readers++
 			}
@@ -787,9 +879,10 @@ func (a *Array) tryGrant(rt *cluster.Runtime, idx int64, ls *lockState) {
 				openVT = gvt
 			}
 		case h.fill:
-			a.Metrics.LockFills.Add(1)
-			a.serveHome(rt, &a.dents[ci], homeReq{from: h.from, want: wantWrite, vt: gvt, tc: tc,
-				lock: true, idx: idx})
+			fill = homeReq{from: h.from, want: wantRead, vt: gvt, tc: tc, lock: true, idx: idx}
+			if h.writer {
+				fill.want = wantWrite
+			}
 		default:
 			a.send(&fMsg{to: h.from, kind: msgLockGrant, chunk: ci, idx: idx, val: leased, vt: gvt, tc: tc})
 		}
@@ -812,5 +905,13 @@ func (a *Array) tryGrant(rt *cluster.Runtime, idx int64, ls *lockState) {
 	ls.queue = ls.queue[:rest]
 	if ls.idle() {
 		delete(a.rstate(rt).locks, idx)
+	}
+	if fill.lock {
+		if fill.want == wantRead {
+			a.Metrics.ReaderFills.Add(1)
+		} else {
+			a.Metrics.WriterFills.Add(1)
+		}
+		a.serveHome(rt, &a.dents[ci], fill)
 	}
 }

@@ -18,9 +18,11 @@ type lockEv struct {
 	vt   int64
 }
 
-// lockCtrs are the lock counters a step can move, summed over the nodes.
+// lockCtrs are the lock counters a step can move, summed over the nodes;
+// fills are writer fills.
 type lockCtrs struct {
 	leaseGrants, recalls, fills, declines, closes, drains int64
+	readerFills, resumes                                  int64
 }
 
 func lockCtrsOf(arrays ...*Array) lockCtrs {
@@ -29,17 +31,20 @@ func lockCtrsOf(arrays ...*Array) lockCtrs {
 		m := &a.Metrics
 		s.leaseGrants += m.LeaseGrants.Load()
 		s.recalls += m.LeaseRecalls.Load()
-		s.fills += m.LockFills.Load()
+		s.fills += m.WriterFills.Load()
 		s.declines += m.FillDeclines.Load()
 		s.closes += m.GateCloses.Load()
 		s.drains += m.GateDrains.Load()
+		s.readerFills += m.ReaderFills.Load()
+		s.resumes += m.LeaseResumes.Load()
 	}
 	return s
 }
 
 func (s lockCtrs) minus(o lockCtrs) lockCtrs {
 	return lockCtrs{s.leaseGrants - o.leaseGrants, s.recalls - o.recalls, s.fills - o.fills,
-		s.declines - o.declines, s.closes - o.closes, s.drains - o.drains}
+		s.declines - o.declines, s.closes - o.closes, s.drains - o.drains,
+		s.readerFills - o.readerFills, s.resumes - o.resumes}
 }
 
 // lockWorker is an application thread of a node that a step hands one
@@ -174,6 +179,9 @@ func TestLockEdges(t *testing.T) {
 		lessees uint64
 		ctrs    lockCtrs
 	}
+	c := tc(t, 3, func(cfg *cluster.Config) {
+		cfg.Model, cfg.RuntimeThreads, cfg.PrefetchAhead, cfg.TxBurst = vtime.Default(), 1, -1, 1
+	})
 	ev := func(kv ...any) []lockEv {
 		var out []lockEv
 		for i := 0; i < len(kv); i += 3 {
@@ -210,6 +218,18 @@ func TestLockEdges(t *testing.T) {
 			if id == k {
 				readPairs(ns[k].a, ns[k].ctx, E, n)
 				settle(t, ns[k].a)
+			}
+		}
+	}
+	// seq runs preps one after another, all nodes passing a barrier
+	// between them.
+	seq := func(parts ...func([]*lockNode, int)) func([]*lockNode, int) {
+		return func(ns []*lockNode, id int) {
+			for k, p := range parts {
+				if k > 0 {
+					c.Barrier(ns[id].ctx)
+				}
+				p(ns, id)
 			}
 		}
 	}
@@ -277,7 +297,7 @@ func TestLockEdges(t *testing.T) {
 		// Leased, then recalled with a reader inside and writers and readers
 		// queued behind the recall.
 		{name: "free: remote reader, chunk not readable, leases", prep: invalidate, actor: 1, do: rlock(1),
-			vts: vts(2950), events: ev(0, "lock-req", 1342, 1, "lock-grant", 2700), gates: [3]uint64{0, open | 1, 0}, lessees: 0b10, ctrs: lockCtrs{leaseGrants: 1}},
+			vts: vts(3119), events: ev(0, "lock-req", 1342, 1, "data-resp", 2805), gates: [3]uint64{0, open | 1, 0}, lessees: 0b10, ctrs: lockCtrs{leaseGrants: 1, readerFills: 1}},
 		{name: "leased: lessee reader unlock through the gate", actor: 1, do: unlock(1),
 			vts: vts(26), gates: [3]uint64{0, open, 0}, lessees: 0b10},
 		{name: "leased: lessee reader through the gate, chunk readable", prep: readOn(1), actor: 1, do: rlock(1),
@@ -318,7 +338,7 @@ func TestLockEdges(t *testing.T) {
 		{name: "free: remote reader, chunk readable (Dirty), unleased", actor: 1, do: rlock(1),
 			vts: vts(2950), events: ev(0, "lock-req", 1342, 1, "lock-grant", 2700), gates: [3]uint64{0, 0, 0}},
 		{name: "readers: remote reader, chunk not readable, leases", actor: 2, do: rlock(2),
-			vts: vts(2950), events: ev(0, "lock-req", 1342, 2, "lock-grant", 2700), gates: [3]uint64{0, 0, open | 1}, lessees: 0b100, ctrs: lockCtrs{leaseGrants: 1}},
+			vts: vts(5764), events: ev(0, "lock-req", 1342, 1, "downgrade", 2700, 0, "writeback", 4043, 2, "data-resp", 5450), gates: [3]uint64{0, 0, open | 1}, lessees: 0b100, ctrs: lockCtrs{leaseGrants: 1, readerFills: 1}},
 		{name: "leased: lessee reader unlock through the gate", actor: 2, do: unlock(2),
 			vts: vts(26), gates: [3]uint64{0, 0, open}, lessees: 0b100},
 		{name: "leased+readers: local writer recalls, lessee gate empty", actor: 0,
@@ -362,7 +382,7 @@ func TestLockEdges(t *testing.T) {
 			vts: vts(474), gates: [3]uint64{0, 0, 0}, ctrs: lockCtrs{closes: 1}},
 		{name: "writer: remote reader, chunk not readable, queues", prep: invalidate, actor: 2,
 			do:     then(start(2, 0, wRLock), nil),
-			events: ev(0, "lock-req", 1342), gates: [3]uint64{0, 0, 0}},
+			events: ev(0, "lock-req", 1342, 2, "fill-decline", 2580), gates: [3]uint64{0, 0, 0}, ctrs: lockCtrs{declines: 1}},
 		{name: "writer+queued: local writer unlock grants the remote reader", actor: 0,
 			do:  main(unlock(0), wref{2, 0}),
 			vts: vts(83, 1358), events: ev(2, "lock-grant", 1108), gates: [3]uint64{0, 0, 0}},
@@ -370,10 +390,7 @@ func TestLockEdges(t *testing.T) {
 			vts: vts(83), events: ev(0, "unlock", 988), gates: [3]uint64{0, 0, 0}},
 
 		// A lessee's own writer: the lease returned unpaid, then paid.
-		{name: "free: remote reader, chunk readable, leases", prep: func(ns []*lockNode, id int) {
-			readOn(1)(ns, id)
-			pairsOn(2, 2)(ns, id)
-		}, actor: 1, do: rlock(1),
+		{name: "free: remote reader, chunk readable, leases", prep: seq(pairsOn(2, 2), invalidate, readOn(1)), actor: 1, do: rlock(1),
 			vts: vts(2950), events: ev(0, "lock-req", 1342, 1, "lock-grant", 2700), gates: [3]uint64{0, open | 1, 0}, lessees: 0b10, ctrs: lockCtrs{leaseGrants: 1}},
 		{name: "leased: lessee reader unlock", actor: 1, do: unlock(1),
 			vts: vts(26), gates: [3]uint64{0, open, 0}, lessees: 0b10},
@@ -381,7 +398,7 @@ func TestLockEdges(t *testing.T) {
 			vts: vts(3119), events: ev(0, "lock-req", 1342, 1, "data-resp", 2805), gates: [3]uint64{0, 0, 0}, ctrs: lockCtrs{fills: 1, closes: 1}},
 		{name: "writer: the unpaid lessee writer's unlock", actor: 1, do: unlock(1),
 			vts: vts(83), events: ev(0, "unlock", 988), gates: [3]uint64{0, 0, 0}},
-		{name: "free: remote reader, chunk writable, leases", prep: pairsOn(2, 7), actor: 1, do: rlock(1),
+		{name: "free: remote reader, chunk writable, leases", prep: seq(pairsOn(2, 7), invalidate, writeOn(1)), actor: 1, do: rlock(1),
 			vts: vts(2950), events: ev(0, "lock-req", 1342, 1, "lock-grant", 2700), gates: [3]uint64{0, open | 1, 0}, lessees: 0b10, ctrs: lockCtrs{leaseGrants: 1}},
 		{name: "leased: lessee reader pairs through the gate", actor: 1,
 			do: func(ns []*lockNode, _ int64) []int64 {
@@ -394,12 +411,9 @@ func TestLockEdges(t *testing.T) {
 		{name: "leased (paid): lessee writer returns the lease, chunk writable", actor: 1, do: wlock(1),
 			vts: vts(2950), events: ev(0, "lock-req", 1342, 1, "lock-grant", 2700), gates: [3]uint64{0, 0, 0}, ctrs: lockCtrs{closes: 1}},
 		{name: "writer: the paid lessee writer's unlock", actor: 1, do: unlock(1),
-			vts: vts(83), events: ev(0, "unlock", 988), gates: [3]uint64{0, 0, 0}},
+			vts: vts(83), events: ev(0, "unlock", 988), gates: [3]uint64{0, open, 0}, lessees: 0b10, ctrs: lockCtrs{resumes: 1}},
 	}
 	_ = hits
-	c := tc(t, 3, func(cfg *cluster.Config) {
-		cfg.Model, cfg.RuntimeThreads, cfg.PrefetchAhead, cfg.TxBurst = vtime.Default(), 1, -1, 1
-	})
 	nodes := make([]*lockNode, 3)
 	var seqs []uint64
 	var before lockCtrs

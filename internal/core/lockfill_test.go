@@ -6,18 +6,23 @@ import (
 	"darray/internal/cluster"
 )
 
-// A remote writer's lock grant carries the element's chunk with RW
-// permission when the chunk is idle and not writable on the writer's node
-// and the home can grant the lock on arrival; a request that queues has
-// its fill declined at once. Every test here orders its events by
+// A remote lock grant carries the element's chunk — with RW for a
+// writer, Read for a reader — when the chunk is idle on the requester's
+// node and lacks that permission, and the home can grant the lock on
+// arrival; a request that queues has its fill declined at once. Every test here orders its events by
 // waiting on observable state, never by sleeping, and runs under
 // runBounded's 10 s bound, so a lost grant or a deadlock fails it.
 
-// fillCounts reads the home's fill counters (element homes are node 0
-// in every test below).
+// fillCounts reads the home's writer-fill and decline counters (element
+// homes are node 0 in every test below).
 func fillCounts(a *Array) (fills, declines int64) {
 	m := &a.Instances()[0].Metrics
-	return m.LockFills.Load(), m.FillDeclines.Load()
+	return m.WriterFills.Load(), m.FillDeclines.Load()
+}
+
+// readerFills reads the home's reader-fill counter.
+func readerFills(a *Array) int64 {
+	return a.Instances()[0].Metrics.ReaderFills.Load()
 }
 
 // missesAndMsgs runs fn and reports the slow-path misses it took on ctx
@@ -257,6 +262,8 @@ func TestLockFillThreeNodes(t *testing.T) {
 // A writer on a lessee node with no reader inside returns the lease on
 // its own lock-req and asks for the chunk on the same request: the lock
 // is then free on arrival, so the grant is filled and no recall is sent.
+// The lease's own grant was filled too, with the chunk readable: the
+// writer's fill is the second, for RW.
 func TestLockFillLesseeWriter(t *testing.T) {
 	const idx = 7
 	c := tc(t, 2)
@@ -272,14 +279,15 @@ func TestLockFillLesseeWriter(t *testing.T) {
 				t.Error("no lease after the read run")
 			}
 			a.WLock(ctx, idx)
-			if f, d := fillCounts(a); f != 1 || d != 0 {
-				t.Errorf("fills %d declines %d, want 1 and 0", f, d)
+			if f, d := fillCounts(a); f != 1 || readerFills(a) != 1 || d != 0 {
+				t.Errorf("reader fills %d writer fills %d declines %d, want 1, 1 and 0", readerFills(a), f, d)
 			}
 			if misses, _ := missesAndMsgs(c, ctx, func() { a.Set(ctx, idx, 4) }); misses != 0 {
 				t.Errorf("Set under the filled grant missed %d times", misses)
 			}
 			a.Unlock(ctx, idx)
 			settle(t, a)
+			// One hit does not pay for a lease: it ends at the writer.
 			if holdsLease(a, idx) || home.LeaseRecalls.Load() != 0 {
 				t.Errorf("lease held %v, %d recalls, want returned on the lock-req and none", holdsLease(a, idx), home.LeaseRecalls.Load())
 			}
@@ -287,6 +295,138 @@ func TestLockFillLesseeWriter(t *testing.T) {
 		validateAll(t, c, a, ctx)
 		if got := a.Get(ctx, idx); got != 4 {
 			t.Errorf("node %d reads %d, want 4", n.ID(), got)
+		}
+		c.Barrier(ctx)
+	})
+}
+
+// A remote reader whose chunk is not readable asks for it on the lock-req:
+// granted on arrival, the grant is one data-resp carrying the chunk and
+// the lease, whose gate opens with the grantee inside, and the reader's
+// bucket read then misses nothing. Queued behind a writer, the same
+// request is declined at once and its grant is a plain lock-grant.
+func TestLockFillReader(t *testing.T) {
+	const idx, qidx = 3, 64 + 3 // chunks 0 and 1, both homed on node 0
+	c := tc(t, 3)
+	homeHolds, writerQueued := make(chan struct{}), make(chan struct{})
+	runBounded(t, c, func(n *cluster.Node) {
+		a := New(n, 3*2*64)
+		ctx := n.NewCtx(0)
+		home := a.Instances()[0]
+		c.Barrier(ctx)
+		if n.ID() == 1 {
+			stats, homeStats := n.Endpoint().Stats(), c.Node(0).Endpoint().Stats()
+			reads, resps := stats.KindCount(msgReadReq), homeStats.KindCount(msgDataResp)
+			if _, msgs := missesAndMsgs(c, ctx, func() { a.RLock(ctx, idx) }); msgs != 2 {
+				t.Errorf("remote RLock on an invalid chunk sent %d messages, want 2 (lock-req, data-resp)", msgs)
+			}
+			if d := homeStats.KindCount(msgDataResp) - resps; d != 1 {
+				t.Errorf("%d data-resps, want the one grant", d)
+			}
+			if rf, f := readerFills(a), home.Metrics.LeaseGrants.Load(); rf != 1 || f != 1 {
+				t.Errorf("reader fills %d lease grants %d, want 1 and 1", rf, f)
+			}
+			if w := a.gateOf(idx).word.Load(); w&gateOpen == 0 || gateCount(w) != 1 {
+				t.Errorf("gate word %#x after a leased filled grant, want open with the grantee inside", w)
+			}
+			bucket := make([]uint64, 8)
+			if misses, _ := missesAndMsgs(c, ctx, func() { a.GetRange(ctx, idx-3, bucket) }); misses != 0 {
+				t.Errorf("bucket read under the filled grant missed %d times", misses)
+			}
+			if d := stats.KindCount(msgReadReq) - reads; d != 0 {
+				t.Errorf("%d read-reqs, want none", d)
+			}
+			a.Unlock(ctx, idx)
+		}
+		c.Barrier(ctx)
+
+		// Queued: the home reads, a writer waits for it, then the reader comes.
+		switch n.ID() {
+		case 0:
+			a.RLock(ctx, qidx)
+			close(homeHolds)
+			<-writerQueued
+			a.Unlock(ctx, qidx)
+		case 2:
+			<-homeHolds
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				wctx := n.NewCtx(1)
+				a.WLock(wctx, qidx)
+				a.Set(wctx, qidx, 6)
+				a.Unlock(wctx, qidx)
+			}()
+			await(func() bool { _, _, q := lockCounts(home, qidx); return q == 1 })
+			close(writerQueued)
+			<-done
+		case 1:
+			<-writerQueued
+			declines := home.Metrics.FillDeclines.Load()
+			a.RLock(ctx, qidx)
+			if d := home.Metrics.FillDeclines.Load() - declines; d != 1 {
+				t.Errorf("%d fill declines for a reader queued behind a writer, want 1", d)
+			}
+			if rf := readerFills(a); rf != 1 {
+				t.Errorf("reader fills %d, want still 1", rf)
+			}
+			if got := a.Get(ctx, qidx); got != 6 {
+				t.Errorf("reader after the writer reads %d, want 6", got)
+			}
+			a.Unlock(ctx, qidx)
+		}
+		validateAll(t, c, a, ctx)
+		c.Barrier(ctx)
+	})
+}
+
+// A filled reader grant whose transaction waits — here the downgrade of
+// a Dirty owner draining a pin — while a writer queues at the home: the
+// grant leaves unleased. Its lease is decided as the chunk leaves, so no
+// lease-recall can overtake it; leased when the table granted the lock,
+// the writer's recall would reach the reader's node before the grant,
+// find no lease and be dropped, and the writer would wait for good.
+func TestLockFillReaderWriterQueuesDuringTransaction(t *testing.T) {
+	const idx = 3 // chunk 0, homed on node 0
+	c := tc(t, 3)
+	pinned, draining, queued := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	runBounded(t, c, func(n *cluster.Node) {
+		a := New(n, 3*64)
+		ctx := n.NewCtx(0)
+		home := a.Instances()[0]
+		c.Barrier(ctx)
+		switch n.ID() {
+		case 2:
+			p := a.PinWrite(ctx, idx+1) // Dirty here, and pinned
+			close(pinned)
+			await(func() bool { return a.Metrics.RefDrainStalls.Load() > 0 })
+			close(draining)
+			<-queued
+			p.Unpin(ctx)
+		case 1:
+			<-pinned
+			a.RLock(ctx, idx) // filled: the home downgrades node 2 for it
+			if rf, g := readerFills(a), home.Metrics.LeaseGrants.Load(); rf != 1 || g != 0 {
+				t.Errorf("reader fills %d lease grants %d, want 1 and 0: a writer was queued when the chunk left", rf, g)
+			}
+			a.Unlock(ctx, idx)
+		case 0:
+			<-draining
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				wctx := n.NewCtx(1)
+				a.WLock(wctx, idx)
+				a.Set(wctx, idx, 5)
+				a.Unlock(wctx, idx)
+			}()
+			await(func() bool { _, _, q := lockCounts(home, idx); return q == 1 })
+			close(queued)
+			<-done
+		}
+		validateAll(t, c, a, ctx)
+		if got := a.Get(ctx, idx); got != 5 {
+			t.Errorf("node %d reads %d, want 5", n.ID(), got)
 		}
 		c.Barrier(ctx)
 	})

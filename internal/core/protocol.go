@@ -20,24 +20,24 @@ import (
 //
 // Flag on a write-req announces a whole-chunk overwrite; the data-resp
 // answering it is flagged too and carries no payload (see grantData).
-// A data-resp with grantsLock set in Val is a writer's lock grant that
-// carries its chunk (see lock.go).
+// A data-resp with grantsLock set in Val is a remote lock grant that
+// carries its chunk, and a reader's lease with grantsLease (see lock.go).
 const (
 	msgReadReq uint8 = iota
 	msgWriteReq
 	msgOperateReq
-	msgDataResp // Val carries the granted permission (and grantsLock; Idx names the element)
+	msgDataResp // Val carries the granted permission (and grantsLock, grantsLease; Idx names the element)
 	msgOpGrant
 	msgInvalidate
 	msgInvAck
-	msgDowngrade // Dirty owner: write back, keep a Shared copy
-	msgRecall    // Dirty owner: write back and invalidate
-	msgOpRecall  // operating node: flush combined operands, invalidate
-	msgWBData    // chunk data to home (recall response or voluntary evict)
-	msgOpFlush   // combined operands to home
-	msgLockReq   // Idx = element, Flag = writer, Val = piggybacked lease return and fill request (see lock.go)
-	msgLockGrant // Val = 1 when the grant carries a reader lease
-	msgUnlock
+	msgDowngrade    // Dirty owner: write back, keep a Shared copy
+	msgRecall       // Dirty owner: write back and invalidate
+	msgOpRecall     // operating node: flush combined operands, invalidate
+	msgWBData       // chunk data to home (recall response or voluntary evict)
+	msgOpFlush      // combined operands to home
+	msgLockReq      // Idx = element, Flag = writer, Val = piggybacked lease return and fill request (see lock.go)
+	msgLockGrant    // Val = 1 when the grant carries a reader lease
+	msgUnlock       // Flag = the sender's suspended lease on Idx resumes
 	msgShipOp       // shipped Operate: Idx = offset, Val = operand (Flag: Data = batch)
 	msgShipReply    // shipped Operate done; Val carries the home's mode hint
 	msgLeaseRecall  // home → lessee: a writer is queued on element Idx
@@ -322,9 +322,10 @@ type homeReq struct {
 	// every word of the chunk, so the RW grant carries no payload.
 	nodata bool
 
-	// lock (want == wantWrite, remote): the grant also carries the write
-	// lock on element idx, which the lock table granted the requester
-	// when its request arrived (lock.go).
+	// lock (want == wantRead or wantWrite, remote): the grant also
+	// carries the lock on element idx in the mode the want names, which
+	// the lock table granted the requester when its request arrived, and
+	// for a reader the lease fillGrant may add (lock.go).
 	lock bool
 
 	// Shipped-Operate operands (want == wantShip): the element offset
@@ -538,8 +539,8 @@ func (a *Array) homeFinish(rt *cluster.Runtime, d *dentry, r homeReq) {
 // buffer the copy lands in. A requester that announced a whole-chunk
 // overwrite (r.nodata) would read none of those words: its RW grant
 // goes out flagged and payload-free, like the dataless op-grant. A grant
-// made on behalf of the lock table (r.lock) names the element whose write
-// lock rides it.
+// made on behalf of the lock table (r.lock) names the element whose lock
+// rides it.
 func (a *Array) grantData(rt *cluster.Runtime, d *dentry, r homeReq, perm uint32) {
 	if r.nodata {
 		a.send(&fMsg{to: r.from, kind: msgDataResp, chunk: d.ci, val: uint64(perm),
@@ -549,7 +550,7 @@ func (a *Array) grantData(rt *cluster.Runtime, d *dentry, r homeReq, perm uint32
 	}
 	val := uint64(perm)
 	if r.lock {
-		val |= grantsLock
+		val |= a.fillGrant(rt, r)
 	}
 	data, pay := a.leasePayload(len(d.data))
 	copy(data, d.data)

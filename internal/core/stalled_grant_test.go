@@ -182,3 +182,56 @@ func TestStalledGrantDefersInvalidate(t *testing.T) {
 		c.Barrier(root)
 	})
 }
+
+// A remote reader grant that carries its chunk and a lease, waiting for a
+// free line, then a writer at the home: its lease-recall arrives behind
+// the grant while the chunk is still being installed. The lease must
+// already be the node's — installed when the grant arrived, with the
+// grantee inside the gate — so the recall waits for the grantee instead
+// of being dropped as stale, which would leave the writer waiting for a
+// release that never comes.
+func TestStalledGrantKeepsLease(t *testing.T) {
+	c := tc(t, 2, func(cfg *cluster.Config) { cfg.RuntimeThreads, cfg.CacheChunks, cfg.PrefetchAhead = 1, 2, -1 })
+	pinned := make(chan struct{})
+	stalled := make(chan struct{})
+	const third = 2 * 64 // first element of chunk 2, homed on node 0
+	runBounded(t, c, func(n *cluster.Node) {
+		a := New(n, 2*4*64)
+		root := n.NewCtx(0)
+		home := &a.Instances()[0].Metrics
+		c.Barrier(root)
+		if n.ID() == 1 {
+			n.RunThreads(2, func(ctx *cluster.Ctx) {
+				if ctx.TID == 0 {
+					p0, p1 := a.PinRead(ctx, 0), a.PinRead(ctx, 64)
+					close(pinned)
+					await(func() bool { return sawEvent(a, msgDataResp, 2) })
+					close(stalled)
+					await(func() bool { return sawEvent(a, msgLeaseRecall, 2) })
+					p0.Unpin(ctx)
+					p1.Unpin(ctx)
+					return
+				}
+				<-pinned
+				a.RLock(ctx, third)
+				if v := a.Get(ctx, third); v != 0 {
+					t.Errorf("reader under the lease reads %d, want the old 0", v)
+				}
+				a.Unlock(ctx, third)
+			})
+			if g, f := home.LeaseGrants.Load(), home.ReaderFills.Load(); g != 1 || f != 1 {
+				t.Errorf("lease grants %d reader fills %d, want 1 and 1", g, f)
+			}
+		} else {
+			<-stalled
+			a.WLock(root, third) // recalls node 1's lease
+			a.Set(root, third, 9)
+			a.Unlock(root, third)
+		}
+		validateAll(t, c, a, root)
+		if got := a.Get(root, third); got != 9 {
+			t.Errorf("node %d reads %d after the home's write, want 9", n.ID(), got)
+		}
+		c.Barrier(root)
+	})
+}

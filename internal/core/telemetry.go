@@ -115,8 +115,10 @@ func (a *Array) collectMetrics(emit telemetry.Emit) {
 		{"core/ship/flips", &m.ShipFlips},
 		{"core/ship/bytes_saved", &m.ShipBytesSaved},
 		{"core/lock/lease_grants", &m.LeaseGrants},
+		{"core/lock/lease_resumes", &m.LeaseResumes},
 		{"core/lock/lease_recalls", &m.LeaseRecalls},
-		{"core/lock/fills", &m.LockFills},
+		{"core/lock/reader_fills", &m.ReaderFills},
+		{"core/lock/writer_fills", &m.WriterFills},
 		{"core/lock/fill_declines", &m.FillDeclines},
 		{"core/lock/gate_closes", &m.GateCloses},
 		{"core/lock/gate_drains", &m.GateDrains},

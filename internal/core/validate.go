@@ -95,8 +95,8 @@ func (a *Array) snapshotLocks() lockView {
 				fail("lock %d: %d threads still await a grant", idx, len(q))
 			}
 			for idx, le := range s.leases {
-				if le.recalled {
-					fail("lease %d not at rest: recalled", idx)
+				if le.recalled || le.suspended {
+					fail("lease %d not at rest: recalled %v, suspended %v", idx, le.recalled, le.suspended)
 				}
 				if g := a.gateOf(idx); g == nil || g.word.Load()&gateOpen == 0 {
 					fail("lease %d: its gate is not open", idx)

@@ -87,7 +87,7 @@ func TestInvariantsUnderStress(t *testing.T) {
 		if n.ID() == 0 {
 			var fills, declines int64
 			for _, inst := range a.Instances() {
-				fills += inst.Metrics.LockFills.Load()
+				fills += inst.Metrics.WriterFills.Load()
 				declines += inst.Metrics.FillDeclines.Load()
 			}
 			if fills == 0 {
