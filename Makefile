@@ -78,8 +78,11 @@ bufdebug:
 # Streaming gate. First the bulk-path regression tests — what counts as
 # an RTT sample (controller and pipeline), the payload-free write grant
 # in every directory state with a same-node reader racing it, a stall
-# registered from a stalled continuation — on four cores under the race
-# detector, bounded so a lost completion fails in two minutes. Then the
+# registered from a stalled continuation, and the pipeline-ordering
+# regression and schedules (descending runs, pinned and shipped, off, on
+# and auto; ascending runs keeping PipelineDepth grants or batches in
+# flight) — on four cores under the race detector, bounded so a lost
+# completion or a cycle of waits fails in two minutes. Then the
 # smoke: the stream tables (window, doorbell batch and prefetch ceilings
 # at one against the defaults, and a depth sweep) at CI scale, traced,
 # with the analyzer reloading the trace — so the stream runner keeps the
@@ -102,11 +105,11 @@ chaos:
 # (auto >= 1.5x off at theta=0.99, auto within 5% of off at theta=0)
 # and the estimator's unit tests, the amortized-flush veto among them.
 # Last, on four cores under the race detector: the scattered bulk Operate
-# (ApplyAt: against per-element Apply on home and remote chunks, under
-# ship=on, per-run charges, folded repeats), and the shipped paths, whose
-# pooled waiters hand their kept closure from one goroutine to the next,
-# with the one-rule request accounting and degradation tests that cover
-# them; then the engine's push list, whose vertex-sorted blocks feed
+# (ApplyAt: against per-element Apply on home and remote chunks, one
+# batch per run under ship=on, per-run charges, folded repeats pinned and
+# shipped), and the shipped paths, whose pooled waiters hand their kept
+# closure from one goroutine to the next, with the one-rule request
+# accounting and degradation tests that cover them; then the engine's push list, whose vertex-sorted blocks feed
 # those folds, and the PageRank/CC passes and clocks that run on it.
 hotspot:
 	$(GO) run ./cmd/darray-bench -fig hotspot -max-nodes 6

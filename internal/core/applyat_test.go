@@ -63,9 +63,12 @@ func applyAtCost(m *vtime.Model, idx []int64, cw int64) (vt, runs int64) {
 
 // applyAtAgainstApply has every node combine the same scattered operands
 // into two arrays, one ApplyAt call on a and one Apply per element on b,
-// and fails unless the arrays agree everywhere afterwards.
-func applyAtAgainstApply(t *testing.T, c *cluster.Cluster, n int64, op Op, init uint64) {
+// and fails unless the arrays agree everywhere afterwards. It returns,
+// summed over the nodes, the misses the ApplyAt calls took, their runs on
+// chunks homed on another node, and the shipped ops a's homes applied.
+func applyAtAgainstApply(t *testing.T, c *cluster.Cluster, n int64, op Op, init uint64) (misses, remoteRuns, shipOps int64) {
 	t.Helper()
+	var sum [3]atomic.Int64
 	c.Run(func(node *cluster.Node) {
 		a, b := New(node, n), New(node, n)
 		ida, idb := a.RegisterOp(op), b.RegisterOp(op)
@@ -79,11 +82,19 @@ func applyAtAgainstApply(t *testing.T, c *cluster.Cluster, n int64, op Op, init 
 		for k := range src {
 			src[k] = uint64(rng.Intn(1000))
 		}
+		for k, i := range idx {
+			if ci := i / a.ChunkWords(); (k == 0 || ci != idx[k-1]/a.ChunkWords()) && a.homeOfChunk(ci) != node.ID() {
+				sum[1].Add(1)
+			}
+		}
+		before := ctx.Stats.Misses
 		a.ApplyAt(ctx, ida, idx, src)
+		sum[0].Add(ctx.Stats.Misses - before)
 		for k, i := range idx {
 			b.Apply(ctx, idb, i, src[k])
 		}
 		c.Barrier(ctx)
+		sum[2].Add(a.Metrics.ShipOps.Load())
 		if node.ID() == 0 {
 			for i := int64(0); i < n; i++ {
 				if x, y := a.Get(ctx, i), b.Get(ctx, i); x != y {
@@ -94,6 +105,7 @@ func applyAtAgainstApply(t *testing.T, c *cluster.Cluster, n int64, op Op, init 
 		}
 		c.Barrier(ctx)
 	})
+	return sum[0].Load(), sum[1].Load(), sum[2].Load()
 }
 
 func TestApplyAtMatchesApply(t *testing.T) {
@@ -111,39 +123,84 @@ func TestApplyAtMatchesApply(t *testing.T) {
 	}
 }
 
-// Under ship=on every run on a chunk homed elsewhere ships element by
-// element; the combined values are the same.
+// Under ship=on every run on a chunk homed elsewhere ships as one batch:
+// the combined values are the same, and each such run is one miss and one
+// shipped op at its home.
 func TestApplyAtShipOnMatchesApply(t *testing.T) {
 	c := tc(t, 3, func(cfg *cluster.Config) { cfg.Ship, cfg.Model = "on", vtime.Default() })
-	applyAtAgainstApply(t, c, 3*4*64, OpAddU64, 0)
+	misses, runs, shipOps := applyAtAgainstApply(t, c, 3*4*64, OpAddU64, 0)
+	if runs == 0 {
+		t.Fatal("no run landed on another node's chunk")
+	}
+	if misses != runs {
+		t.Errorf("ApplyAt took %d misses for %d remote runs, want one per run", misses, runs)
+	}
+	if shipOps != runs {
+		t.Errorf("homes applied %d shipped ops for %d remote runs, want one per run", shipOps, runs)
+	}
 }
 
-// ApplyAt allocates nothing on the home's own chunks, nor, once the first
-// call's Operated grants are in, on another node's: the pipeline runs on
-// the thread's ring and the runs are found in place.
-func TestApplyAtAllocatesNothing(t *testing.T) {
-	skipIfNotMeasurable(t)
-	c := tc(t, 2)
+// A shipped run folds the operands of a repeated index into one batch
+// word: a run that touches only element 5 of a remote chunk, four times
+// and beside another chunk's run, ships one word and one op per run.
+func TestApplyAtShipFoldsRepeatedIndices(t *testing.T) {
+	const cw = 64
+	c := tc(t, 2, func(cfg *cluster.Config) { cfg.Ship, cfg.Model = "on", vtime.Default() })
 	c.Run(func(n *cluster.Node) {
-		a := New(n, 2*4*64)
+		a := New(n, 4*cw) // chunks 0 and 1 homed on node 0
 		add := a.RegisterOp(OpAddU64)
 		ctx := n.NewCtx(0)
-		idx := scattered(rand.New(rand.NewSource(1)), 300, 4*64, 64) // node 0's chunks
-		rep := repeated(rand.New(rand.NewSource(2)), 300, 4*64, 64)
-		src := make([]uint64, len(rep))
-		for v, where := range []string{"resident", "remote"} {
-			c.Barrier(ctx)
-			if n.ID() == v {
-				if got := testing.AllocsPerRun(100, func() { a.ApplyAt(ctx, add, idx, src[:len(idx)]) }); got != 0 {
-					t.Errorf("ApplyAt over %d chunks on %s chunks allocates %.2f per call, want 0", 4, where, got)
-				}
-				if got := testing.AllocsPerRun(100, func() { a.ApplyAt(ctx, add, rep, src) }); got != 0 {
-					t.Errorf("ApplyAt folding repeats over %d chunks on %s chunks allocates %.2f per call, want 0", 4, where, got)
-				}
+		c.Barrier(ctx)
+		if n.ID() == 1 {
+			a.ApplyAt(ctx, add, []int64{5, 5, 5, 5, cw + 9}, []uint64{1, 2, 3, 4, 7})
+		}
+		c.Barrier(ctx)
+		if n.ID() == 0 {
+			if got := a.Metrics.ShipOps.Load(); got != 2 {
+				t.Errorf("home applied %d shipped ops, want one per run (2)", got)
+			}
+			if got, want := a.Metrics.ShipBytesSaved.Load(), int64(2*8*(cw-1)); got != want {
+				t.Errorf("shipped batches saved %d bytes, want %d: one word per run", got, want)
+			}
+			if x, y := a.Get(ctx, 5), a.Get(ctx, cw+9); x != 10 || y != 7 {
+				t.Errorf("a[5], a[%d] = %d, %d, want 10, 7", cw+9, x, y)
 			}
 		}
 		c.Barrier(ctx)
 	})
+}
+
+// ApplyAt allocates nothing on the home's own chunks, nor, once the first
+// call's Operated grants are in, on another node's: the pipeline runs on
+// the thread's ring and the runs are found in place. Under ship=on the
+// remote runs ship, and their batches, waiters and messages are pooled.
+func TestApplyAtAllocatesNothing(t *testing.T) {
+	skipIfNotMeasurable(t)
+	for _, ship := range []string{"off", "on"} {
+		t.Run("ship="+ship, func(t *testing.T) {
+			c := tc(t, 2, func(cfg *cluster.Config) { cfg.Ship = ship })
+			c.Run(func(n *cluster.Node) {
+				a := New(n, 2*4*64)
+				add := a.RegisterOp(OpAddU64)
+				ctx := n.NewCtx(0)
+				idx := scattered(rand.New(rand.NewSource(1)), 300, 4*64, 64) // node 0's chunks
+				rep := repeated(rand.New(rand.NewSource(2)), 300, 4*64, 64)
+				src := make([]uint64, len(rep))
+				for v, where := range []string{"resident", "remote"} {
+					c.Barrier(ctx)
+					if n.ID() == v {
+						if got := testing.AllocsPerRun(100, func() { a.ApplyAt(ctx, add, idx, src[:len(idx)]) }); got != 0 {
+							t.Errorf("ApplyAt over %d chunks on %s chunks allocates %.2f per call, want 0", 4, where, got)
+						}
+						if got := testing.AllocsPerRun(100, func() { a.ApplyAt(ctx, add, rep, src) }); got != 0 {
+							t.Errorf("ApplyAt folding repeats over %d chunks on %s chunks allocates %.2f per call, want 0", 4, where, got)
+						}
+					}
+				}
+				c.Barrier(ctx)
+			})
+		})
+	}
 }
 
 // TestApplyAtFoldsRepeatedIndices: runs of adjacent repeated indices
@@ -216,13 +273,13 @@ func TestApplyAtFoldsRepeatedIndices(t *testing.T) {
 }
 
 // applyAtSchedule runs one ApplyAt on node 1 of a 2-node cluster at the
-// fixed pipeline depth, over node 0's chunks in the order chunks lists
-// them (two entries each), and returns the pipeline's issue/await
-// interleaving as captureSchedule does.
-func applyAtSchedule(t *testing.T, depth int, chunks []int64) string {
+// fixed pipeline depth and the ship mode, over node 0's chunks in the
+// order chunks lists them (two entries each), and returns the pipeline's
+// issue/await interleaving as captureSchedule does.
+func applyAtSchedule(t *testing.T, depth int, ship string, chunks []int64) string {
 	t.Helper()
 	c := tc(t, 2, func(cfg *cluster.Config) {
-		cfg.Model, cfg.RuntimeThreads, cfg.PipelineDepth, cfg.NoCC = vtime.Default(), 1, depth, true
+		cfg.Model, cfg.RuntimeThreads, cfg.PipelineDepth, cfg.NoCC, cfg.Ship = vtime.Default(), 1, depth, true, ship
 	})
 	var sched []string
 	c.Run(func(n *cluster.Node) {
@@ -247,21 +304,26 @@ func applyAtSchedule(t *testing.T, depth int, chunks []int64) string {
 }
 
 // TestApplyAtPipelinesAscendingRuns: an ApplyAt whose runs ascend keeps
-// PipelineDepth Operated grants in flight ahead of its first await —
-// the bulk ranges' fixed-depth schedule — while one whose runs descend
-// drains the ring before each run (the ordering rule).
+// PipelineDepth Operated grants — or, under ship=on, shipped batches — in
+// flight ahead of its first await, the bulk ranges' fixed-depth schedule,
+// while one whose runs descend drains the ring before each run (the
+// ordering rule).
 func TestApplyAtPipelinesAscendingRuns(t *testing.T) {
 	const depth = 4
 	up := []int64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
-	if got, want := applyAtSchedule(t, depth, up), fixedSchedule(int64(len(up)), depth); got != want {
-		t.Errorf("ascending ApplyAt schedule:\n got: %s\nwant: %s", got, want)
-	}
-	var want []string
+	var down []string
 	for ci := int64(5); ci >= 0; ci-- {
-		want = append(want, fmt.Sprintf("i%d a%d", ci, ci))
+		down = append(down, fmt.Sprintf("i%d a%d", ci, ci))
 	}
-	if got := applyAtSchedule(t, depth, []int64{5, 4, 3, 2, 1, 0}); got != strings.Join(want, " ") {
-		t.Errorf("descending ApplyAt schedule:\n got: %s\nwant: %s", got, strings.Join(want, " "))
+	for _, ship := range []string{"off", "on"} {
+		t.Run("ship="+ship, func(t *testing.T) {
+			if got, want := applyAtSchedule(t, depth, ship, up), fixedSchedule(int64(len(up)), depth); got != want {
+				t.Errorf("ascending ApplyAt schedule:\n got: %s\nwant: %s", got, want)
+			}
+			if got := applyAtSchedule(t, depth, ship, []int64{5, 4, 3, 2, 1, 0}); got != strings.Join(down, " ") {
+				t.Errorf("descending ApplyAt schedule:\n got: %s\nwant: %s", got, strings.Join(down, " "))
+			}
+		})
 	}
 }
 
@@ -273,7 +335,18 @@ func TestApplyAtPipelinesAscendingRuns(t *testing.T) {
 // could hold chunk x while awaiting y as another holds y awaiting x; the
 // ordering rule leaves every wait pointing at a lower chunk
 // (PROTOCOL.md). The combined values are checked against a count.
+//
+// The ship=on and ship=auto variants interleave shipped and pinned runs
+// in one ring: each node pins its own chunks and, under ship=on, ships
+// its runs on the other node's. A ship slot holds no reference but waits
+// for its chunk's home, so it obeys the same rule.
 func TestPipelineDescendingRunsNoDeadlock(t *testing.T) {
+	t.Run("ship=off", func(t *testing.T) { descendingRunsNoDeadlock(t, "off", nil) })
+	t.Run("ship=on", func(t *testing.T) { descendingRunsNoDeadlock(t, "on", nil) })
+	t.Run("ship=auto", func(t *testing.T) { descendingRunsNoDeadlock(t, "auto", vtime.Default()) })
+}
+
+func descendingRunsNoDeadlock(t *testing.T, ship string, m *vtime.Model) {
 	const (
 		cw     = 32
 		chunks = 8
@@ -281,6 +354,7 @@ func TestPipelineDescendingRunsNoDeadlock(t *testing.T) {
 	)
 	c := tc(t, 2, func(cfg *cluster.Config) {
 		cfg.ChunkWords, cfg.RuntimeThreads, cfg.CacheChunks = cw, 2, 2*chunks
+		cfg.Ship, cfg.Model = ship, m
 	})
 	var want [chunks * cw]atomic.Int64
 	c.Run(func(n *cluster.Node) {

@@ -104,7 +104,8 @@ func (a *Array) SetRange(ctx *cluster.Ctx, i int64, src []uint64) {
 }
 
 // ApplyRange combines src[k] into element i+k for every k under the
-// registered operator — a bulk Operate.
+// registered operator — a bulk Operate. Each chunk of the range is a run
+// of ApplyAt's pipeline: combined through a pin, or shipped as one batch.
 func (a *Array) ApplyRange(ctx *cluster.Ctx, op OpID, i int64, src []uint64) {
 	if len(src) == 0 {
 		return
@@ -117,11 +118,7 @@ func (a *Array) ApplyRange(ctx *cluster.Ctx, op OpID, i int64, src []uint64) {
 			defer a.endRoot(ctx, tc, "ApplyRange", i/a.sh.chunkWords, t0)
 		}
 	}
-	ciLo, ciHi := a.chunkSpan(i, int64(len(src)))
-	if a.shipActiveRange(ciLo, ciHi, op) {
-		a.applyRangeShipped(ctx, op, i, src, tc)
-		return
-	}
+	a.chunkSpan(i, int64(len(src))) // bounds check
 	a.applyRuns(ctx, op, runs{i: i, n: int64(len(src))}, src, tc)
 }
 
@@ -130,11 +127,11 @@ func (a *Array) ApplyRange(ctx *cluster.Ctx, op OpID, i int64, src []uint64) {
 // maximal run of consecutive entries of idx inside one chunk takes one
 // Operate acquisition and combines through the pin, so the run pays the
 // delay-flag/refcnt control path once instead of per element; a run on a
-// chunk in shipped mode goes through Apply per element, which ships it.
+// chunk in shipped mode ships as one batch, so it pays one round trip.
 // The runs share ApplyRange's pipeline: while their chunks ascend, up to
-// PipelineDepth Operated grants are in flight at once, so a caller that
-// sorts its entries by chunk (propagation blocking) pays one acquisition
-// per chunk and overlaps their round trips. A run whose chunk descends
+// PipelineDepth Operated grants or shipped batches are in flight at once,
+// so a caller that sorts its entries by chunk (propagation blocking) pays
+// one acquisition per chunk and overlaps their round trips. A run whose chunk descends
 // waits for the ones before it to finish. A call allocates nothing.
 func (a *Array) ApplyAt(ctx *cluster.Ctx, op OpID, idx []int64, src []uint64) {
 	if len(idx) != len(src) {
@@ -155,19 +152,14 @@ func (a *Array) ApplyAt(ctx *cluster.Ctx, op OpID, idx []int64, src []uint64) {
 }
 
 // applyRuns combines src[k] into element rs.at(k) for every position k
-// through the pipeline: a pinned run combines through its pin, a
-// shipping run through Apply per element. A pinned run first folds
-// consecutive operands for one element through the operator, which its
-// associativity and commutativity permit, so the element takes one CAS;
-// each folded operand is charged as a pinned access without the CAS.
+// through the pipeline: a run on a chunk in shipped mode goes to its home
+// as one folded batch (issueShipInto), and every other run combines
+// through its pin. A pinned run first folds consecutive operands for one
+// element through the operator, which its associativity and
+// commutativity permit, so the element takes one CAS; each folded operand
+// is charged as a pinned access without the CAS.
 func (a *Array) applyRuns(ctx *cluster.Ctx, op OpID, rs runs, src []uint64, tc trace.Ctx) {
-	a.rangePipeline(ctx, rs, wantPinOperate, op, nil, func(p *Pin, k0, k1 int64, _ bool) {
-		if p == nil {
-			for k := k0; k < k1; k++ {
-				a.Apply(ctx, op, rs.at(k), src[k])
-			}
-			return
-		}
+	a.rangePipeline(ctx, rs, wantPinOperate, op, src, func(p *Pin, k0, k1 int64, _ bool) {
 		t1, folds := ctx.Clock.Now(), int64(0)
 		for k := k0; k < k1; {
 			i, x := rs.at(k), src[k]

@@ -299,6 +299,9 @@ func TestStatsAccounting(t *testing.T) {
 		{"ShippedApplyRange", "on", 2, 0, func(a *Array, ctx *cluster.Ctx, add OpID) {
 			a.ApplyRange(ctx, add, 0, make([]uint64, 2*cw))
 		}},
+		{"ShippedApplyAt", "on", 2, 0, func(a *Array, ctx *cluster.Ctx, add OpID) {
+			a.ApplyAt(ctx, add, []int64{1, 1, 7, cw + 2, cw + 1}, make([]uint64, 5))
+		}},
 		{"RLock", "off", 0, 0, func(a *Array, ctx *cluster.Ctx, _ OpID) {
 			a.RLock(ctx, 1)
 			a.Unlock(ctx, 1)

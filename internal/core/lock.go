@@ -619,7 +619,7 @@ func (a *Array) handleLockMsg(rt *cluster.Runtime, m *fabric.Message, svt int64,
 		}
 	case msgLockGrant:
 		w := a.takeLockWaiter(s, m.Idx)
-		if m.Val != 0 {
+		if m.Val&grantsLease != 0 {
 			a.leaseArrived(s, m.Idx, svt)
 		}
 		a.grantWaiter(w, svt)
@@ -715,8 +715,7 @@ func (a *Array) lockRequest(rt *cluster.Runtime, idx int64, r lockReq, ret uint6
 		// head: leases drain while it waits its turn. No lease is granted
 		// while anything is queued, so this set is final for this writer
 		// unless a suspended one resumes (unlockRequest).
-		r.recall = true
-		a.recallLeases(ls, idx, ls.lessees&^ls.recalled, r.vt, r.tc)
+		a.recallLeases(ls, idx, &r, r.vt)
 	}
 	if r.fill && (len(ls.queue) != 0 || ls.blocks(r, a.gateOf(idx))) {
 		r.fill = false
@@ -727,13 +726,17 @@ func (a *Array) lockRequest(rt *cluster.Runtime, idx int64, r lockReq, ret uint6
 	a.tryGrant(rt, idx, ls)
 }
 
-// recallLeases sends lease-recall for element idx to every node in mask.
-func (a *Array) recallLeases(ls *lockState, idx int64, mask uint64, vt int64, tc trace.Ctx) {
-	ci := idx / a.sh.chunkWords
+// recallLeases makes writer h wait for element idx's leases and sends
+// lease-recall, at virtual time vt, to every lessee not yet recalled: all
+// of them when h arrives (lockRequest), or the one whose suspended lease
+// resumed while h waited (unlockRequest).
+func (a *Array) recallLeases(ls *lockState, idx int64, h *lockReq, vt int64) {
+	h.recall = true
+	mask := ls.lessees &^ ls.recalled
 	for v, m := 0, mask; m != 0; v, m = v+1, m>>1 {
 		if m&1 != 0 {
 			a.Metrics.LeaseRecalls.Add(1)
-			a.send(&fMsg{to: v, kind: msgLeaseRecall, chunk: ci, idx: idx, vt: vt, tc: tc})
+			a.send(&fMsg{to: v, kind: msgLeaseRecall, chunk: idx / a.sh.chunkWords, idx: idx, vt: vt, tc: h.tc})
 		}
 	}
 	ls.recalled |= mask
@@ -762,52 +765,38 @@ func (a *Array) unlockRequest(rt *cluster.Runtime, idx int64, from int, vt int64
 	}
 	ls.freeVT = maxi64(ls.freeVT, vt)
 	if resume {
-		bit := uint64(1) << uint(from)
-		ls.lessees |= bit
+		ls.lessees |= 1 << uint(from)
 		a.Metrics.LeaseResumes.Add(1)
 		if k := slices.IndexFunc(ls.queue, func(h lockReq) bool { return h.writer }); k >= 0 {
-			ls.queue[k].recall = true
-			a.recallLeases(ls, idx, bit, vt, ls.queue[k].tc)
+			a.recallLeases(ls, idx, &ls.queue[k], vt)
 		}
 	}
 	a.tryGrant(rt, idx, ls)
 }
 
-// lease makes a reader grant to remote node from a reader lease when
-// nothing else waits on the lock (waiting == 0: a queued writer would
-// recall it at once), the node holds none and the chunk's policy allows.
-// The home's own readers of the element since its last writer went
-// through the gate, not the table: they extend the read run all the same.
-func (a *Array) lease(ls *lockState, idx int64, from, waiting int) bool {
+// leaseGrant decides, as a grant leaves the home for remote node from,
+// whether it carries a lease, and returns the grant's lease bit. Only a
+// reader's can: the table counted it unleased when it granted it, and a
+// lease moves it to the lessee mask. It leases when nothing else waits on
+// the lock (waiting == 0: a queued writer would recall it at once), the
+// node holds none and the chunk's policy allows. Deciding as the grant
+// leaves keeps a recall behind its grant on the wire, also when a filled
+// grant's transaction ran while a writer queued. The home's own readers
+// of the element since its last writer went through the gate, not the
+// table: they extend the read run all the same.
+func (a *Array) leaseGrant(ls *lockState, idx int64, reader bool, from, waiting int) uint64 {
 	bit := uint64(1) << uint(from)
 	var local int64
 	if g := a.gateOf(idx); g != nil {
 		local = gateHits(g.word.Load())
 	}
-	if waiting != 0 || ls.lessees&bit != 0 || !a.dents[idx/a.sh.chunkWords].obs.lock.leasable(local) {
-		return false
+	if !reader || waiting != 0 || ls.lessees&bit != 0 || !a.dents[idx/a.sh.chunkWords].obs.lock.leasable(local) {
+		return 0
 	}
 	ls.lessees |= bit
-	a.Metrics.LeaseGrants.Add(1)
-	return true
-}
-
-// fillGrant is what a data-resp carrying the lock grant r adds to its
-// Val: grantsLock, and for a reader a lease if one is made now. The lease
-// is decided as the chunk leaves rather than when the table granted the
-// lock, which counted the reader unleased: a recall for the lease may
-// only follow its grant on the wire, and a writer that queued while the
-// transaction ran would recall it at once.
-func (a *Array) fillGrant(rt *cluster.Runtime, r homeReq) uint64 {
-	if r.want != wantRead {
-		return grantsLock
-	}
-	ls := a.rstate(rt).locks[r.idx]
-	if !a.lease(ls, r.idx, r.from, len(ls.queue)) {
-		return grantsLock
-	}
 	ls.readers--
-	return grantsLock | grantsLease
+	a.Metrics.LeaseGrants.Add(1)
+	return grantsLease
 }
 
 // blocks reports whether the lock's state keeps request h from being
@@ -842,7 +831,6 @@ func (a *Array) tryGrant(rt *cluster.Runtime, idx int64, ls *lockState) {
 		}
 		n++
 		base := maxi64(h.vt, ls.freeVT)
-		var leased uint64
 		if h.writer {
 			ls.writerHeld = true
 			obs.writerGrant()
@@ -851,13 +839,7 @@ func (a *Array) tryGrant(rt *cluster.Runtime, idx int64, ls *lockState) {
 			}
 		} else {
 			obs.readerGrant()
-			// A filled grant's lease is decided when its chunk leaves
-			// (fillGrant).
-			if h.w == nil && !h.fill && a.lease(ls, idx, h.from, len(ls.queue)-n) {
-				leased = 1
-			} else {
-				ls.readers++
-			}
+			ls.readers++ // until a remote grant leaves leased (leaseGrant)
 		}
 		gvt := a.lockServed(base)
 		tc := h.tc
@@ -884,7 +866,8 @@ func (a *Array) tryGrant(rt *cluster.Runtime, idx int64, ls *lockState) {
 				fill.want = wantWrite
 			}
 		default:
-			a.send(&fMsg{to: h.from, kind: msgLockGrant, chunk: ci, idx: idx, val: leased, vt: gvt, tc: tc})
+			val := a.leaseGrant(ls, idx, !h.writer, h.from, len(ls.queue)-n)
+			a.send(&fMsg{to: h.from, kind: msgLockGrant, chunk: ci, idx: idx, val: val, vt: gvt, tc: tc})
 		}
 		if h.writer {
 			break

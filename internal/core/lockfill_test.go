@@ -340,12 +340,15 @@ func TestLockFillReader(t *testing.T) {
 		}
 		c.Barrier(ctx)
 
-		// Queued: the home reads, a writer waits for it, then the reader comes.
+		// Queued: the home reads, a writer waits for it, then the reader
+		// comes. The home lets go only once the reader has queued too, so
+		// the writer is still waiting when the reader's lock-req arrives.
 		switch n.ID() {
 		case 0:
 			a.RLock(ctx, qidx)
 			close(homeHolds)
 			<-writerQueued
+			await(func() bool { _, _, q := lockCounts(home, qidx); return q == 2 })
 			a.Unlock(ctx, qidx)
 		case 2:
 			<-homeHolds

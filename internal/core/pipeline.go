@@ -1,8 +1,6 @@
 package core
 
 import (
-	"math"
-
 	"darray/internal/cc"
 	"darray/internal/cluster"
 	"darray/internal/trace"
@@ -17,14 +15,16 @@ import (
 //
 // How many acquisitions stay in flight toward one destination is that
 // destination's cc.Controller's decision, with the configured
-// PipelineDepth as its ceiling. Every multi-chunk range and every
-// ApplyAt runs through this one ring: at PipelineDepth 1 it is a window
+// PipelineDepth as its ceiling. Every multi-chunk range, every
+// ApplyRange and every ApplyAt runs through this one ring, shipped
+// Operate runs included: at PipelineDepth 1 it is a window
 // of one — issue, await, issue, await — and a controller built with
 // cc.Fixed holds the window at the ceiling, which is the static-knob
 // schedule.
 
 // chunkReq is one in-flight run of a bulk pipeline: the acquisition of
-// chunk ci for the operand positions [k0, k1) of the range.
+// chunk ci for the operand positions [k0, k1) of the range, or the
+// batched ship-op that carries those operands to the chunk's home.
 type chunkReq struct {
 	ci     int64
 	k0, k1 int64
@@ -35,7 +35,8 @@ type chunkReq struct {
 	// place. pinned marks it valid at issue (the lock-free fast path
 	// granted); otherwise awaitChunk fills it. filled is set at await when
 	// the runtime already stored the SetRange source into the chunk. ship
-	// marks a run that acquires nothing: its chunk is in shipped mode.
+	// marks a run whose chunk is in shipped mode: tok completes when the
+	// home has applied its batch, and the run is not processed.
 	pin    Pin
 	pinned bool
 	filled bool
@@ -55,23 +56,16 @@ type chunkReq struct {
 type bulkRing struct {
 	reqs []chunkReq
 	infl []int64
-	toks []*cluster.Token // ApplyRange's shipped batches in flight
 }
 
-// scratchOf returns ctx's bulk-range scratch, building it on first use.
-func scratchOf(ctx *cluster.Ctx) *bulkRing {
+// ringOf returns ctx's ring, built on first use, sized for slots
+// requests and nodes destinations, with the in-flight counts cleared.
+func ringOf(ctx *cluster.Ctx, slots, nodes int) *bulkRing {
 	br, _ := ctx.Scratch.(*bulkRing)
 	if br == nil {
 		br = &bulkRing{}
 		ctx.Scratch = br
 	}
-	return br
-}
-
-// ringOf returns ctx's ring sized for slots requests and nodes
-// destinations, with the in-flight counts cleared.
-func ringOf(ctx *cluster.Ctx, slots, nodes int) *bulkRing {
-	br := scratchOf(ctx)
 	if cap(br.reqs) < slots {
 		br.reqs = make([]chunkReq, slots)
 	}
@@ -201,18 +195,22 @@ func (a *Array) runAt(rs *runs, k int64) (ci, end int64) {
 // issued before the current one is processed, so the work overlaps the
 // fetches. Stops early (without process) once the cluster fails.
 //
-// Ordering rule: the ring holds pins only in strictly ascending chunk
-// order. A run whose chunk does not ascend, or whose Operate must ship,
-// is issued only once the ring has drained; a shipping run reaches
-// process with a nil pin (the caller applies element by element) and
-// nothing is issued behind it until it is done. A thread waiting in its
-// ring therefore holds only chunks above the one it waits for, so no
-// cycle of waits can form (PROTOCOL.md, "Pipelines hold pins in
-// ascending order").
+// An Operate run on a chunk in shipped mode takes its ring slot with one
+// batched ship-op instead of a pin (issueShipInto): it is awaited in
+// order like an acquisition, and is not processed — the home applied it.
+// Its round trip is not paced by the controller's window.
 //
-// src, non-nil only for SetRange, holds the words for the contiguous
-// range: chunks it covers whole are requested as overwrites, and process
-// is told (filled) when the runtime already stored them.
+// Ordering rule: the ring holds its slots only in strictly ascending
+// chunk order. A run whose chunk does not ascend is issued only once the
+// ring has drained. A thread waiting in its ring therefore holds only
+// chunks above the one it waits for, and a ship slot, which holds no
+// reference, is just such a wait, so no cycle of waits can form
+// (PROTOCOL.md, "Pipelines hold pins in ascending order").
+//
+// src holds the operands: for SetRange the words for the contiguous
+// range, whose chunks it covers whole are requested as overwrites, with
+// process told (filled) when the runtime already stored them; for an
+// Operate the operand of each position, which a shipped run carries.
 func (a *Array) rangePipeline(ctx *cluster.Ctx, rs runs, want uint8, op OpID, src []uint64, process func(p *Pin, k0, k1 int64, filled bool), tc trace.Ctx) {
 	var fn func(acc, operand uint64) uint64
 	if want == wantPinOperate {
@@ -233,7 +231,7 @@ func (a *Array) rangePipeline(ctx *cluster.Ctx, rs runs, want uint8, op OpID, sr
 	self := a.self()
 	// The issue cursor: the run [next, end) on chunk ci, found once and
 	// kept until it is issued. issued, awaited and done count runs; the
-	// ring holds pins while done < issued, the newest on chunk top.
+	// ring holds slots while done < issued, the newest on chunk top.
 	var next, end, ci, issued, awaited, done int64
 	top := int64(-1)
 	// blockedVT, when >= 0, is the virtual time since which the window
@@ -245,10 +243,10 @@ func (a *Array) rangePipeline(ctx *cluster.Ctx, rs runs, want uint8, op OpID, sr
 			if end <= next {
 				ci, end = a.runAt(&rs, next)
 			}
-			ship := want == wantPinOperate && a.shipWanted(&a.dents[ci], ci, op)
-			if done < issued && (ship || ci <= top) {
+			if done < issued && ci <= top {
 				return // ordering rule: drain the ring first
 			}
+			ship := want == wantPinOperate && a.shipWanted(&a.dents[ci], ci, op)
 			dst := a.homeOfChunk(ci)
 			var ctrl *cc.Controller
 			if dst != self && !ship {
@@ -271,11 +269,10 @@ func (a *Array) rangePipeline(ctx *cluster.Ctx, rs runs, want uint8, op OpID, sr
 				pipeHook('i', ci)
 			}
 			if ship {
-				*r = chunkReq{ci: ci, ship: true}
-				top = math.MaxInt64
+				a.issueShipInto(ctx, r, ci, &rs, next, end, op, src, tc)
 			} else {
 				var whole []uint64
-				if off := ci*cw - rs.i; src != nil && off >= 0 && off+cw <= int64(len(src)) {
+				if off := ci*cw - rs.i; want == wantPinWrite && off >= 0 && off+cw <= int64(len(src)) {
 					whole = src[off : off+cw]
 				}
 				a.issueChunkInto(ctx, r, ci, want, op, fn, whole, tc)
@@ -284,9 +281,9 @@ func (a *Array) rangePipeline(ctx *cluster.Ctx, rs runs, want uint8, op OpID, sr
 					r.issueVT = ctx.Clock.Now()
 					infl[dst]++
 				}
-				top = ci
 			}
 			r.k0, r.k1 = next, end
+			top = ci
 			issued++
 			next = end
 		}
@@ -298,23 +295,27 @@ func (a *Array) rangePipeline(ctx *cluster.Ctx, rs runs, want uint8, op OpID, sr
 			pipeHook('a', r.ci)
 		}
 		var p *Pin
-		if !r.ship {
+		var ok bool
+		if r.ship {
+			_, ok = a.await(ctx, r.tok)
+		} else {
 			ctrl := r.ctrl
 			if p = a.awaitChunk(ctx, r, want, op, fn, tc); ctrl != nil {
 				infl[a.homeOfChunk(r.ci)]--
 			}
+			ok = p != nil
 		}
 		awaited++
 		issue()
-		if p == nil && !r.ship {
+		if !ok {
 			return // cluster failed; remaining tokens die with it
 		}
-		process(p, r.k0, r.k1, r.filled)
-		if p != nil {
+		if !r.ship {
+			process(p, r.k0, r.k1, r.filled)
 			p.Unpin(ctx)
 		}
 		if done++; done == issued {
-			issue() // the ring has drained: a descending or shipping run may go
+			issue() // the ring has drained: a descending run may go
 		}
 	}
 }

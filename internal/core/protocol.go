@@ -36,7 +36,7 @@ const (
 	msgWBData       // chunk data to home (recall response or voluntary evict)
 	msgOpFlush      // combined operands to home
 	msgLockReq      // Idx = element, Flag = writer, Val = piggybacked lease return and fill request (see lock.go)
-	msgLockGrant    // Val = 1 when the grant carries a reader lease
+	msgLockGrant    // Val has grantsLease when the grant carries a reader lease
 	msgUnlock       // Flag = the sender's suspended lease on Idx resumes
 	msgShipOp       // shipped Operate: Idx = offset, Val = operand (Flag: Data = batch)
 	msgShipReply    // shipped Operate done; Val carries the home's mode hint
@@ -550,7 +550,8 @@ func (a *Array) grantData(rt *cluster.Runtime, d *dentry, r homeReq, perm uint32
 	}
 	val := uint64(perm)
 	if r.lock {
-		val |= a.fillGrant(rt, r)
+		ls := a.rstate(rt).locks[r.idx]
+		val |= grantsLock | a.leaseGrant(ls, r.idx, r.want == wantRead, r.from, len(ls.queue))
 	}
 	data, pay := a.leasePayload(len(d.data))
 	copy(data, d.data)

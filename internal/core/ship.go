@@ -320,76 +320,30 @@ func (a *Array) handleShipReply(rt *cluster.Runtime, d *dentry, m *fabric.Messag
 }
 
 // ---------------------------------------------------------------------------
-// Batched shipping for ApplyRange.
+// Batched shipping for ApplyRange and ApplyAt.
 
-// shipActiveRange reports whether any chunk in [ciLo, ciHi] would take
-// the shipped path right now. When none would, ApplyRange stays on the
-// cached path untouched.
-func (a *Array) shipActiveRange(ciLo, ciHi int64, op OpID) bool {
-	if a.shipMode == shipOff {
-		return false
+// issueShipInto starts shipping the run [k0, k1) of rs on chunk ci —
+// operand src[k] for element rs.at(k) — as one batched msgShipOp without
+// blocking, into the pipeline slot r. The batch spans the run's lowest to
+// highest offset: the operands for one offset are folded through the
+// operator, which its associativity and commutativity permit, and an
+// offset the run does not touch carries the identity, which shipApply
+// skips. So a run costs one round trip however many operands it holds.
+func (a *Array) issueShipInto(ctx *cluster.Ctx, r *chunkReq, ci int64, rs *runs, k0, k1 int64, op OpID, src []uint64, tc trace.Ctx) {
+	lo, hi := rs.at(k0), rs.at(k0)
+	for k := k0 + 1; k < k1; k++ {
+		lo, hi = mini64(lo, rs.at(k)), maxi64(hi, rs.at(k))
 	}
-	for ci := ciLo; ci <= ciHi; ci++ {
-		if a.shipWanted(&a.dents[ci], ci, op) {
-			return true
-		}
+	o := a.op(op)
+	data, pay := a.leasePayload(int(hi - lo + 1))
+	for j := range data {
+		data[j] = o.Identity
 	}
-	return false
-}
-
-// applyRangeShipped is ApplyRange's shipping-aware path: chunks whose
-// mode is shipped get one batched msgShipOp each (operands ride the
-// message, up to pipeline-depth batches in flight); the rest take the
-// ordinary pinned run.
-func (a *Array) applyRangeShipped(ctx *cluster.Ctx, op OpID, i int64, src []uint64, tc trace.Ctx) {
-	cw := a.sh.chunkWords
-	end := i + int64(len(src))
-	depth := a.pipeline
-	if depth < 1 {
-		depth = 1
+	for k := k0; k < k1; k++ {
+		j := rs.at(k) - lo
+		data[j] = o.Fn(data[j], src[k])
 	}
-	br := scratchOf(ctx)
-	br.toks = br.toks[:0]
-	// drain waits out the oldest in-flight batches until at most keep
-	// remain; returns false once the cluster has failed.
-	drain := func(keep int) bool {
-		for len(br.toks) > keep {
-			tok := br.toks[0]
-			br.toks = br.toks[:copy(br.toks, br.toks[1:])]
-			if _, ok := a.await(ctx, tok); !ok {
-				return false
-			}
-		}
-		return true
-	}
-	for ci := i / cw; ci*cw < end; ci++ {
-		lo, hi := maxi64(i, ci*cw), mini64(end, (ci+1)*cw)
-		d := &a.dents[ci]
-		if !a.shipWanted(d, ci, op) {
-			var p Pin
-			if !a.acquire(ctx, &p, lo, wantPinOperate, op, tc) {
-				return // cluster failed; see ctx.Err
-			}
-			t1 := ctx.Clock.Now()
-			for k := lo; k < hi; k++ {
-				p.Apply(ctx, k, src[k-i])
-			}
-			a.noteRun(ctx, tc, ci, hi-lo, t1)
-			p.Unpin(ctx)
-			continue
-		}
-		data, pay := a.leasePayload(int(hi - lo))
-		copy(data, src[lo-i:hi-i])
-		w := a.getWaiter()
-		w.want, w.op, w.tc, w.idx, w.pay = wantShip, op, tc, lo-ci*cw, pay
-		tok := a.request(ctx, d, w, a.copyCost(int(hi-lo)))
-		if tok == nil {
-			return
-		}
-		br.toks = append(br.toks, tok)
-		if !drain(depth - 1) {
-			return
-		}
-	}
-	drain(0)
+	w := a.getWaiter()
+	w.want, w.op, w.tc, w.idx, w.pay = wantShip, op, tc, lo-ci*a.sh.chunkWords, pay
+	*r = chunkReq{ci: ci, ship: true, tok: a.request(ctx, &a.dents[ci], w, a.copyCost(len(data)))}
 }
