@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"runtime"
 	"strings"
 	"testing"
 
@@ -22,18 +21,6 @@ func fixtureModel() *vtime.Model {
 	m.PinAccess, m.GamAccess, m.BclLocal, m.SlowFixed = 5, 40, 6, 100
 	m.GeminiEdge = 15
 	return m
-}
-
-// oneProc runs the rest of the test on a single P. The crossover gates
-// compare tails of a parallel simulation whose shared resources (link
-// bandwidth, home runtimes: vtime.Resource) are acquired in host arrival
-// order, so on several Ps another process's CPU load reorders those
-// acquisitions and moves the measured tails. On one P the goroutines
-// interleave at the simulation's own blocking points whatever else runs
-// on the host.
-func oneProc(t *testing.T) {
-	prev := runtime.GOMAXPROCS(1)
-	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 }
 
 // fixtureParams is DefaultParams on fixtureModel.

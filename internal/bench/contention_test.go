@@ -15,7 +15,6 @@ func TestContentionCrossover(t *testing.T) {
 	if raceEnabled {
 		t.Skip("statistical latency shape is perturbed under the race detector")
 	}
-	oneProc(t)
 	p := tinyParams()
 	p.WordsPerNode = 1 << 18 // 32 bulk slabs per stream: steady state dominates
 

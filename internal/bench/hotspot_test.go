@@ -14,7 +14,6 @@ func TestHotspotCrossover(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second crossover measurement")
 	}
-	oneProc(t)
 	// The fixture model at the full 6-node, 8000-ops-per-node crossover
 	// scale: the shape the EXPERIMENTS.md numbers come from.
 	p := fixtureParams()
