@@ -140,34 +140,59 @@ func TestApplyAtShipOnMatchesApply(t *testing.T) {
 	}
 }
 
-// A shipped run folds the operands of a repeated index into one batch
-// word: a run that touches only element 5 of a remote chunk, four times
-// and beside another chunk's run, ships one word and one op per run.
+// A shipped run folds every operand of a repeated index into one batch
+// word, and the home adds that word into its current value: a run that
+// touches only element 5 of a remote chunk, four times and beside another
+// chunk's run, ships one word and one op per run. The add_f64 case repeats
+// an index around another one and starts from a non-identity value, so
+// the home computes x+(a+b+c) where per-element Apply computes
+// ((x+a)+b)+c; its operands are exact in binary, so both orders agree.
 func TestApplyAtShipFoldsRepeatedIndices(t *testing.T) {
 	const cw = 64
-	c := tc(t, 2, func(cfg *cluster.Config) { cfg.Ship, cfg.Model = "on", vtime.Default() })
-	c.Run(func(n *cluster.Node) {
-		a := New(n, 4*cw) // chunks 0 and 1 homed on node 0
-		add := a.RegisterOp(OpAddU64)
-		ctx := n.NewCtx(0)
-		c.Barrier(ctx)
-		if n.ID() == 1 {
-			a.ApplyAt(ctx, add, []int64{5, 5, 5, 5, cw + 9}, []uint64{1, 2, 3, 4, 7})
-		}
-		c.Barrier(ctx)
-		if n.ID() == 0 {
-			if got := a.Metrics.ShipOps.Load(); got != 2 {
-				t.Errorf("home applied %d shipped ops, want one per run (2)", got)
-			}
-			if got, want := a.Metrics.ShipBytesSaved.Load(), int64(2*8*(cw-1)); got != want {
-				t.Errorf("shipped batches saved %d bytes, want %d: one word per run", got, want)
-			}
-			if x, y := a.Get(ctx, 5), a.Get(ctx, cw+9); x != 10 || y != 7 {
-				t.Errorf("a[5], a[%d] = %d, %d, want 10, 7", cw+9, x, y)
-			}
-		}
-		c.Barrier(ctx)
-	})
+	f := math.Float64bits
+	for _, tcase := range []struct {
+		name  string
+		op    Op
+		init  uint64
+		idx   []int64
+		src   []uint64
+		saved int64    // ShipBytesSaved at the home
+		want  []uint64 // a[5], a[7], a[cw+9]
+	}{
+		{"add_u64", OpAddU64, 0, []int64{5, 5, 5, 5, cw + 9}, []uint64{1, 2, 3, 4, 7},
+			2 * 8 * (cw - 1), []uint64{10, 0, 7}},
+		{"add_f64", OpAddF64, f(1.5), []int64{5, 7, 5, 5, cw + 9}, []uint64{f(0.25), f(0.5), f(1.25), f(2), f(3)},
+			8*(cw-3) + 8*(cw-1), []uint64{f(5), f(2), f(4.5)}},
+	} {
+		t.Run(tcase.name, func(t *testing.T) {
+			c := tc(t, 2, func(cfg *cluster.Config) { cfg.Ship, cfg.Model = "on", vtime.Default() })
+			c.Run(func(n *cluster.Node) {
+				a := New(n, 4*cw) // chunks 0 and 1 homed on node 0
+				id := a.RegisterOp(tcase.op)
+				ctx := n.NewCtx(0)
+				a.Fill(ctx, tcase.init)
+				c.Barrier(ctx)
+				if n.ID() == 1 {
+					a.ApplyAt(ctx, id, tcase.idx, tcase.src)
+				}
+				c.Barrier(ctx)
+				if n.ID() == 0 {
+					if got := a.Metrics.ShipOps.Load(); got != 2 {
+						t.Errorf("home applied %d shipped ops, want one per run (2)", got)
+					}
+					if got := a.Metrics.ShipBytesSaved.Load(); got != tcase.saved {
+						t.Errorf("shipped batches saved %d bytes, want %d: one word per offset", got, tcase.saved)
+					}
+					for k, i := range []int64{5, 7, cw + 9} {
+						if got := a.Get(ctx, i); got != tcase.want[k] {
+							t.Errorf("a[%d] = %#x, want %#x", i, got, tcase.want[k])
+						}
+					}
+				}
+				c.Barrier(ctx)
+			})
+		})
+	}
 }
 
 // ApplyAt allocates nothing on the home's own chunks, nor, once the first

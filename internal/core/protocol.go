@@ -325,7 +325,7 @@ type homeReq struct {
 	// lock (want == wantRead or wantWrite, remote): the grant also
 	// carries the lock on element idx in the mode the want names, which
 	// the lock table granted the requester when its request arrived, and
-	// for a reader the lease fillGrant may add (lock.go).
+	// for a reader the lease leaseGrant may add (lock.go).
 	lock bool
 
 	// Shipped-Operate operands (want == wantShip): the element offset

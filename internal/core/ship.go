@@ -325,10 +325,13 @@ func (a *Array) handleShipReply(rt *cluster.Runtime, d *dentry, m *fabric.Messag
 // issueShipInto starts shipping the run [k0, k1) of rs on chunk ci —
 // operand src[k] for element rs.at(k) — as one batched msgShipOp without
 // blocking, into the pipeline slot r. The batch spans the run's lowest to
-// highest offset: the operands for one offset are folded through the
-// operator, which its associativity and commutativity permit, and an
-// offset the run does not touch carries the identity, which shipApply
-// skips. So a run costs one round trip however many operands it holds.
+// highest offset: every operand for one offset, adjacent or not, is
+// folded from the identity through the operator, which its associativity
+// and commutativity permit, and the home applies the folded word to its
+// current value (so a float sum may round differently from per-element
+// Apply; see PROTOCOL.md). An offset the run does not touch carries the
+// identity, which shipApply skips. So a run costs one round trip however
+// many operands it holds.
 func (a *Array) issueShipInto(ctx *cluster.Ctx, r *chunkReq, ci int64, rs *runs, k0, k1 int64, op OpID, src []uint64, tc trace.Ctx) {
 	lo, hi := rs.at(k0), rs.at(k0)
 	for k := k0 + 1; k < k1; k++ {
