@@ -78,18 +78,21 @@ bufdebug:
 # Streaming gate. First the bulk-path regression tests — what counts as
 # an RTT sample (controller and pipeline), the payload-free write grant
 # in every directory state with a same-node reader racing it, a stall
-# registered from a stalled continuation, and the pipeline-ordering
+# registered from a stalled continuation, the pipeline-ordering
 # regression and schedules (descending runs, pinned and shipped, off, on
 # and auto; ascending runs keeping PipelineDepth grants or batches in
-# flight) — on four cores under the race detector, bounded so a lost
-# completion or a cycle of waits fails in two minutes. Then the
-# smoke: the stream tables (window, doorbell batch and prefetch ceilings
-# at one against the defaults, and a depth sweep) at CI scale, traced,
+# flight), a zero Config building cc.Fixed windows and Tx budgets, and
+# both prefetch triggers riding pooled waiters (their allocation count
+# is measured only outside the race detector) — on four cores under the
+# race detector, bounded so a lost completion or a cycle of waits fails
+# in two minutes. Then the smoke: the stream tables under the default
+# cc.Fixed policy (window, doorbell batch and prefetch depths at one
+# against the defaults, and a depth sweep) at CI scale, traced,
 # with the analyzer reloading the trace — so the stream runner keeps the
 # cluster template's tracer — plus the >=2x GetRange and >=1.5x SetRange
 # speedup gates.
 stream:
-	GOMAXPROCS=4 $(GO) test -race -timeout 120s -count=1 -run 'TestNonPositiveSample|TestRTTSamples|TestOverwriteGrant|TestStallFromStalled|TestPipelineDescendingRuns|TestApplyAtPipelines' ./internal/cc/ ./internal/core/ ./internal/cluster/
+	GOMAXPROCS=4 $(GO) test -race -timeout 120s -count=1 -run 'TestNonPositiveSample|TestRTTSamples|TestOverwriteGrant|TestStallFromStalled|TestPipelineDescendingRuns|TestApplyAtPipelines|TestDefaultPolicyIsFixed|TestSpeculativeFetchAllocatesNothing' ./internal/cc/ ./internal/core/ ./internal/cluster/
 	$(GO) run ./cmd/darray-bench -fig stream -words-per-node 8192 -max-nodes 3 -trace-out $(or $(TMPDIR),/tmp)/stream.json
 	$(GO) run ./cmd/darray-trace $(or $(TMPDIR),/tmp)/stream.json
 	$(GO) test -run 'TestStream' -count=1 ./internal/bench/
@@ -117,11 +120,12 @@ hotspot:
 	GOMAXPROCS=4 $(GO) test -race -timeout 120s -count=1 -run 'TestApplyAt|TestShip|TestStatsAccounting|TestAllVerbsDegrade|TestPooledAllocsShipped' ./internal/core/
 	GOMAXPROCS=4 $(GO) test -race -timeout 120s -count=1 -run 'TestPushList|TestChunkPasses|TestPageRank|TestConnectedComponents|TestMTClock' ./internal/engine/
 
-# Congestion-control smoke: the multi-stream contention tables (cc.Adaptive
-# windows vs cc.Fixed ones through the same pipeline) at CI scale, plus
-# the crossover gate (>=1.3x better p99 and higher Jain fairness at 8
-# streams, lone-stream throughput within 5%) and the chaos run that must
-# fingerprint identically under both policies.
+# Congestion-control smoke: the multi-stream contention tables (opt-in
+# cc.Adaptive windows vs the default cc.Fixed ones through the same
+# pipeline, both set explicitly, so the default does not move them) at
+# CI scale, plus the crossover gate (>=1.3x better p99 and higher Jain
+# fairness at 8 streams, lone-stream throughput within 5%) and the chaos
+# run that must fingerprint identically under both policies.
 contention:
 	$(GO) run ./cmd/darray-bench -fig contention -words-per-node 65536 -max-nodes 2
 	$(GO) test -run 'TestContention|TestChaosStreamContention' -count=1 ./internal/bench/ ./internal/chaos/

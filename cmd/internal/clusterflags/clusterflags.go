@@ -1,5 +1,5 @@
 // Package clusterflags declares, once, the cluster flags the three
-// commands share — the transport ceilings, the congestion-control and
+// commands share — the transport depths, the congestion-control and
 // shipping modes, fault injection, telemetry and tracing — and turns
 // them into a cluster.Config.
 package clusterflags
@@ -10,6 +10,7 @@ import (
 	"io"
 	"sync"
 
+	"darray/internal/cc"
 	"darray/internal/chaos"
 	"darray/internal/cluster"
 	"darray/internal/core"
@@ -24,7 +25,7 @@ type Flags struct {
 	TxBurst     int
 	Pipeline    int
 	Prefetch    int
-	NoCC        bool
+	CC          cc.Policy
 	Ship        string
 	Chaos       bool
 	ChaosSeed   int64
@@ -41,10 +42,13 @@ type Flags struct {
 // Register declares the shared flags on fs.
 func Register(fs *flag.FlagSet) *Flags {
 	f := &Flags{}
-	fs.IntVar(&f.TxBurst, "tx-burst", 0, "work requests per doorbell in the Tx thread (0 default, 1 or -1 disables batching); a ceiling when congestion control is on")
-	fs.IntVar(&f.Pipeline, "pipeline", 0, "outstanding chunk fetches per bulk range (0 default, 1 or -1 one at a time); a ceiling when congestion control is on")
+	fs.IntVar(&f.TxBurst, "tx-burst", 0, "work requests per doorbell in the Tx thread (0 default, 1 or -1 disables batching); a ceiling under -cc adaptive")
+	fs.IntVar(&f.Pipeline, "pipeline", 0, "outstanding chunk fetches per bulk range (0 default, 1 or -1 one at a time); a ceiling under -cc adaptive")
 	fs.IntVar(&f.Prefetch, "prefetch", 0, "chunks prefetched on a sequential miss (0 default, -1 disables prefetch and the detector)")
-	fs.BoolVar(&f.NoCC, "no-cc", false, "fixed windows: -pipeline and -tx-burst become settings instead of ceilings")
+	fs.Func("cc", "congestion-control policy: fixed (windows at -pipeline and -tx-burst; the default) or adaptive (CUBIC plus Vegas below those ceilings)", func(s string) (err error) {
+		f.CC, err = cc.ParsePolicy(s)
+		return err
+	})
 	fs.StringVar(&f.Ship, "ship", "auto", "function-shipping mode: auto (per-chunk contention estimator), on, off")
 	fs.BoolVar(&f.Chaos, "chaos", false, "inject seeded fabric faults: drops, dups, spikes, a partition window, a stalled node (enables the virtual-time model: fault windows are vtime-keyed)")
 	fs.Int64Var(&f.ChaosSeed, "chaos-seed", 1, "fault plan seed for -chaos; the same seed replays the same plan")
@@ -89,7 +93,7 @@ func (f *Flags) Config(nodes int) cluster.Config {
 		TxBurst:       f.TxBurst,
 		PipelineDepth: f.Pipeline,
 		PrefetchAhead: f.Prefetch,
-		NoCC:          f.NoCC,
+		CC:            f.CC,
 		Ship:          f.Ship,
 		Faults:        f.Plan(nodes),
 		Tracer:        f.Tracer(),

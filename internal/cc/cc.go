@@ -1,14 +1,16 @@
-// Package cc implements the congestion control behind adaptive bulk
-// streaming: a per-(stream, destination) controller that turns the
-// fixed PipelineDepth/TxBurst knobs into ceilings and picks the actual
-// window at runtime from observed virtual-time round trips.
+// Package cc implements the per-(stream, destination) window behind
+// bulk streaming. Under the default policy, Fixed, the window and the
+// Tx batch sit at the PipelineDepth/TxBurst knobs: the paper's plain
+// pipelined aggregation. The opt-in Adaptive policy turns those knobs
+// into ceilings and picks the actual window at runtime from observed
+// virtual-time round trips.
 //
-// The controller is TCP-CUBIC shaped with delay-based steering. An RFC
-// 6298 estimator tracks the smoothed round-trip time (srtt) and its
-// variance (rttvar) over per-chunk token completions, stamped in
-// virtual time by the fabric. The window slow-starts until the first
-// congestion signal, then grows along the cubic W(t) = Wmax + C*(t-K)^3
-// curve. Two signal families shrink it:
+// The adaptive controller is TCP-CUBIC shaped with delay-based
+// steering. An RFC 6298 estimator tracks the smoothed round-trip time
+// (srtt) and its variance (rttvar) over per-chunk token completions,
+// stamped in virtual time by the fabric. The window slow-starts until
+// the first congestion signal, then grows along the cubic
+// W(t) = Wmax + C*(t-K)^3 curve. Two signal families shrink it:
 //
 //   - retransmission (loss): the completion's grant crossed a lossy
 //     wire and the fabric's go-back-N machinery had to resend it
@@ -37,6 +39,7 @@
 package cc
 
 import (
+	"fmt"
 	"math"
 	"sync/atomic"
 )
@@ -97,14 +100,33 @@ const (
 type Policy uint8
 
 const (
+	// Fixed, the zero value, pins the window (and the Tx batch) at the
+	// caller's ceiling: round trips are still measured, never acted on.
+	Fixed Policy = iota
 	// Adaptive is the controller described above: slow start, cubic
-	// growth, back-off on loss and on standing queue.
-	Adaptive Policy = iota
-	// Fixed pins the window (and the Tx batch) at the caller's ceiling:
-	// round trips are still measured, never acted on. It is the
-	// static-knob reference the contention experiment compares against.
-	Fixed
+	// growth, back-off on loss and on standing queue. The contention
+	// experiment opts into it.
+	Adaptive
 )
+
+// String names p as the -cc flag spells it.
+func (p Policy) String() string {
+	if p == Adaptive {
+		return "adaptive"
+	}
+	return "fixed"
+}
+
+// ParsePolicy is String's inverse.
+func ParsePolicy(s string) (Policy, error) {
+	switch s {
+	case "fixed":
+		return Fixed, nil
+	case "adaptive":
+		return Adaptive, nil
+	}
+	return Fixed, fmt.Errorf("cc: unknown policy %q (fixed or adaptive)", s)
+}
 
 // Controller is one stream's congestion state toward one destination.
 // The owning application thread calls OnAck; any goroutine may call the

@@ -18,6 +18,7 @@ import (
 	"runtime"
 	"time"
 
+	"darray/internal/cc"
 	"darray/internal/cluster"
 	"darray/internal/core"
 	"darray/internal/fault"
@@ -52,10 +53,10 @@ type Config struct {
 	// bit-identical in every mode.
 	Ship string
 
-	// NoCC pins the congestion windows at their ceilings (cc.Fixed).
-	// Windows only reschedule traffic, so results must be bit-identical
-	// either way.
-	NoCC bool
+	// CC is the congestion-control policy (zero: cc.Fixed, windows at
+	// their ceilings). Windows only reschedule traffic, so results must
+	// be bit-identical under either policy.
+	CC cc.Policy
 
 	Out io.Writer // optional progress/trace output
 }
@@ -206,7 +207,7 @@ func runOnce(w Workload, cfg Config, plan *fault.Plan) (uint64, error) {
 		CacheChunks:    cfg.CacheChunks,
 		RuntimeThreads: 2,
 		Ship:           cfg.Ship,
-		NoCC:           cfg.NoCC,
+		CC:             cfg.CC,
 	})
 	fp, arrays := w.Run(c, cfg.Threads, cfg.Seed)
 	if err := c.Err(); err != nil {

@@ -49,16 +49,17 @@ type Config struct {
 	TxBurst int
 	// PipelineDepth is the default number of outstanding chunk fetches a
 	// bulk range operation keeps in flight (core.GetRange and friends).
-	// 1 or -1 fetches one chunk at a time; default 8. With congestion
-	// control active (the default) this is a ceiling: the per-(thread,
-	// destination) controller picks the actual window.
+	// 1 or -1 fetches one chunk at a time; default 8. Under cc.Adaptive
+	// this is a ceiling: the per-(thread, destination) controller picks
+	// the actual window.
 	PipelineDepth int
 
-	// NoCC builds every congestion controller with cc.Fixed instead of
-	// cc.Adaptive: bulk pipelines run at PipelineDepth and the Tx thread
-	// batches up to TxBurst, whatever the round trips say — the
-	// static-knob reference of the contention experiment.
-	NoCC bool
+	// CC is the policy every congestion controller is built with. The
+	// zero value, cc.Fixed, runs bulk pipelines at PipelineDepth and
+	// lets the Tx thread batch up to TxBurst, whatever the round trips
+	// say; cc.Adaptive makes both ceilings and steers below them (the
+	// contention experiment's adaptive column).
+	CC cc.Policy
 
 	// Ship selects the default function-shipping mode for arrays built on
 	// this cluster: "auto" (per-chunk contention estimator; the default),
@@ -191,15 +192,6 @@ func New(cfg Config) *Cluster {
 
 // Config returns the cluster's (filled-in) configuration.
 func (c *Cluster) Config() Config { return c.cfg }
-
-// ccPolicy is the policy every congestion controller of this cluster is
-// built with — the one place Config.NoCC is read.
-func (c *Cluster) ccPolicy() cc.Policy {
-	if c.cfg.NoCC {
-		return cc.Fixed
-	}
-	return cc.Adaptive
-}
 
 // Model returns the virtual-time model (may be nil).
 func (c *Cluster) Model() *vtime.Model { return c.cfg.Model }
@@ -678,9 +670,8 @@ func (n *Node) NewCtx(tid int) *Ctx {
 		resp: Token{node: n, ch: make(chan Resp, 1)},
 		ccs:  make([]*cc.Controller, n.c.cfg.Nodes),
 	}
-	policy := n.c.ccPolicy()
 	for i := range ctx.ccs {
-		ctx.ccs[i] = cc.New(policy)
+		ctx.ccs[i] = cc.New(n.c.cfg.CC)
 	}
 	return ctx
 }

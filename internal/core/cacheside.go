@@ -88,12 +88,17 @@ func (a *Array) prefetch(ctx *cluster.Ctx, ci int64, vt int64) {
 			a.Metrics.PrefetchThrottled.Add(1)
 			return // spend at most the spare credit, in order
 		}
-		dj := &a.dents[cj]
 		issued++
-		a.rtOf(cj).Submit(func(rt *cluster.Runtime) {
-			a.prefetchChunk(rt, dj, vt)
-		})
+		a.submitPrefetch(&a.dents[cj], vt)
 	}
+}
+
+// submitPrefetch hands a speculative fetch of d, stamped vt, to d's
+// runtime in a pooled waiter, so speculation allocates nothing.
+func (a *Array) submitPrefetch(d *dentry, vt int64) {
+	w := a.getWaiter()
+	w.want, w.vt = wantPrefetch, vt
+	a.submitLocal(d, w)
 }
 
 // prefetchChunk issues a speculative read request for chunk d if it is

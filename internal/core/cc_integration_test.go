@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"darray/internal/cc"
 	"darray/internal/cluster"
 	"darray/internal/vtime"
 )
@@ -71,10 +72,10 @@ func TestNoCCScheduleBitIdentical(t *testing.T) {
 	const chunks, depth = 16, 4
 	got := captureSchedule(t, cluster.Config{
 		RuntimeThreads: 1, CacheChunks: 64,
-		PipelineDepth: depth, PrefetchAhead: -1, NoCC: true,
+		PipelineDepth: depth, PrefetchAhead: -1, CC: cc.Fixed,
 	}, chunks)
 	if want := fixedSchedule(chunks, depth); got != want {
-		t.Fatalf("NoCC schedule diverged from fixed-depth behaviour:\n got: %s\nwant: %s", got, want)
+		t.Fatalf("cc.Fixed schedule diverged from fixed-depth behaviour:\n got: %s\nwant: %s", got, want)
 	}
 }
 
@@ -84,26 +85,26 @@ func TestNoCCScheduleBitIdentical(t *testing.T) {
 // chunk at a time — i0 a0 i1 a1 … — whichever policy holds the window.
 func TestDepthOneScheduleIsSerial(t *testing.T) {
 	const chunks = 8
-	for _, noCC := range []bool{false, true} {
+	for _, policy := range []cc.Policy{cc.Adaptive, cc.Fixed} {
 		got := captureSchedule(t, cluster.Config{
 			RuntimeThreads: 1, CacheChunks: 64,
-			PipelineDepth: -1, TxBurst: -1, PrefetchAhead: -1, NoCC: noCC,
+			PipelineDepth: -1, TxBurst: -1, PrefetchAhead: -1, CC: policy,
 		}, chunks)
 		if want := fixedSchedule(chunks, 1); got != want {
-			t.Fatalf("NoCC=%v: depth-1 schedule is not one chunk at a time:\n got: %s\nwant: %s", noCC, got, want)
+			t.Fatalf("%v: depth-1 schedule is not one chunk at a time:\n got: %s\nwant: %s", policy, got, want)
 		}
 	}
 }
 
-// TestAdaptiveSlowStartNarrowsBurst checks the tentpole's issue-side
-// effect: with congestion control active and a deep static knob, the
-// initial burst is the controller's initial window (4 chunks), not the
-// configured depth — the knob is a ceiling, not a setting.
+// TestAdaptiveSlowStartNarrowsBurst checks the adaptive policy's
+// issue-side effect: with a deep static knob, the initial burst is the
+// controller's initial window (4 chunks), not the configured depth —
+// the knob is a ceiling, not a setting.
 func TestAdaptiveSlowStartNarrowsBurst(t *testing.T) {
 	const chunks, depth = 16, 12
 	got := strings.Fields(captureSchedule(t, cluster.Config{
 		RuntimeThreads: 1, CacheChunks: 64,
-		PipelineDepth: depth, PrefetchAhead: -1,
+		PipelineDepth: depth, PrefetchAhead: -1, CC: cc.Adaptive,
 	}, chunks))
 	burst := 0
 	for _, ev := range got {
@@ -136,7 +137,7 @@ func TestAdaptiveSlowStartNarrowsBurst(t *testing.T) {
 func TestPrefetchDemandCredit(t *testing.T) {
 	c := tc(t, 2, func(cfg *cluster.Config) {
 		cfg.PipelineDepth = 4
-		cfg.NoCC = true
+		cfg.CC = cc.Fixed
 	})
 	c.Run(func(n *cluster.Node) {
 		a := New(n, 2*64*8)
@@ -178,7 +179,7 @@ func TestPrefetchDemandCredit(t *testing.T) {
 // the credit: a fresh controller's window (initial window 4) bounds
 // speculation even when the static depth is larger.
 func TestAdaptivePrefetchCreditTracksWindow(t *testing.T) {
-	c := tc(t, 2, func(cfg *cluster.Config) { cfg.PipelineDepth = 16 })
+	c := tc(t, 2, func(cfg *cluster.Config) { cfg.PipelineDepth, cfg.CC = 16, cc.Adaptive })
 	c.Run(func(n *cluster.Node) {
 		a := New(n, 2*64*8)
 		ctx := n.NewCtx(0)
@@ -193,10 +194,10 @@ func TestAdaptivePrefetchCreditTracksWindow(t *testing.T) {
 }
 
 // TestAdaptiveBulkCorrectness streams SetRange/GetRange across node
-// boundaries with congestion control active and a small cache, checking
-// the adaptive schedule never corrupts data or leaks pins.
+// boundaries under the adaptive policy and a small cache, checking the
+// adaptive schedule never corrupts data or leaks pins.
 func TestAdaptiveBulkCorrectness(t *testing.T) {
-	c := tc(t, 3, func(cfg *cluster.Config) { cfg.CacheChunks = 16 })
+	c := tc(t, 3, func(cfg *cluster.Config) { cfg.CacheChunks, cfg.CC = 16, cc.Adaptive })
 	var handle *Array
 	c.Run(func(n *cluster.Node) {
 		const words = 3 * 64 * 8

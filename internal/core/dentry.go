@@ -38,7 +38,9 @@ const (
 // What a slow-path request needs. wantShip is a shipped Operate: the
 // home applies the operand(s) against the authoritative backing instead
 // of granting the requester any permission, so it never appears in a
-// cache-side issueRequest and never pins.
+// cache-side issueRequest and never pins. wantPrefetch is a speculative
+// fetch riding a pooled waiter to the chunk's runtime (prefetchChunk);
+// nothing waits on it.
 const (
 	wantRead uint8 = iota
 	wantWrite
@@ -47,6 +49,7 @@ const (
 	wantPinWrite
 	wantPinOperate
 	wantShip
+	wantPrefetch
 )
 
 func wantPerm(w uint8) uint32 {
@@ -128,9 +131,10 @@ type waiter struct {
 	pay *buf.Ref
 
 	// run is the waiter's local-request closure (handleLocal, or
-	// handleLockLocal for a lock-table request, or shipRequest for a
-	// shipped op, on a and d), built once and kept across recycling so
-	// submitting a pooled waiter allocates nothing.
+	// handleLockLocal for a lock-table request, shipRequest for a
+	// shipped op or prefetchChunk for a speculative fetch, on a and d),
+	// built once and kept across recycling so submitting a pooled
+	// waiter allocates nothing.
 	a   *Array
 	d   *dentry
 	run func(rt *cluster.Runtime)

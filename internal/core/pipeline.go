@@ -14,13 +14,12 @@ import (
 // sidestepping the Ctx single-outstanding-request limit.
 //
 // How many acquisitions stay in flight toward one destination is that
-// destination's cc.Controller's decision, with the configured
-// PipelineDepth as its ceiling. Every multi-chunk range, every
-// ApplyRange and every ApplyAt runs through this one ring, shipped
-// Operate runs included: at PipelineDepth 1 it is a window
-// of one — issue, await, issue, await — and a controller built with
-// cc.Fixed holds the window at the ceiling, which is the static-knob
-// schedule.
+// destination's cc.Controller's decision. Under the default cc.Fixed
+// it is the configured PipelineDepth, the static-knob schedule; under
+// cc.Adaptive the depth is a ceiling the controller steers below.
+// Every multi-chunk range, every ApplyRange and every ApplyAt runs
+// through this one ring, shipped Operate runs included: at
+// PipelineDepth 1 it is a window of one — issue, await, issue, await.
 
 // chunkReq is one in-flight run of a bulk pipeline: the acquisition of
 // chunk ci for the operand positions [k0, k1) of the range, or the
@@ -371,10 +370,7 @@ func (a *Array) speculate(ctx *cluster.Ctx, ci int64) {
 	if statePerm(d.state.Load()) != permInvalid {
 		return // already resident; in-flight fetches dedup on the runtime
 	}
-	vt := ctx.Clock.Now()
-	a.rtOf(ci).Submit(func(rt *cluster.Runtime) {
-		a.prefetchChunk(rt, d, vt)
-	})
+	a.submitPrefetch(d, ctx.Clock.Now())
 }
 
 // spareCredit returns how many speculative issues toward dst the

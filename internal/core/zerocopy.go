@@ -47,8 +47,9 @@ func (a *Array) putWaiter(w *waiter) {
 
 // submitLocal hands slow-path waiter w for chunk d to the runtime owning
 // the chunk, which runs handleLocal on it — or handleLockLocal, when w
-// carries a lock-table request, or shipRequest, when it carries a
-// shipped op.
+// carries a lock-table request, shipRequest, when it carries a shipped
+// op, or prefetchChunk, when it carries a speculative fetch (the waiter
+// is then recycled at once).
 func (a *Array) submitLocal(d *dentry, w *waiter) {
 	w.a, w.d = a, d
 	if w.run == nil {
@@ -56,6 +57,9 @@ func (a *Array) submitLocal(d *dentry, w *waiter) {
 			switch {
 			case w.want == wantShip:
 				w.a.shipRequest(rt, w.d, w)
+			case w.want == wantPrefetch:
+				w.a.prefetchChunk(rt, w.d, w.vt)
+				w.a.putWaiter(w)
 			case w.want >= wantRLock:
 				w.a.handleLockLocal(rt, w)
 			default:

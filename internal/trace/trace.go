@@ -59,10 +59,10 @@ const (
 	// requester-side submission that routed it there.
 	StageShip
 	// StageCC is time a bulk pipeline spent blocked on its congestion
-	// window: the next chunk was ready to issue but the adaptive
-	// controller's cwnd was full. Distinct from StageQueue so the
-	// critical-path report separates self-imposed pacing from fabric
-	// queueing.
+	// window: the next chunk was ready to issue but the controller's
+	// window (PipelineDepth under cc.Fixed) was full. Distinct from
+	// StageQueue so the critical-path report separates self-imposed
+	// pacing from fabric queueing.
 	StageCC
 
 	numStages
