@@ -10,7 +10,6 @@ import (
 	"io"
 	"sync"
 
-	"darray/internal/cc"
 	"darray/internal/chaos"
 	"darray/internal/cluster"
 	"darray/internal/core"
@@ -25,7 +24,7 @@ type Flags struct {
 	TxBurst     int
 	Pipeline    int
 	Prefetch    int
-	CC          cc.Policy
+	AdaptiveCC  bool
 	Ship        string
 	Chaos       bool
 	ChaosSeed   int64
@@ -42,13 +41,10 @@ type Flags struct {
 // Register declares the shared flags on fs.
 func Register(fs *flag.FlagSet) *Flags {
 	f := &Flags{}
-	fs.IntVar(&f.TxBurst, "tx-burst", 0, "work requests per doorbell in the Tx thread (0 default, 1 or -1 disables batching); a ceiling under -cc adaptive")
-	fs.IntVar(&f.Pipeline, "pipeline", 0, "outstanding chunk fetches per bulk range (0 default, 1 or -1 one at a time); a ceiling under -cc adaptive")
+	fs.IntVar(&f.TxBurst, "tx-burst", 0, "work requests per doorbell in the Tx thread (0 default, 1 or -1 disables batching); a ceiling under -adaptive-cc")
+	fs.IntVar(&f.Pipeline, "pipeline", 0, "outstanding chunk fetches per bulk range (0 default, 1 or -1 one at a time); a ceiling under -adaptive-cc")
 	fs.IntVar(&f.Prefetch, "prefetch", 0, "chunks prefetched on a sequential miss (0 default, -1 disables prefetch and the detector)")
-	fs.Func("cc", "congestion-control policy: fixed (windows at -pipeline and -tx-burst; the default) or adaptive (CUBIC plus Vegas below those ceilings)", func(s string) (err error) {
-		f.CC, err = cc.ParsePolicy(s)
-		return err
-	})
+	fs.BoolVar(&f.AdaptiveCC, "adaptive-cc", false, "adaptive congestion control: CUBIC plus Vegas windows below -pipeline and -tx-burst (default: fixed windows at those depths)")
 	fs.StringVar(&f.Ship, "ship", "auto", "function-shipping mode: auto (per-chunk contention estimator), on, off")
 	fs.BoolVar(&f.Chaos, "chaos", false, "inject seeded fabric faults: drops, dups, spikes, a partition window, a stalled node (enables the virtual-time model: fault windows are vtime-keyed)")
 	fs.Int64Var(&f.ChaosSeed, "chaos-seed", 1, "fault plan seed for -chaos; the same seed replays the same plan")
@@ -93,7 +89,7 @@ func (f *Flags) Config(nodes int) cluster.Config {
 		TxBurst:       f.TxBurst,
 		PipelineDepth: f.Pipeline,
 		PrefetchAhead: f.Prefetch,
-		CC:            f.CC,
+		AdaptiveCC:    f.AdaptiveCC,
 		Ship:          f.Ship,
 		Faults:        f.Plan(nodes),
 		Tracer:        f.Tracer(),

@@ -24,7 +24,6 @@
 package darray
 
 import (
-	"darray/internal/cc"
 	"darray/internal/cluster"
 	"darray/internal/core"
 )
@@ -64,12 +63,6 @@ var (
 	OpAddF64 = core.OpAddF64
 	OpMinF64 = core.OpMinF64
 	OpMaxF64 = core.OpMaxF64
-)
-
-// Congestion-control policies for Config.CC.
-const (
-	CCFixed    = cc.Fixed    // windows at PipelineDepth and TxBurst (the zero value)
-	CCAdaptive = cc.Adaptive // CUBIC plus Vegas steering below those ceilings
 )
 
 // NewCluster builds and starts a simulated cluster.

@@ -4,7 +4,6 @@ import (
 	"math"
 	"sort"
 
-	"darray/internal/cc"
 	"darray/internal/cluster"
 	"darray/internal/core"
 	"darray/internal/fault"
@@ -59,11 +58,12 @@ type slabRec struct {
 }
 
 // runContention measures `streams` concurrent remote GetRange streams
-// between two nodes under policy, whatever the cluster template says
-// (cc.Fixed holds every window at its ceiling). faulted runs the same
-// traffic over a seeded 2% loss + 1% duplication plan, in place of any
-// plan the template supplies, and reports the retransmission bill.
-func runContention(p Params, streams int, policy cc.Policy, faulted bool) contentionResult {
+// between two nodes under the adaptive controller or, with adaptive
+// false, cc.Fixed windows at their ceilings, whatever the cluster
+// template says. faulted runs the same traffic over a seeded 2% loss +
+// 1% duplication plan, in place of any plan the template supplies, and
+// reports the retransmission bill.
+func runContention(p Params, streams int, adaptive, faulted bool) contentionResult {
 	const nodes = 2
 	const chunkWords = 512   // cluster default chunk geometry
 	sWords := p.WordsPerNode // per-stream volume, constant across N
@@ -73,7 +73,7 @@ func runContention(p Params, streams int, policy cc.Policy, faulted bool) conten
 		plan = fault.New(fault.Config{Seed: 42, Nodes: nodes, DropProb: 0.02, DupProb: 0.01})
 	}
 	c := p.cluster(nodes, func(cfg *cluster.Config) {
-		cfg.CacheChunks, cfg.CC = 256, policy
+		cfg.CacheChunks, cfg.AdaptiveCC = 256, adaptive
 		if faulted {
 			cfg.Faults = plan
 		}
@@ -210,8 +210,8 @@ func Contention(p Params) []stats.Table {
 	p99.Xs, fair.Xs, tput.Xs = labels(contStreams), labels(contStreams), labels(contStreams)
 	var aP99, fP99, aJain, fJain, aTput, fTput []float64
 	for _, n := range contStreams {
-		adaptive := runContention(p, n, cc.Adaptive, false)
-		fixed := runContention(p, n, cc.Fixed, false)
+		adaptive := runContention(p, n, true, false)
+		fixed := runContention(p, n, false, false)
 		aP99 = append(aP99, adaptive.p99Ns)
 		fP99 = append(fP99, fixed.p99Ns)
 		aJain = append(aJain, adaptive.jain)
@@ -223,8 +223,8 @@ func Contention(p Params) []stats.Table {
 	fair.Series = []stats.Series{{Label: "adaptive", Ys: aJain}, {Label: "fixed", Ys: fJain}}
 	tput.Series = []stats.Series{{Label: "adaptive", Ys: aTput}, {Label: "fixed", Ys: fTput}}
 
-	aLoss := runContention(p, 4, cc.Adaptive, true)
-	fLoss := runContention(p, 4, cc.Fixed, true)
+	aLoss := runContention(p, 4, true, true)
+	fLoss := runContention(p, 4, false, true)
 	loss := stats.Table{
 		Title:  "Contention under 2% loss: go-back-N retransmissions, 4 streams",
 		XLabel: "mode",

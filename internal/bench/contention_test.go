@@ -1,10 +1,6 @@
 package bench
 
-import (
-	"testing"
-
-	"darray/internal/cc"
-)
+import "testing"
 
 // TestContentionCrossover gates the congestion-control headline: with
 // heterogeneous streams sharing one link, adaptive windows must beat
@@ -23,15 +19,15 @@ func TestContentionCrossover(t *testing.T) {
 	p.WordsPerNode = 1 << 18 // 32 bulk slabs per stream: steady state dominates
 
 	// Lone stream: adaptive throughput within 5% of the fixed knobs.
-	a1 := runContention(p, 1, cc.Adaptive, false)
-	f1 := runContention(p, 1, cc.Fixed, false)
+	a1 := runContention(p, 1, true, false)
+	f1 := runContention(p, 1, false, false)
 	if a1.mwords < 0.95*f1.mwords {
 		t.Errorf("single-stream: adaptive %.2f Mwords/s < 95%% of fixed %.2f", a1.mwords, f1.mwords)
 	}
 
 	// 4 streams: adaptive must be fairer and faster on mean latency.
-	a4 := runContention(p, 4, cc.Adaptive, false)
-	f4 := runContention(p, 4, cc.Fixed, false)
+	a4 := runContention(p, 4, true, false)
+	f4 := runContention(p, 4, false, false)
 	if a4.jain <= f4.jain {
 		t.Errorf("4 streams: adaptive fairness %.4f <= fixed %.4f", a4.jain, f4.jain)
 	}
@@ -40,8 +36,8 @@ func TestContentionCrossover(t *testing.T) {
 	}
 
 	// 8 streams: the headline — >=1.3x better p99 and higher fairness.
-	a8 := runContention(p, 8, cc.Adaptive, false)
-	f8 := runContention(p, 8, cc.Fixed, false)
+	a8 := runContention(p, 8, true, false)
+	f8 := runContention(p, 8, false, false)
 	if f8.p99Ns < 1.3*a8.p99Ns {
 		t.Errorf("8 streams: fixed p99 %.0fns < 1.3x adaptive %.0fns (ratio %.2f)",
 			f8.p99Ns, a8.p99Ns, f8.p99Ns/a8.p99Ns)
@@ -53,8 +49,8 @@ func TestContentionCrossover(t *testing.T) {
 	// Under a seeded loss plan both modes retransmit (the plan's drops
 	// are fault-driven, not congestion-driven): the bill must be within
 	// 2x of each other, and adaptive must not blow up the tail.
-	al := runContention(p, 4, cc.Adaptive, true)
-	fl := runContention(p, 4, cc.Fixed, true)
+	al := runContention(p, 4, true, true)
+	fl := runContention(p, 4, false, true)
 	if al.retrans == 0 || fl.retrans == 0 {
 		t.Errorf("faulted runs retransmitted nothing: adaptive=%d fixed=%d", al.retrans, fl.retrans)
 	}

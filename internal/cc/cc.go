@@ -39,7 +39,6 @@
 package cc
 
 import (
-	"fmt"
 	"math"
 	"sync/atomic"
 )
@@ -108,25 +107,6 @@ const (
 	// experiment opts into it.
 	Adaptive
 )
-
-// String names p as the -cc flag spells it.
-func (p Policy) String() string {
-	if p == Adaptive {
-		return "adaptive"
-	}
-	return "fixed"
-}
-
-// ParsePolicy is String's inverse.
-func ParsePolicy(s string) (Policy, error) {
-	switch s {
-	case "fixed":
-		return Fixed, nil
-	case "adaptive":
-		return Adaptive, nil
-	}
-	return Fixed, fmt.Errorf("cc: unknown policy %q (fixed or adaptive)", s)
-}
 
 // Controller is one stream's congestion state toward one destination.
 // The owning application thread calls OnAck; any goroutine may call the

@@ -18,7 +18,6 @@ import (
 	"runtime"
 	"time"
 
-	"darray/internal/cc"
 	"darray/internal/cluster"
 	"darray/internal/core"
 	"darray/internal/fault"
@@ -53,10 +52,11 @@ type Config struct {
 	// bit-identical in every mode.
 	Ship string
 
-	// CC is the congestion-control policy (zero: cc.Fixed, windows at
-	// their ceilings). Windows only reschedule traffic, so results must
-	// be bit-identical under either policy.
-	CC cc.Policy
+	// AdaptiveCC builds the congestion controllers with cc.Adaptive
+	// instead of the default cc.Fixed (windows at their ceilings).
+	// Windows only reschedule traffic, so results must be bit-identical
+	// under either policy.
+	AdaptiveCC bool
 
 	Out io.Writer // optional progress/trace output
 }
@@ -207,7 +207,7 @@ func runOnce(w Workload, cfg Config, plan *fault.Plan) (uint64, error) {
 		CacheChunks:    cfg.CacheChunks,
 		RuntimeThreads: 2,
 		Ship:           cfg.Ship,
-		CC:             cfg.CC,
+		AdaptiveCC:     cfg.AdaptiveCC,
 	})
 	fp, arrays := w.Run(c, cfg.Threads, cfg.Seed)
 	if err := c.Err(); err != nil {

@@ -3,7 +3,6 @@ package chaos_test
 import (
 	"testing"
 
-	"darray/internal/cc"
 	"darray/internal/chaos"
 	"darray/internal/fabric"
 	"darray/internal/fault"
@@ -102,8 +101,8 @@ func TestChaosHotKeyShipModes(t *testing.T) {
 // TestChaosStreamContention drives the congestion-control tentpole's
 // chaos bar: four concurrent bulk streams per node all crossing the
 // same links under the default fault schedule (>=1% loss plus the
-// partition window), once with adaptive windows (cc.Adaptive) and once
-// with fixed ones (cc.Fixed). Windows only reschedule traffic, so both
+// partition window), once with adaptive windows (AdaptiveCC) and once
+// with the default fixed ones. Windows only reschedule traffic, so both
 // runs must fingerprint bit-identically to the fault-free run
 // (chaos.Run also checks the coherence invariants, the pooled-buffer
 // leak count, and goroutine drain after every run).
@@ -114,13 +113,13 @@ func TestChaosStreamContention(t *testing.T) {
 	// wide enough that the 1<->2 streams are guaranteed to cross it
 	// while staying inside the retransmission budget, so it heals.
 	parts := []fault.Partition{{A: 1, B: 2, Start: 50_000, End: 1_500_000}}
-	cfg := chaos.Config{Seed: 42, Partitions: parts, CC: cc.Adaptive}
+	cfg := chaos.Config{Seed: 42, Partitions: parts, AdaptiveCC: true}
 	adaptive := runChaos(t, w, cfg)
 	if adaptive.FaultStats.PartitionBlocks == 0 {
 		t.Errorf("seed %d: the partition window never fired: %+v", adaptive.Seed, adaptive.FaultStats)
 	}
 	fixedCfg := cfg
-	fixedCfg.CC = cc.Fixed
+	fixedCfg.AdaptiveCC = false
 	fixed := runChaos(t, w, fixedCfg)
 	if adaptive.Fingerprint != fixed.Fingerprint {
 		t.Errorf("congestion control changed the result: adaptive %016x, fixed %016x",

@@ -49,17 +49,18 @@ type Config struct {
 	TxBurst int
 	// PipelineDepth is the default number of outstanding chunk fetches a
 	// bulk range operation keeps in flight (core.GetRange and friends).
-	// 1 or -1 fetches one chunk at a time; default 8. Under cc.Adaptive
+	// 1 or -1 fetches one chunk at a time; default 8. Under AdaptiveCC
 	// this is a ceiling: the per-(thread, destination) controller picks
 	// the actual window.
 	PipelineDepth int
 
-	// CC is the policy every congestion controller is built with. The
-	// zero value, cc.Fixed, runs bulk pipelines at PipelineDepth and
-	// lets the Tx thread batch up to TxBurst, whatever the round trips
-	// say; cc.Adaptive makes both ceilings and steers below them (the
-	// contention experiment's adaptive column).
-	CC cc.Policy
+	// AdaptiveCC builds every congestion controller with cc.Adaptive
+	// instead of the default cc.Fixed: PipelineDepth and TxBurst become
+	// ceilings the controllers steer below (the contention experiment's
+	// adaptive column). Left false, bulk pipelines run at PipelineDepth
+	// and the Tx thread batches up to TxBurst, whatever the round trips
+	// say.
+	AdaptiveCC bool
 
 	// Ship selects the default function-shipping mode for arrays built on
 	// this cluster: "auto" (per-chunk contention estimator; the default),
@@ -192,6 +193,15 @@ func New(cfg Config) *Cluster {
 
 // Config returns the cluster's (filled-in) configuration.
 func (c *Cluster) Config() Config { return c.cfg }
+
+// ccPolicy is the policy every congestion controller of this cluster is
+// built with — the one place Config.AdaptiveCC is read.
+func (c *Cluster) ccPolicy() cc.Policy {
+	if c.cfg.AdaptiveCC {
+		return cc.Adaptive
+	}
+	return cc.Fixed
+}
 
 // Model returns the virtual-time model (may be nil).
 func (c *Cluster) Model() *vtime.Model { return c.cfg.Model }
@@ -670,8 +680,9 @@ func (n *Node) NewCtx(tid int) *Ctx {
 		resp: Token{node: n, ch: make(chan Resp, 1)},
 		ccs:  make([]*cc.Controller, n.c.cfg.Nodes),
 	}
+	policy := n.c.ccPolicy()
 	for i := range ctx.ccs {
-		ctx.ccs[i] = cc.New(n.c.cfg.CC)
+		ctx.ccs[i] = cc.New(policy)
 	}
 	return ctx
 }

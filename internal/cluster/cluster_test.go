@@ -32,30 +32,24 @@ func TestConfigDefaults(t *testing.T) {
 	}
 }
 
-// TestDefaultPolicyIsFixed: a zero Config builds every congestion
-// controller under cc.Fixed, its window at PipelineDepth however much
-// queue the round trips show, and a Tx budget pinned at TxBurst however
-// many bursts needed retransmission.
+// TestDefaultPolicyIsFixed: a zero Config builds its congestion
+// controllers and Tx budgets under cc.Fixed (which holds both at their
+// ceilings: cc.TestFixedPolicyHoldsTheCeiling), and a thread's
+// controller keeps its window at PipelineDepth whatever queue the round
+// trips show.
 func TestDefaultPolicyIsFixed(t *testing.T) {
 	c := New(Config{Nodes: 2})
 	defer c.Close()
-	cfg := c.Config()
-	if cfg.CC != cc.Fixed {
-		t.Fatalf("default policy %v, want fixed", cfg.CC)
+	if p := c.ccPolicy(); p != cc.Fixed {
+		t.Fatalf("default policy %d, want cc.Fixed", p)
 	}
+	depth := c.Config().PipelineDepth
 	ctrl := c.Node(0).NewCtx(0).CC(1)
 	for k := int64(1); k <= 64; k++ {
 		ctrl.OnAck(k*100_000, k*10_000, 0) // ever longer round trips: a growing queue
 	}
-	if got := ctrl.Window(cfg.PipelineDepth); got != cfg.PipelineDepth || ctrl.Backoffs() != 0 {
-		t.Errorf("window %d after %d backoffs, want PipelineDepth %d and none", got, ctrl.Backoffs(), cfg.PipelineDepth)
-	}
-	bud := newNode(c, 0).txBud // an unstarted node: its budget is ours to drive
-	for k := 0; k < 8; k++ {
-		bud.OnBurst(true)
-	}
-	if bud.Limit() != cfg.TxBurst {
-		t.Errorf("Tx budget %d after lossy bursts, want TxBurst %d", bud.Limit(), cfg.TxBurst)
+	if got := ctrl.Window(depth); got != depth || ctrl.Backoffs() != 0 {
+		t.Errorf("window %d after %d backoffs, want PipelineDepth %d and none", got, ctrl.Backoffs(), depth)
 	}
 }
 

@@ -21,10 +21,9 @@ type Node struct {
 	ep  *fabric.Endpoint
 	rts []*Runtime
 
-	txq   *queue.MPSC[*fabric.Message]
-	txBud *cc.Burst // the Tx thread's doorbell budget; only txLoop touches it
-	stop  chan struct{}
-	wg    sync.WaitGroup
+	txq  *queue.MPSC[*fabric.Message]
+	stop chan struct{}
+	wg   sync.WaitGroup
 
 	routeMu sync.RWMutex
 	routes  map[uint32]Route
@@ -58,7 +57,6 @@ func newNode(c *Cluster, id int) *Node {
 		c:      c,
 		ep:     c.fab.Endpoint(id),
 		txq:    queue.NewMPSCPooled[*fabric.Message](),
-		txBud:  cc.NewBurst(c.cfg.TxBurst, c.cfg.CC),
 		stop:   make(chan struct{}),
 		routes: make(map[uint32]Route),
 	}
@@ -171,7 +169,7 @@ func (n *Node) drainResidual() {
 // nothing to coalesce).
 //
 // The batch limit is a cc.Burst. Under cc.Fixed (the default) it stays
-// at TxBurst. Under cc.Adaptive TxBurst is a ceiling: an AIMD budget
+// at TxBurst. Under Config.AdaptiveCC TxBurst is a ceiling: an AIMD budget
 // shrinks the batch when posts needed go-back-N recovery — a big
 // doorbell behind a lossy link turns one drop into a burst-wide resend
 // — and grows it back one WQE per clean burst.
@@ -179,7 +177,7 @@ func (n *Node) txLoop() {
 	defer n.wg.Done()
 	var txRes vtime.Resource
 	mdl := n.c.cfg.Model
-	bud := n.txBud
+	bud := cc.NewBurst(n.c.cfg.TxBurst, n.c.ccPolicy())
 	burst := make([]*fabric.Message, 0, n.c.cfg.TxBurst)
 	for {
 		m, ok := n.txq.PopWait(n.stop)

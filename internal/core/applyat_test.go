@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"darray/internal/cc"
 	"darray/internal/cluster"
 	"darray/internal/vtime"
 )
@@ -305,7 +304,7 @@ func TestApplyAtFoldsRepeatedIndices(t *testing.T) {
 func applyAtSchedule(t *testing.T, depth int, ship string, chunks []int64) string {
 	t.Helper()
 	c := tc(t, 2, func(cfg *cluster.Config) {
-		cfg.Model, cfg.RuntimeThreads, cfg.PipelineDepth, cfg.CC, cfg.Ship = vtime.Default(), 1, depth, cc.Fixed, ship
+		cfg.Model, cfg.RuntimeThreads, cfg.PipelineDepth, cfg.Ship = vtime.Default(), 1, depth, ship
 	})
 	var sched []string
 	c.Run(func(n *cluster.Node) {

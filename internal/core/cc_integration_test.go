@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"darray/internal/cc"
 	"darray/internal/cluster"
 	"darray/internal/vtime"
 )
@@ -62,8 +61,8 @@ func fixedSchedule(n, k int64) string {
 	return strings.Join(s, " ")
 }
 
-// TestNoCCScheduleBitIdentical locks a cluster whose controllers are
-// cc.Fixed to the fixed-depth issue schedule the static knobs produced
+// TestNoCCScheduleBitIdentical locks a default cluster, whose
+// controllers are cc.Fixed, to the fixed-depth issue schedule the static knobs produced
 // before congestion control existed: depth issues up front, then
 // strictly one issue per completion. It is the same ring and the same
 // window check the adaptive run goes through; any reaction of a fixed
@@ -72,7 +71,7 @@ func TestNoCCScheduleBitIdentical(t *testing.T) {
 	const chunks, depth = 16, 4
 	got := captureSchedule(t, cluster.Config{
 		RuntimeThreads: 1, CacheChunks: 64,
-		PipelineDepth: depth, PrefetchAhead: -1, CC: cc.Fixed,
+		PipelineDepth: depth, PrefetchAhead: -1,
 	}, chunks)
 	if want := fixedSchedule(chunks, depth); got != want {
 		t.Fatalf("cc.Fixed schedule diverged from fixed-depth behaviour:\n got: %s\nwant: %s", got, want)
@@ -85,13 +84,13 @@ func TestNoCCScheduleBitIdentical(t *testing.T) {
 // chunk at a time — i0 a0 i1 a1 … — whichever policy holds the window.
 func TestDepthOneScheduleIsSerial(t *testing.T) {
 	const chunks = 8
-	for _, policy := range []cc.Policy{cc.Adaptive, cc.Fixed} {
+	for _, adaptive := range []bool{true, false} {
 		got := captureSchedule(t, cluster.Config{
 			RuntimeThreads: 1, CacheChunks: 64,
-			PipelineDepth: -1, TxBurst: -1, PrefetchAhead: -1, CC: policy,
+			PipelineDepth: -1, TxBurst: -1, PrefetchAhead: -1, AdaptiveCC: adaptive,
 		}, chunks)
 		if want := fixedSchedule(chunks, 1); got != want {
-			t.Fatalf("%v: depth-1 schedule is not one chunk at a time:\n got: %s\nwant: %s", policy, got, want)
+			t.Fatalf("AdaptiveCC=%v: depth-1 schedule is not one chunk at a time:\n got: %s\nwant: %s", adaptive, got, want)
 		}
 	}
 }
@@ -104,7 +103,7 @@ func TestAdaptiveSlowStartNarrowsBurst(t *testing.T) {
 	const chunks, depth = 16, 12
 	got := strings.Fields(captureSchedule(t, cluster.Config{
 		RuntimeThreads: 1, CacheChunks: 64,
-		PipelineDepth: depth, PrefetchAhead: -1, CC: cc.Adaptive,
+		PipelineDepth: depth, PrefetchAhead: -1, AdaptiveCC: true,
 	}, chunks))
 	burst := 0
 	for _, ev := range got {
@@ -137,7 +136,6 @@ func TestAdaptiveSlowStartNarrowsBurst(t *testing.T) {
 func TestPrefetchDemandCredit(t *testing.T) {
 	c := tc(t, 2, func(cfg *cluster.Config) {
 		cfg.PipelineDepth = 4
-		cfg.CC = cc.Fixed
 	})
 	c.Run(func(n *cluster.Node) {
 		a := New(n, 2*64*8)
@@ -179,7 +177,7 @@ func TestPrefetchDemandCredit(t *testing.T) {
 // the credit: a fresh controller's window (initial window 4) bounds
 // speculation even when the static depth is larger.
 func TestAdaptivePrefetchCreditTracksWindow(t *testing.T) {
-	c := tc(t, 2, func(cfg *cluster.Config) { cfg.PipelineDepth, cfg.CC = 16, cc.Adaptive })
+	c := tc(t, 2, func(cfg *cluster.Config) { cfg.PipelineDepth, cfg.AdaptiveCC = 16, true })
 	c.Run(func(n *cluster.Node) {
 		a := New(n, 2*64*8)
 		ctx := n.NewCtx(0)
@@ -197,7 +195,7 @@ func TestAdaptivePrefetchCreditTracksWindow(t *testing.T) {
 // boundaries under the adaptive policy and a small cache, checking the
 // adaptive schedule never corrupts data or leaks pins.
 func TestAdaptiveBulkCorrectness(t *testing.T) {
-	c := tc(t, 3, func(cfg *cluster.Config) { cfg.CacheChunks, cfg.CC = 16, cc.Adaptive })
+	c := tc(t, 3, func(cfg *cluster.Config) { cfg.CacheChunks, cfg.AdaptiveCC = 16, true })
 	var handle *Array
 	c.Run(func(n *cluster.Node) {
 		const words = 3 * 64 * 8

@@ -286,7 +286,9 @@ func TestOverwriteGrantRacingReader(t *testing.T) {
 // 16x the cache mix real round trips with requests that ride a
 // speculative fill or find the chunk resident and complete in a few
 // virtual ns. Only the former may reach the controller — its RTT floor
-// stays a physical round trip and the window stays open.
+// stays a physical round trip and the window stays open. The cluster
+// runs the adaptive policy: a cc.Fixed window never moves, so only an
+// adaptive one can collapse.
 //
 // Whether the slow-path prefetcher beats the pipeline to a chunk depends
 // on host scheduling, so the last pass forces it: the chunk's
@@ -304,6 +306,7 @@ func TestRTTSamplesAreRoundTrips(t *testing.T) {
 		cfg.RuntimeThreads = 2
 		cfg.CacheChunks = per / 16 / 2 // x 2 runtimes = 1/16 of the remote partition
 		cfg.Model = mdl
+		cfg.AdaptiveCC = true
 	})
 	c.Run(func(n *cluster.Node) {
 		a := New(n, 2*per*cw)
