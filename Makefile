@@ -113,12 +113,14 @@ chaos:
 # shipped), and the shipped paths, whose pooled waiters hand their kept
 # closure from one goroutine to the next, with the one-rule request
 # accounting and degradation tests that cover them; then the engine's push list, whose vertex-sorted blocks feed
-# those folds, and the PageRank/CC passes and clocks that run on it.
+# those folds, and the passes and clocks that run on it: PageRank's and
+# the min-propagation passes of CC, BFS and SSSP, whose frontier rounds
+# compact the list before their ApplyAt.
 hotspot:
 	$(GO) run ./cmd/darray-bench -fig hotspot -max-nodes 6
 	$(GO) test -run 'TestHotspot|TestShip' -count=1 ./internal/bench/ ./internal/core/
 	GOMAXPROCS=4 $(GO) test -race -timeout 120s -count=1 -run 'TestApplyAt|TestShip|TestStatsAccounting|TestAllVerbsDegrade|TestPooledAllocsShipped' ./internal/core/
-	GOMAXPROCS=4 $(GO) test -race -timeout 120s -count=1 -run 'TestPushList|TestChunkPasses|TestPageRank|TestConnectedComponents|TestMTClock' ./internal/engine/
+	GOMAXPROCS=4 $(GO) test -race -timeout 120s -count=1 -run 'TestPushList|TestChunkPasses|TestPageRank|TestConnectedComponents|TestMTClock|TestBFS|TestSSSP' ./internal/engine/
 
 # Congestion-control smoke: the multi-stream contention tables (opt-in
 # cc.Adaptive windows vs the default cc.Fixed ones through the same

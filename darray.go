@@ -43,8 +43,6 @@ type (
 	Array = core.Array
 	// F64 is a float64-typed view of an Array.
 	F64 = core.F64
-	// I64 is an int64-typed view of an Array.
-	I64 = core.I64
 	// Op is an associative-commutative operator with identity.
 	Op = core.Op
 	// OpID names a registered operator.

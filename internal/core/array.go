@@ -319,9 +319,6 @@ func (a *Array) Len() int64 { return a.sh.n }
 // ChunkWords returns the chunk size in elements.
 func (a *Array) ChunkWords() int64 { return a.sh.chunkWords }
 
-// Chunks returns the number of chunks in the global array.
-func (a *Array) Chunks() int64 { return a.sh.nChunks }
-
 // Node returns this handle's node.
 func (a *Array) Node() *cluster.Node { return a.node }
 

@@ -30,22 +30,6 @@ func (f F64) Apply(ctx *cluster.Ctx, op OpID, i int64, operand float64) {
 	f.Array.Apply(ctx, op, i, math.Float64bits(operand))
 }
 
-// I64 is an int64-typed view of an Array.
-type I64 struct{ *Array }
-
-// AsI64 returns an int64 view of the array.
-func (a *Array) AsI64() I64 { return I64{a} }
-
-// Get reads element i as an int64.
-func (v I64) Get(ctx *cluster.Ctx, i int64) int64 {
-	return int64(v.Array.Get(ctx, i))
-}
-
-// Set writes element i as an int64.
-func (v I64) Set(ctx *cluster.Ctx, i int64, x int64) {
-	v.Array.Set(ctx, i, uint64(x))
-}
-
 // Fill sets every element this node homes to x (a common collective
 // initialization idiom: each node fills its own partition, then the
 // cluster barriers). It writes a chunk per acquisition, charged like a

@@ -91,7 +91,7 @@ func TestPushListGroupsByChunk(t *testing.T) {
 	const cw = 64
 	g := testGraph()
 	lo, hi := int64(37), g.N-101
-	pl := newPushList(lo, hi, g.N, cw, g, g.Reverse())
+	pl := newPushList(lo, hi, g.N, cw, nil, g, g.Reverse())
 	var want [][2]int64 // (dst, src) in walk order, later sorted stably
 	for u := lo; u < hi; u++ {
 		for _, adj := range []*graph.CSR{g, g.Reverse()} {

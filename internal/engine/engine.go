@@ -32,9 +32,11 @@ type Graph struct {
 
 	// Scatter state, built on first use and reused by every later call
 	// (push.go): the push lists, each local vertex's value to push, and
-	// the operands of one scatter.
+	// the operands of one scatter with, when only some vertices push,
+	// their destinations.
 	out, undirected *pushList
 	vals, ops       []uint64
+	dsts            []int64
 
 	// Pass scratch: two buffers over the local vertex range, built on
 	// first use (local) and shared by a team's threads, each on its own
@@ -129,7 +131,7 @@ func (eg *Graph) pageRank(tm *team, iters int, usePin bool) []float64 {
 	c.Barrier(root)
 
 	for it := 0; it < iters; it++ {
-		eg.scatter(tm, curr, next, add, pl, usePin, true)
+		eg.scatter(tm, curr, next, add, pl, usePin, nil)
 		c.Barrier(root)
 		tm.vertices(eg.lo, eg.hi, func(ctx *cluster.Ctx, _ int, lo, hi int64) {
 			eg.gatherRanks(ctx, curr, next, lo, buf[lo-eg.lo:hi-eg.lo])
@@ -204,35 +206,110 @@ func (eg *Graph) reverse() *graph.CSR {
 
 // ConnectedComponents runs min-label propagation over the undirected
 // view of the graph until a fixed point, returning this node's labels
-// and the number of iterations. Like PageRank it initializes, gathers and
-// reads back with one range call per thread share and scatters with one
-// ApplyAt per thread, over out- and in-edges; usePin reads curr through a
-// pinned chunk in scatter.
+// and the number of iterations: propagate with every vertex starting at
+// its own id and pushing every round, along out- and in-edges. usePin
+// reads curr through a pinned chunk in scatter.
 func (eg *Graph) ConnectedComponents(ctx *cluster.Ctx, usePin bool) ([]uint64, int) {
 	return eg.connectedComponents(eg.soloTeam(ctx), usePin)
 }
 
 func (eg *Graph) connectedComponents(tm *team, usePin bool) ([]uint64, int) {
+	pl := eg.undirectedList() // collective on first use: before any timing
+	return eg.propagate(tm, minProp{pl: pl, op: core.OpMinU64, labels: true}, usePin)
+}
+
+// BFS computes hop distances from root over out-edges (an extension
+// beyond the paper's two applications): propagate under OpMinU64, where
+// an edge carries its source's distance + 1. Unreachable vertices get
+// ^uint64(0).
+func (eg *Graph) BFS(ctx *cluster.Ctx, root int64) []uint64 {
+	out, _ := eg.propagate(eg.soloTeam(ctx), minProp{pl: eg.outList(), op: core.OpMinU64, hop: 1, root: root}, false)
+	return out
+}
+
+// SSSP computes single-source shortest paths over a weighted graph (an
+// extension beyond the paper's two applications, exercising OpMinF64
+// through the Operated state): propagate, where an edge carries its
+// source's distance + its weight, along a push list built per call from
+// w. Unreachable vertices get +Inf. All nodes must pass the same weighted
+// view of the engine's topology.
+func (eg *Graph) SSSP(ctx *cluster.Ctx, w *graph.WCSR, root int64) []float64 {
+	if w.N != eg.csr.N {
+		panic("engine: weighted view does not match the engine's graph")
+	}
+	pl := newPushList(eg.lo, eg.hi, w.N, eg.chunkWords(), w.Weights, &w.CSR)
+	bits, _ := eg.propagate(eg.soloTeam(ctx), minProp{pl: pl, op: core.OpMinF64, root: root}, false)
+	out := make([]float64, len(bits))
+	for k, b := range bits {
+		out[k] = math.Float64frombits(b)
+	}
+	return out
+}
+
+// minProp is one min-propagation to a fixed point. CC, BFS and SSSP are
+// the same loop, propagate, over different minProps.
+type minProp struct {
+	pl  *pushList // the edges values move along; a weighted list adds each edge's weight
+	op  core.Op   // core.OpMinU64, or core.OpMinF64 over float64 bits
+	hop uint64    // an unweighted edge carries its source's value + hop
+
+	// labels starts every vertex at its own id and has it push every
+	// round (CC). Otherwise root starts at 0 and every other vertex at
+	// op's identity, and a vertex pushes only in the round after its
+	// value fell (the root in the first).
+	labels bool
+	root   int64
+
+	// pending marks the local vertices that push this round, or is nil:
+	// every one. propagate sets it.
+	pending []bool
+}
+
+// pushes reports whether local vertex k pushes this round.
+func (p *minProp) pushes(k int64) bool { return p.pending == nil || p.pending[k] }
+
+// propagate runs p to a fixed point and returns this node's values and
+// the number of rounds. Like PageRank it initializes, gathers and reads
+// back with one range call per thread share and scatters with one
+// ApplyAt per thread; a round's scatter pushes the pending vertices'
+// values along p.pl into next, and its gather lowers curr to next and
+// reports which values fell. The rounds stop when none did anywhere.
+func (eg *Graph) propagate(tm *team, p minProp, usePin bool) ([]uint64, int) {
 	root := tm.root
 	c := eg.node.Cluster()
-	pl := eg.undirectedList() // collective on first use: before any timing
 	curr := eg.newStateArray()
 	next := eg.newStateArray()
-	min := curr.RegisterOp(core.OpMinU64)
-	_ = next.RegisterOp(core.OpMinU64)
+	op := curr.RegisterOp(p.op)
+	_ = next.RegisterOp(p.op)
 
 	cb, nb := eg.local(&eg.bufA), eg.local(&eg.bufB)
-	eg.initLabels(root, curr, next, cb)
+	fell := make([]bool, len(cb))
+	if p.labels {
+		for k := range cb {
+			cb[k] = uint64(eg.lo) + uint64(k)
+		}
+	} else {
+		p.pending = fell
+		for k := range cb {
+			cb[k] = p.op.Identity
+		}
+		if p.root >= eg.lo && p.root < eg.hi {
+			cb[p.root-eg.lo], fell[p.root-eg.lo] = 0, true
+		}
+	}
+	curr.SetRange(root, eg.lo, cb)
+	next.Fill(root, p.op.Identity)
 	c.Barrier(root)
 
 	changed := make([]bool, len(tm.ctxs))
 	iters := 0
 	for {
 		iters++
-		eg.scatter(tm, curr, next, min, pl, usePin, false)
+		eg.scatter(tm, curr, next, op, p.pl, usePin, &p)
 		c.Barrier(root)
 		tm.vertices(eg.lo, eg.hi, func(ctx *cluster.Ctx, k int, lo, hi int64) {
-			changed[k] = eg.gatherLabels(ctx, curr, next, lo, cb[lo-eg.lo:hi-eg.lo], nb[lo-eg.lo:hi-eg.lo])
+			l, h := lo-eg.lo, hi-eg.lo
+			changed[k] = gatherMin(ctx, curr, next, &p.op, lo, cb[l:h], nb[l:h], fell[l:h])
 		})
 		if c.AllReduceSum(root, anyChanged(changed)) == 0 {
 			break
@@ -244,7 +321,7 @@ func (eg *Graph) connectedComponents(tm *team, usePin bool) ([]uint64, int) {
 	return out, iters
 }
 
-// anyChanged is 1 when any thread's gather lowered a label, else 0.
+// anyChanged is 1 when any thread's gather lowered a value, else 0.
 func anyChanged(changed []bool) float64 {
 	for _, ch := range changed {
 		if ch {
@@ -254,72 +331,21 @@ func anyChanged(changed []bool) float64 {
 	return 0
 }
 
-// initLabels labels every local vertex with its own id in curr, with
-// one SetRange through buf (local-range scratch), and sets next to the
-// min identity.
-func (eg *Graph) initLabels(ctx *cluster.Ctx, curr, next *core.Array, buf []uint64) {
-	for k := range buf {
-		buf[k] = uint64(eg.lo) + uint64(k)
-	}
-	curr.SetRange(ctx, eg.lo, buf)
-	next.Fill(ctx, ^uint64(0))
-}
-
-// gatherLabels lowers curr to next's combined minimum over the vertices
-// from lo that cb and nb cover, and resets next to the identity (all
-// ones). It reports whether any label fell.
-func (eg *Graph) gatherLabels(ctx *cluster.Ctx, curr, next *core.Array, lo int64, cb, nb []uint64) bool {
+// gatherMin lowers curr to next's combined minimum under op over the
+// vertices from lo that cb and nb cover, marks in fell the ones whose
+// value fell, and resets next to op's identity. It reports whether any
+// value fell.
+func gatherMin(ctx *cluster.Ctx, curr, next *core.Array, op *core.Op, lo int64, cb, nb []uint64, fell []bool) bool {
 	curr.GetRange(ctx, lo, cb)
 	next.GetRange(ctx, lo, nb)
 	changed := false
 	for k, v := range nb {
-		if v < cb[k] {
-			cb[k] = v
-			changed = true
-		}
-		nb[k] = ^uint64(0)
+		m := op.Fn(cb[k], v)
+		fell[k] = m != cb[k]
+		changed = changed || fell[k]
+		cb[k], nb[k] = m, op.Identity
 	}
 	curr.SetRange(ctx, lo, cb)
 	next.SetRange(ctx, lo, nb)
 	return changed
-}
-
-// BFS computes hop distances from root with level-synchronous
-// min-propagation (an extension beyond the paper's two applications).
-// Unreachable vertices get ^uint64(0). Each level scans the local range
-// a chunk at a time: an Apply only ever writes level+1, so a chunk read
-// before this level's Applies land picks out the same frontier.
-func (eg *Graph) BFS(ctx *cluster.Ctx, root int64) []uint64 {
-	c := eg.node.Cluster()
-	dist := eg.newStateArray()
-	min := dist.RegisterOp(core.OpMinU64)
-	dist.Fill(ctx, ^uint64(0))
-	c.Barrier(ctx)
-	if root >= eg.lo && root < eg.hi {
-		dist.Set(ctx, root, 0)
-	}
-	c.Barrier(ctx)
-	buf := make([]uint64, dist.ChunkWords())
-	for level := uint64(0); ; level++ {
-		advanced := 0.0
-		eachChunk(eg.lo, eg.hi, dist.ChunkWords(), func(lo, hi int64) {
-			b := buf[:hi-lo]
-			dist.GetRange(ctx, lo, b)
-			for k, d := range b {
-				if d != level {
-					continue
-				}
-				for _, v := range eg.csr.Neighbors(lo + int64(k)) {
-					dist.Apply(ctx, min, v, level+1)
-					advanced = 1
-				}
-			}
-		})
-		if c.AllReduceSum(ctx, advanced) == 0 {
-			break
-		}
-	}
-	out := eg.readU64(ctx, dist)
-	c.Barrier(ctx)
-	return out
 }

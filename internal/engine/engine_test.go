@@ -203,6 +203,93 @@ func TestBFSOnPath(t *testing.T) {
 	}
 }
 
+// TestBFSRootOutOfRange: a root no node homes reaches nothing.
+func TestBFSRootOutOfRange(t *testing.T) {
+	g := graph.Path(200)
+	for _, root := range []int64{-1, g.N} {
+		c := tc(t, 2)
+		c.Run(func(n *cluster.Node) {
+			for i, d := range NewGraph(n, g).BFS(n.NewCtx(0), root) {
+				if d != ^uint64(0) {
+					t.Errorf("root %d: node %d's local vertex %d at distance %d", root, n.ID(), i, d)
+					return
+				}
+			}
+		})
+	}
+}
+
+// refBFS is the sequential reference: hop distances over out-edges,
+// ^uint64(0) where root does not reach.
+func refBFS(g *graph.CSR, root int64) []uint64 {
+	dist := make([]uint64, g.N)
+	for i := range dist {
+		dist[i] = ^uint64(0)
+	}
+	dist[root] = 0
+	for frontier := []int64{root}; len(frontier) > 0; {
+		var nextF []int64
+		for _, u := range frontier {
+			for _, v := range g.Neighbors(u) {
+				if dist[v] == ^uint64(0) {
+					dist[v] = dist[u] + 1
+					nextF = append(nextF, v)
+				}
+			}
+		}
+		frontier = nextF
+	}
+	return dist
+}
+
+// rootOn returns the first vertex homed on node p that has out-edges.
+func rootOn(g *graph.CSR, bounds []int64, p int) int64 {
+	for u := bounds[p]; u < bounds[p+1]; u++ {
+		if g.OutDegree(u) > 0 {
+			return u
+		}
+	}
+	panic("engine test: node has no vertex with out-edges")
+}
+
+// TestBFSMatchesReference: on a 3-node R-MAT graph, BFS from a vertex
+// homed on node 2 returns the sequential hop distances, including
+// the unreachable vertices' ^uint64(0).
+func TestBFSMatchesReference(t *testing.T) {
+	g := testGraph()
+	c := tc(t, 3)
+	locals := make([][]uint64, 3)
+	var bounds []int64
+	var root int64
+	c.Run(func(n *cluster.Node) {
+		eg := NewGraph(n, g)
+		r := rootOn(g, eg.Bounds(), 2)
+		if n.ID() == 0 {
+			bounds, root = eg.Bounds(), r
+		}
+		locals[n.ID()] = eg.BFS(n.NewCtx(0), r)
+	})
+	want := refBFS(g, root)
+	unreached := 0
+	for _, d := range want {
+		if d == ^uint64(0) {
+			unreached++
+		}
+	}
+	if unreached == 0 || unreached >= len(want)-1 {
+		t.Fatalf("root %d leaves %d of %d vertices unreached: the test needs some of each", root, unreached, len(want))
+	}
+	got := make([]uint64, g.N)
+	for p, l := range locals {
+		copy(got[bounds[p]:], l)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("root %d: dist[%d] = %d, want %d", root, i, got[i], want[i])
+		}
+	}
+}
+
 func TestGamPageRankMatchesReference(t *testing.T) {
 	g := graph.RMAT(graph.RMATConfig{Scale: 7, EdgeFactor: 4, A: 0.57, B: 0.19, C: 0.19, Seed: 5})
 	want := refPageRank(g, 3)

@@ -73,6 +73,44 @@ func TestSSSPMatchesDijkstra(t *testing.T) {
 	}
 }
 
+// TestSSSPOffNodeZeroMatchesDijkstra roots SSSP on a vertex homed on
+// node 1 of 3, so the first round pushes from outside node 0.
+func TestSSSPOffNodeZeroMatchesDijkstra(t *testing.T) {
+	base := graph.RMAT(graph.RMATConfig{Scale: 8, EdgeFactor: 6, A: 0.57, B: 0.19, C: 0.19, Seed: 11})
+	w := graph.RandomWeights(base, 1, 10, 5)
+	c := tc(t, 3)
+	locals := make([][]float64, 3)
+	var bounds []int64
+	var root int64
+	c.Run(func(n *cluster.Node) {
+		eg := NewGraph(n, base)
+		r := rootOn(base, eg.Bounds(), 1)
+		if n.ID() == 0 {
+			bounds, root = eg.Bounds(), r
+		}
+		locals[n.ID()] = eg.SSSP(n.NewCtx(0), w, r)
+	})
+	want := refDijkstra(w, root)
+	unreached := 0
+	for _, d := range want {
+		if math.IsInf(d, 1) {
+			unreached++
+		}
+	}
+	if unreached == 0 || unreached >= len(want)-1 {
+		t.Fatalf("root %d leaves %d of %d vertices unreached: the test needs some of each", root, unreached, len(want))
+	}
+	got := gatherF64(c, bounds, locals)
+	for i := range want {
+		if math.IsInf(want[i], 1) != math.IsInf(got[i], 1) {
+			t.Fatalf("root %d: reachability mismatch at %d: %v vs %v", root, i, got[i], want[i])
+		}
+		if !math.IsInf(want[i], 1) && math.Abs(got[i]-want[i]) > 1e-9 {
+			t.Fatalf("root %d: dist[%d] = %v, want %v", root, i, got[i], want[i])
+		}
+	}
+}
+
 func TestSSSPOnWeightedPath(t *testing.T) {
 	const n = 100
 	srcs := make([]int64, n-1)

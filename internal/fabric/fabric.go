@@ -188,11 +188,11 @@ type Config struct {
 	Model  *vtime.Model // nil disables virtual-time charging
 	Faults *fault.Plan  // nil means a perfect wire (no injection, zero overhead)
 
-	// Pooled arms the zero-copy disciplines: receive queues recycle
-	// their link nodes, duplicate deliveries share the payload buffer by
-	// refcount instead of copying, and discarded duplicates are returned
-	// to the message pool. Every cluster sets it; the fabric's own unit
-	// tests, which allocate their messages, leave it off.
+	// Pooled arms the two zero-copy payload disciplines: duplicate
+	// deliveries share the payload buffer by refcount instead of
+	// copying, and discarded duplicates are returned to the message
+	// pool. Every cluster sets it; the fabric's own unit tests, which
+	// allocate their messages, leave it off.
 	Pooled bool
 }
 
@@ -208,16 +208,12 @@ func New(cfg Config) *Fabric {
 		panic("fabric: Nodes must be positive")
 	}
 	f := &Fabric{cfg: cfg}
-	newRx := queue.NewMPSC[*Message]
-	if cfg.Pooled {
-		newRx = queue.NewMPSCPooled[*Message]
-	}
 	f.eps = make([]*Endpoint, cfg.Nodes)
 	for i := range f.eps {
 		f.eps[i] = &Endpoint{
 			fab:       f,
 			id:        i,
-			rx:        newRx(),
+			rx:        queue.NewMPSCPooled[*Message](),
 			tx:        make([]vtime.Resource, cfg.Nodes),
 			txSeq:     make([]uint32, cfg.Nodes),
 			txLastVT:  make([]int64, cfg.Nodes),

@@ -35,40 +35,29 @@ type MPSC[T any] struct {
 	parked atomic.Int32
 	wake   chan struct{}
 
-	// nodes, when non-nil, recycles dequeued link nodes instead of
-	// leaving them to the GC (see NewMPSCPooled).
-	nodes *sync.Pool
+	// nodes recycles dequeued link nodes instead of leaving them to the
+	// GC (see NewMPSCPooled).
+	nodes sync.Pool
 }
 
-// NewMPSC returns an empty queue ready for use.
-func NewMPSC[T any]() *MPSC[T] {
+// NewMPSCPooled returns an empty queue ready for use. It recycles its
+// link nodes through a sync.Pool, avoiding one heap allocation per Push.
+// Safe because a vacated node is recycled only by the single consumer,
+// after it has observed the node's published successor — at that point
+// the producer that swapped the node out of head has finished its only
+// write to it, and Push re-initialises next before re-publishing.
+func NewMPSCPooled[T any]() *MPSC[T] {
 	q := &MPSC[T]{wake: make(chan struct{}, 1)}
+	q.nodes.New = func() any { return new(node[T]) }
 	q.head.Store(&q.stub)
 	q.tail = &q.stub
 	return q
 }
 
-// NewMPSCPooled returns an empty queue that recycles its link nodes
-// through a sync.Pool, avoiding one heap allocation per Push. Safe
-// because a vacated node is recycled only by the single consumer, after
-// it has observed the node's published successor — at that point the
-// producer that swapped the node out of head has finished its only
-// write to it, and Push re-initialises next before re-publishing.
-func NewMPSCPooled[T any]() *MPSC[T] {
-	q := NewMPSC[T]()
-	q.nodes = &sync.Pool{New: func() any { return new(node[T]) }}
-	return q
-}
-
 // Push enqueues v. It never blocks.
 func (q *MPSC[T]) Push(v T) {
-	var n *node[T]
-	if q.nodes != nil {
-		n = q.nodes.Get().(*node[T])
-		n.next.Store(nil)
-	} else {
-		n = new(node[T])
-	}
+	n := q.nodes.Get().(*node[T])
+	n.next.Store(nil)
 	n.val = v
 	prev := q.head.Swap(n)
 	prev.next.Store(n)
@@ -89,7 +78,7 @@ func (q *MPSC[T]) Pop() (v T, ok bool) {
 	v = next.val
 	var zero T
 	next.val = zero // drop reference for GC
-	if q.nodes != nil && tail != &q.stub {
+	if tail != &q.stub {
 		q.nodes.Put(tail)
 	}
 	return v, true

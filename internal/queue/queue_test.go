@@ -9,7 +9,7 @@ import (
 )
 
 func TestMPSCFIFOSingleProducer(t *testing.T) {
-	q := NewMPSC[int]()
+	q := NewMPSCPooled[int]()
 	for i := 0; i < 100; i++ {
 		q.Push(i)
 	}
@@ -25,7 +25,7 @@ func TestMPSCFIFOSingleProducer(t *testing.T) {
 }
 
 func TestMPSCEmpty(t *testing.T) {
-	q := NewMPSC[string]()
+	q := NewMPSCPooled[string]()
 	if !q.Empty() {
 		t.Fatal("new queue not empty")
 	}
@@ -41,7 +41,7 @@ func TestMPSCEmpty(t *testing.T) {
 
 func TestMPSCMultiProducerNoLoss(t *testing.T) {
 	const producers, per = 8, 1000
-	q := NewMPSC[int]()
+	q := NewMPSCPooled[int]()
 	var wg sync.WaitGroup
 	for p := 0; p < producers; p++ {
 		wg.Add(1)
@@ -87,7 +87,7 @@ func TestMPSCMultiProducerNoLoss(t *testing.T) {
 }
 
 func TestMPSCPopWaitDeliversAfterPark(t *testing.T) {
-	q := NewMPSC[int]()
+	q := NewMPSCPooled[int]()
 	stop := make(chan struct{})
 	got := make(chan int, 1)
 	go func() {
@@ -103,7 +103,7 @@ func TestMPSCPopWaitDeliversAfterPark(t *testing.T) {
 }
 
 func TestMPSCPopWaitStop(t *testing.T) {
-	q := NewMPSC[int]()
+	q := NewMPSCPooled[int]()
 	stop := make(chan struct{})
 	done := make(chan bool, 1)
 	go func() {
@@ -117,7 +117,7 @@ func TestMPSCPopWaitStop(t *testing.T) {
 }
 
 func TestMPSCPopWaitManyRounds(t *testing.T) {
-	q := NewMPSC[int]()
+	q := NewMPSCPooled[int]()
 	stop := make(chan struct{})
 	const rounds = 2000
 	done := make(chan int)
@@ -212,7 +212,7 @@ func TestSPSCConcurrentTransfer(t *testing.T) {
 // sequence (FIFO) for the single-producer case.
 func TestMPSCQuickFIFO(t *testing.T) {
 	f := func(vals []int64) bool {
-		q := NewMPSC[int64]()
+		q := NewMPSCPooled[int64]()
 		for _, v := range vals {
 			q.Push(v)
 		}
@@ -323,7 +323,7 @@ func BenchmarkSPSCContendedNoPad(b *testing.B) {
 }
 
 func BenchmarkMPSCPush(b *testing.B) {
-	q := NewMPSC[int]()
+	q := NewMPSCPooled[int]()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		q.Push(i)
